@@ -318,31 +318,22 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkFract3SimulatorLoad measures the raw engine on the 512-node
 // 3-level fat fractahedron under a steady uniform load — the
 // simulator-only counterpart of BenchmarkLargeSim, isolating per-cycle
-// engine cost from the experiment runner and the sweep grid. The Shards1
-// variant is the sequential engine; ShardsN runs the same scenario on the
-// sharded planner (N picked to match small multicore hosts), and must
-// deliver the identical result — only the wall clock may differ.
+// engine cost from the experiment runner and the sweep grid.
 func BenchmarkFract3SimulatorLoad(b *testing.B) {
 	sys, _, err := core.NewFatFractahedron(3)
 	if err != nil {
 		b.Fatal(err)
 	}
 	nodes := sys.Net.NumNodes()
-	for _, bc := range []struct {
-		name   string
-		shards int
-	}{{"Shards1", 0}, {"Shards4", 4}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewSource(11))
-				specs := workload.UniformRandom(rng, nodes, 2000, 8, 1500)
-				res, err := sys.Simulate(specs, sim.Config{FIFODepth: 4, Shards: bc.shards})
-				if err != nil || res.Deadlocked || res.Delivered != 2000 {
-					b.Fatalf("err=%v deadlocked=%v delivered=%d", err, res.Deadlocked, res.Delivered)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(11))
+		specs := workload.UniformRandom(rng, nodes, 2000, 8, 1500)
+		res, err := sys.Simulate(specs, sim.Config{FIFODepth: 4})
+		if err != nil || res.Deadlocked || res.Delivered != 2000 {
+			b.Fatalf("err=%v deadlocked=%v delivered=%d", err, res.Deadlocked, res.Delivered)
+		}
 	}
 }
 
@@ -350,7 +341,8 @@ func BenchmarkFract3SimulatorLoad(b *testing.B) {
 // scenario with every chaos-era hook installed but disabled — a zero-rate
 // corruption filter plus delivery and drop callbacks — and demands a
 // bit-identical Result. Compare its ns/op against Fract3SimulatorLoad in
-// BENCH_SIM.json: the disabled hooks must add no per-cycle cost.
+// the same BENCH_SIM.json snapshot: the disabled hooks must add no
+// per-cycle cost.
 func BenchmarkChaosOff(b *testing.B) {
 	sys, _, err := core.NewFatFractahedron(3)
 	if err != nil {
@@ -535,21 +527,13 @@ func BenchmarkFailover(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeSim runs the §4 512-node simulation at a reduced budget,
-// sequentially and on the sharded engine (which must not change the rows).
+// BenchmarkLargeSim runs the §4 512-node simulation at a reduced budget.
 func BenchmarkLargeSim(b *testing.B) {
-	for _, bc := range []struct {
-		name   string
-		shards int
-	}{{"Shards1", 0}, {"Shards4", 4}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.LargeSim([]float64{0.004}, 300, 8, 1, runner.Shards(bc.shards))
-				if err != nil || rows[0].Deadlocked {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		rows, err := experiments.LargeSim([]float64{0.004}, 300, 8, 1)
+		if err != nil || rows[0].Deadlocked {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -33,7 +33,6 @@ func main() {
 	queue := flag.Int("queue", 16, "admission bound on queued jobs; beyond it submissions get 503 + Retry-After")
 	jobWorkers := flag.Int("job-workers", 2, "campaigns run concurrently")
 	pointWorkers := flag.Int("point-workers", 0, "worker-pool size inside one campaign (0 = GOMAXPROCS); never changes results")
-	shards := flag.Int("shards", 0, "engine shard count per point (<= 1 = sequential); never changes results")
 	burst := flag.Int("rate-burst", 0, "token-bucket burst for job admission; 0 disables rate limiting")
 	refill := flag.Int("rate-refill", 1, "tokens restored per refill tick")
 	refillEvery := flag.Duration("refill-every", 100*time.Millisecond, "refill tick period")
@@ -46,7 +45,6 @@ func main() {
 		cliutil.Positive("queue", *queue),
 		cliutil.Positive("job-workers", *jobWorkers),
 		cliutil.NonNegative("point-workers", *pointWorkers),
-		cliutil.NonNegative("shards", *shards),
 		cliutil.NonNegative("rate-burst", *burst),
 		cliutil.Positive("rate-refill", *refill),
 	); err != nil {
@@ -60,7 +58,6 @@ func main() {
 		QueueDepth:    *queue,
 		JobWorkers:    *jobWorkers,
 		PointWorkers:  *pointWorkers,
-		Shards:        *shards,
 		RateBurst:     *burst,
 		RateRefill:    *refill,
 		RefillEvery:   *refillEvery,

@@ -44,7 +44,6 @@ func main() {
 	flits := flag.Int("flits", 4, "flits per transfer")
 	seed := flag.Int64("seed", 2, "campaign seed; equal seeds reproduce the campaign exactly")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS); results are identical for any value")
-	shards := flag.Int("shards", 0, "engine shard count per trial (<= 1 = sequential); results are identical for any value")
 	jsonPath := flag.String("json", "", "write the campaign JSON to this path (\"-\" for stdout)")
 	backend := flag.String("backend", "indexed", "execution backend: indexed (recovery campaign) | live (concurrent-fabric fault smoke)")
 	flag.Parse()
@@ -55,7 +54,6 @@ func main() {
 		cliutil.Positive("packets", *packets),
 		cliutil.Positive("flits", *flits),
 		cliutil.NonNegative("workers", *workers),
-		cliutil.NonNegative("shards", *shards),
 	); err != nil {
 		cliutil.Fail("chaos", err)
 	}
@@ -70,7 +68,7 @@ func main() {
 
 	stats := runner.NewStats()
 	cr, err := experiments.ChaosRecovery(*trials, *packets, *flits, *seed,
-		runner.Workers(*workers), runner.Shards(*shards), runner.WithStats(stats))
+		runner.Workers(*workers), runner.WithStats(stats))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 		os.Exit(1)

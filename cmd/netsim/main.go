@@ -17,8 +17,8 @@
 // fabric (internal/livefabric) instead of the cycle-level engine:
 // routers are goroutines, links are bounded channels, and a wedged run
 // is reported with the runtime wait-for cycle witness (exit 3). The
-// cycle-denominated knobs (-link-latency, -timeout, -shards,
-// -fail-cycle) do not apply there; -fail-link kills the link at startup,
+// cycle-denominated knobs (-link-latency, -timeout, -fail-cycle) do
+// not apply there; -fail-link kills the link at startup,
 // and -wire-delay paces each flit by a wall-clock propagation time —
 // set it on contention demos so every worm is in flight at once and the
 // circular wait cannot be dodged by a fast scheduler draining worms
@@ -66,7 +66,6 @@ func main() {
 	failCycle := flag.Int("fail-cycle", 0, "cycle at which -fail-link dies")
 	runs := flag.Int("runs", 1, "independent runs; run i derives its seed from (-seed, i)")
 	workers := flag.Int("workers", 0, "worker-pool size for -runs fan-out (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "engine shard count per run (<= 1 = sequential); results are identical for any value")
 	backend := flag.String("backend", "indexed", "execution backend: indexed (cycle-level engine) | live (concurrent goroutine fabric)")
 	wireDelay := flag.Duration("wire-delay", 0, "live backend only: wall-clock flit propagation per link; paces worms so contention demos wedge on any scheduler")
 	flag.Parse()
@@ -75,7 +74,6 @@ func main() {
 		cliutil.Backend("backend", *backend),
 		cliutil.Positive("runs", *runs),
 		cliutil.NonNegative("workers", *workers),
-		cliutil.NonNegative("shards", *shards),
 		cliutil.Positive("flits", *flits),
 		cliutil.Positive("fifo", *fifo),
 		cliutil.Positive("vc", *vcs),
@@ -116,8 +114,8 @@ func main() {
 		if *unrestricted {
 			dis = router.AllowAll(sys.Net)
 		}
-		if *timeout != 0 || *shards > 1 || *linkLat > 1 {
-			fmt.Fprintln(os.Stderr, "netsim: -timeout, -shards and -link-latency are cycle-denominated; the live backend ignores them")
+		if *timeout != 0 || *linkLat > 1 {
+			fmt.Fprintln(os.Stderr, "netsim: -timeout and -link-latency are cycle-denominated; the live backend ignores them")
 		}
 		fmt.Printf("%s, pattern=%s, backend=live, %d runs x %d flits/packet, FIFO depth %d\n",
 			name, *pattern, *runs, *flits, *fifo)
@@ -156,7 +154,7 @@ func main() {
 	if *wireDelay > 0 {
 		fmt.Fprintln(os.Stderr, "netsim: -wire-delay is wall-clock-denominated; the indexed backend ignores it (use -link-latency)")
 	}
-	cfg := sim.Config{FIFODepth: *fifo, VirtualChannels: *vcs, LinkLatency: *linkLat, TimeoutCycles: *timeout, DeadlockThreshold: 2000, Shards: *shards}
+	cfg := sim.Config{FIFODepth: *fifo, VirtualChannels: *vcs, LinkLatency: *linkLat, TimeoutCycles: *timeout, DeadlockThreshold: 2000}
 	simulate := func(specs []sim.PacketSpec) (sim.Result, error) {
 		dis := sys.Disables
 		if *unrestricted {

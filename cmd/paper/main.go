@@ -27,19 +27,17 @@ func main() {
 	quick := flag.Bool("quick", false, "reduce sizes for a fast smoke run")
 	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<name>.txt")
 	workers := flag.Int("workers", 0, "simulation worker-pool size (0 = GOMAXPROCS); results are identical for any value")
-	shards := flag.Int("shards", 0, "engine shard count per simulation (<= 1 = sequential); results are identical for any value")
 	flag.Parse()
 
 	if err := cliutil.First(
 		cliutil.Positive("levels", *levels),
 		cliutil.NonNegative("workers", *workers),
-		cliutil.NonNegative("shards", *shards),
 	); err != nil {
 		cliutil.Fail("paper", err)
 	}
 
 	stats := runner.NewStats()
-	opts := []runner.Option{runner.Workers(*workers), runner.Shards(*shards), runner.WithStats(stats)}
+	opts := []runner.Option{runner.Workers(*workers), runner.WithStats(stats)}
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {

@@ -103,12 +103,10 @@ type WaitEdge struct {
 }
 
 // Blocking is the interprocedural blocking-effect table: every function
-// whose whole effect is not non-blocking, the hot-path verdicts, and the
-// sanctioned barrier functions.
+// whose effect is not non-blocking and the hot-path verdicts.
 type Blocking struct {
 	Functions []BlockEffect  `json:"functions"`
 	HotPaths  []HotPathAudit `json:"hot_paths"`
-	Barriers  []string       `json:"barriers"`
 }
 
 // BlockEffect is one function's effect with its witness chain.
@@ -119,7 +117,7 @@ type BlockEffect struct {
 }
 
 // HotPathAudit is one //simlint:hotpath function's verdict: its effect
-// outside barrier-marked callees and whether that is non-blocking.
+// and whether that is non-blocking.
 type HotPathAudit struct {
 	Func   string `json:"func"`
 	Site   string `json:"site"`
@@ -197,7 +195,7 @@ func Build(wd string) (*Certificate, error) {
 	var waitRes []chanwait.Resource
 	var waitCtxs []chanwait.Context
 	var waitEdges []chanwait.Edge
-	blocking := Blocking{Functions: []BlockEffect{}, HotPaths: []HotPathAudit{}, Barriers: []string{}}
+	blocking := Blocking{Functions: []BlockEffect{}, HotPaths: []HotPathAudit{}}
 	for _, pkg := range pkgs {
 		cert.Packages = append(cert.Packages, pkg.ImportPath)
 		findings, results, err := analysis.Run(suite, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo)
@@ -231,7 +229,6 @@ func Build(wd string) (*Certificate, error) {
 					Effect: hp.Effect, OK: hp.OK, Via: hp.Via,
 				})
 			}
-			blocking.Barriers = append(blocking.Barriers, r.Barriers...)
 		}
 		if r, ok := results["goleak"].(goleak.Result); ok {
 			for _, s := range r.Spawns {
@@ -255,7 +252,6 @@ func Build(wd string) (*Certificate, error) {
 	cert.WaitFor = mergeWaitFor(root, waitRes, waitCtxs, waitEdges)
 	sort.Slice(blocking.Functions, func(i, j int) bool { return blocking.Functions[i].Func < blocking.Functions[j].Func })
 	sort.Slice(blocking.HotPaths, func(i, j int) bool { return blocking.HotPaths[i].Func < blocking.HotPaths[j].Func })
-	sort.Strings(blocking.Barriers)
 	cert.Blocking = blocking
 	sort.Slice(cert.Goroutines, func(i, j int) bool { return cert.Goroutines[i].Site < cert.Goroutines[j].Site })
 	sort.Slice(cert.Channels, func(i, j int) bool { return cert.Channels[i].Site < cert.Channels[j].Site })

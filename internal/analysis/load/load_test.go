@@ -63,8 +63,20 @@ func TestPackagesMultiFile(t *testing.T) {
 	if len(pkgs) != 1 {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
-	if n := len(pkgs[0].Files); n < 4 {
-		t.Errorf("sim parsed into %d files, want >= 4 (multi-file package)", n)
+	// Every non-test source file must be parsed, and there must be
+	// several of them for the test to mean anything.
+	srcs, err := filepath.Glob(filepath.Join(repoRoot(t), "internal", "sim", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, f := range srcs {
+		if !strings.HasSuffix(f, "_test.go") {
+			want++
+		}
+	}
+	if n := len(pkgs[0].Files); n != want || n < 2 {
+		t.Errorf("sim parsed into %d files, want all %d non-test files (multi-file package)", n, want)
 	}
 	// Every parsed file must have type info recorded in the shared Info.
 	if len(pkgs[0].TypesInfo.Defs) == 0 {

@@ -1,7 +1,7 @@
 // Package blockcheck classifies every function by its blocking effect —
 // non-blocking, bounded-blocking, or may-block-indefinitely — and
 // enforces that functions marked as the simulator's per-cycle hot path
-// are provably non-blocking outside the sanctioned barrier.
+// are provably non-blocking.
 //
 // The effect is a three-point lattice propagated over the call graph:
 //
@@ -15,20 +15,12 @@
 // indefinitely, if that goroutine never does. A function's effect is the
 // maximum of its direct ops and its statically resolved callees'.
 //
-// Two directives steer enforcement, written as the last lines of a
-// function's doc comment:
-//
-//	//simlint:hotpath — the function must be non-blocking outside barriers
-//	//simlint:barrier — calls to it are the sanctioned blocking point
-//
-// A hot-path function's effect is recomputed with barrier-marked callees
-// contributing nothing; anything left — even bounded blocking — is
-// reported with a shortest witness call chain down to the operation that
-// blocks. This is the code-level analogue of the paper's wormhole
-// discipline: the routing decision (planMoves and the shard classify
-// loops) must never stall on a dependent resource; the only legal wait
-// is the end-of-cycle barrier, which the wait-for graph separately
-// proves cycle-free.
+// The directive //simlint:hotpath, written as the last line of a
+// function's doc comment, marks a function that must be non-blocking:
+// any effect above that — even bounded blocking — is reported with a
+// shortest witness call chain down to the operation that blocks. This is
+// the code-level analogue of the paper's wormhole discipline: the routing
+// decision (planMoves) must never stall on a dependent resource.
 //
 // Unlike the wait-for analyzers, the call list here is collected
 // directly (skipping go statements and non-invoked literals) rather than
@@ -66,17 +58,16 @@ func levelName(l int) string {
 	return "non-blocking"
 }
 
-// FuncEffect records one function whose whole effect (barriers included)
-// is not non-blocking, with a shortest witness chain.
+// FuncEffect records one function whose effect is not non-blocking, with
+// a shortest witness chain.
 type FuncEffect struct {
 	Func   string
 	Effect string
 	Via    string
 }
 
-// HotPath is the verdict for one //simlint:hotpath function: its effect
-// outside barrier-marked callees, whether that passes, and the witness
-// chain when it does not (or when a barrier exclusion did the saving).
+// HotPath is the verdict for one //simlint:hotpath function: its effect,
+// whether that passes, and the witness chain when it does not.
 type HotPath struct {
 	Func   string
 	Pos    token.Position
@@ -90,14 +81,13 @@ type HotPath struct {
 type Result struct {
 	Funcs    []FuncEffect
 	HotPaths []HotPath
-	Barriers []string
 }
 
 var Analyzer = &analysis.Analyzer{
 	Name: "blockcheck",
 	Doc: "classify every function's blocking effect (non-blocking / bounded-blocking / " +
 		"may-block-indefinitely) over the call graph and require //simlint:hotpath " +
-		"functions to be non-blocking outside //simlint:barrier callees, with a witness " +
+		"functions to be non-blocking, with a witness " +
 		"call chain for every violation",
 	Run: run,
 }
@@ -114,14 +104,10 @@ func run(pass *analysis.Pass) (any, error) {
 		g:       g,
 		direct:  map[*callgraph.Func]directOp{},
 		calls:   map[*callgraph.Func][]*callgraph.Func{},
-		barrier: map[*callgraph.Func]bool{},
 		hotpath: map[*callgraph.Func]bool{},
 	}
 	a.collect()
-	effAll := a.fixpoint(false)
-	effNoB := a.fixpoint(true)
-
-	res := a.result(effAll, effNoB)
+	res := a.result(a.fixpoint())
 	a.enforce(res)
 	return res, nil
 }
@@ -138,7 +124,6 @@ type scanner struct {
 	g       *callgraph.Graph
 	direct  map[*callgraph.Func]directOp
 	calls   map[*callgraph.Func][]*callgraph.Func
-	barrier map[*callgraph.Func]bool
 	hotpath map[*callgraph.Func]bool
 }
 
@@ -160,7 +145,7 @@ func opLevel(op conc.Op) int {
 
 // collect computes each function's direct op level, its own call list
 // (shallow, go statements skipped, defers and immediately invoked
-// literals included), and its directives.
+// literals included), and its hot-path directive.
 func (a *scanner) collect() {
 	info := a.pass.TypesInfo
 	for _, f := range a.g.Funcs {
@@ -188,11 +173,8 @@ func (a *scanner) collect() {
 		})
 		if f.Decl != nil && f.Decl.Doc != nil {
 			for _, c := range f.Decl.Doc.List {
-				switch {
-				case strings.HasPrefix(c.Text, "//simlint:hotpath"):
+				if strings.HasPrefix(c.Text, "//simlint:hotpath") {
 					a.hotpath[f] = true
-				case strings.HasPrefix(c.Text, "//simlint:barrier"):
-					a.barrier[f] = true
 				}
 			}
 		}
@@ -200,9 +182,8 @@ func (a *scanner) collect() {
 }
 
 // fixpoint propagates effects over the call lists to a deterministic
-// fixed point. With noBarrier set, barrier-marked callees contribute
-// nothing — the hot-path variant.
-func (a *scanner) fixpoint(noBarrier bool) map[*callgraph.Func]int {
+// fixed point.
+func (a *scanner) fixpoint() map[*callgraph.Func]int {
 	eff := map[*callgraph.Func]int{}
 	for f, d := range a.direct {
 		eff[f] = d.level
@@ -211,9 +192,6 @@ func (a *scanner) fixpoint(noBarrier bool) map[*callgraph.Func]int {
 		changed = false
 		for _, f := range a.g.Funcs {
 			for _, callee := range a.calls[f] {
-				if noBarrier && a.barrier[callee] {
-					continue
-				}
 				if eff[callee] > eff[f] {
 					eff[f] = eff[callee]
 					changed = true
@@ -228,7 +206,7 @@ func (a *scanner) fixpoint(noBarrier bool) map[*callgraph.Func]int {
 // whose direct op level equals target, as "f -> g -> h (op)", following
 // the same edges the fixpoint used. BFS over source-ordered call lists
 // keeps it deterministic.
-func (a *scanner) witness(f *callgraph.Func, target int, noBarrier bool) string {
+func (a *scanner) witness(f *callgraph.Func, target int) string {
 	type node struct {
 		f     *callgraph.Func
 		chain []*callgraph.Func
@@ -246,7 +224,7 @@ func (a *scanner) witness(f *callgraph.Func, target int, noBarrier bool) string 
 			return strings.Join(names, " -> ") + " (" + d.kind + ")"
 		}
 		for _, callee := range a.calls[n.f] {
-			if seen[callee] || (noBarrier && a.barrier[callee]) {
+			if seen[callee] {
 				continue
 			}
 			seen[callee] = true
@@ -261,21 +239,21 @@ func (a *scanner) funcName(f *callgraph.Func) string {
 }
 
 // result renders the sorted effect table.
-func (a *scanner) result(effAll, effNoB map[*callgraph.Func]int) Result {
+func (a *scanner) result(eff map[*callgraph.Func]int) Result {
 	res := Result{}
 	for _, f := range a.g.Funcs {
 		if f.Body == nil {
 			continue
 		}
-		if l := effAll[f]; l > nonBlocking {
+		l := eff[f]
+		if l > nonBlocking {
 			res.Funcs = append(res.Funcs, FuncEffect{
 				Func:   a.funcName(f),
 				Effect: levelName(l),
-				Via:    a.witness(f, l, false),
+				Via:    a.witness(f, l),
 			})
 		}
 		if a.hotpath[f] {
-			l := effNoB[f]
 			hp := HotPath{
 				Func:   a.funcName(f),
 				Pos:    a.pass.Fset.Position(f.Decl.Pos()),
@@ -283,22 +261,18 @@ func (a *scanner) result(effAll, effNoB map[*callgraph.Func]int) Result {
 				OK:     l == nonBlocking,
 			}
 			if l > nonBlocking {
-				hp.Via = a.witness(f, l, true)
+				hp.Via = a.witness(f, l)
 			}
 			res.HotPaths = append(res.HotPaths, hp)
-		}
-		if a.barrier[f] {
-			res.Barriers = append(res.Barriers, a.funcName(f))
 		}
 	}
 	sort.Slice(res.Funcs, func(i, j int) bool { return res.Funcs[i].Func < res.Funcs[j].Func })
 	sort.Slice(res.HotPaths, func(i, j int) bool { return res.HotPaths[i].Func < res.HotPaths[j].Func })
-	sort.Strings(res.Barriers)
 	return res
 }
 
-// enforce reports every hot-path function whose barrier-free effect is
-// not non-blocking.
+// enforce reports every hot-path function whose effect is not
+// non-blocking.
 func (a *scanner) enforce(res Result) {
 	for _, hp := range res.HotPaths {
 		if hp.OK {
@@ -308,7 +282,7 @@ func (a *scanner) enforce(res Result) {
 		switch hp.Effect {
 		case "may-block-indefinitely":
 			a.pass.Reportf(pos,
-				"hot-path function %s may block indefinitely outside the sanctioned barrier: %s — the per-cycle hot path must be provably non-blocking",
+				"hot-path function %s may block indefinitely: %s — the per-cycle hot path must be provably non-blocking",
 				hp.Func, hp.Via)
 		default:
 			a.pass.Reportf(pos,

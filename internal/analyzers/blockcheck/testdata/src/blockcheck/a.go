@@ -1,9 +1,7 @@
 // Fixture for the blockcheck analyzer: a clean hot path, a hot path
 // reaching an unbounded receive through a helper (flagged with its
-// witness chain), a hot path whose only blocking sits behind a
-// sanctioned barrier (allowed), a bounded lock on the hot path (still
-// barred, distinct message), and a polling select with default
-// (non-blocking).
+// witness chain), a bounded lock on the hot path (still barred, distinct
+// message), and a polling select with default (non-blocking).
 package blockcheck
 
 import "sync"
@@ -31,20 +29,9 @@ func helperRecv(s *state) int { return <-s.ch }
 // effect propagates up the call chain and the witness names it.
 //
 //simlint:hotpath
-func hotBlocking(s *state) int { // want `hot-path function blockcheck\.hotBlocking may block indefinitely outside the sanctioned barrier: blockcheck\.hotBlocking -> blockcheck\.helperRecv \(recv\)`
+func hotBlocking(s *state) int { // want `hot-path function blockcheck\.hotBlocking may block indefinitely: blockcheck\.hotBlocking -> blockcheck\.helperRecv \(recv\)`
 	return helperRecv(s)
 }
-
-// barrierWait is the sanctioned rendezvous point.
-//
-//simlint:barrier
-func barrierWait(s *state) { <-s.ch }
-
-// hotViaBarrier blocks only through the sanctioned barrier, which the
-// hot-path variant excludes: allowed, no diagnostic.
-//
-//simlint:hotpath
-func hotViaBarrier(s *state) { barrierWait(s) }
 
 // hotBounded takes a mutex: bounded blocking, still barred from the hot
 // path, with its own message.

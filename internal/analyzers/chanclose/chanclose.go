@@ -7,8 +7,8 @@
 //   - the send sits in a `select` with a `default` clause (it can never
 //     block — the escape valve the paper's adaptive routes use);
 //   - the channel has a constant buffer capacity >= 1 at its make site
-//     (the shardPool `done` channel: one slot per barrier round, drained
-//     before the next dispatch);
+//     (a worker pool's `done` channel: one slot per barrier round,
+//     drained before the next dispatch);
 //   - a receive from the channel is guaranteed on every CFG exit path of
 //     the spawning function, or — when the channel is (published to) a
 //     struct field — a receive exists somewhere in the package.

@@ -7,7 +7,7 @@
 //
 // Vertices are static channel and WaitGroup identities (conc.BaseObj: a
 // struct field abstracts every instance; a local published into a field
-// via conc.FieldAlias takes the field's identity — the shardPool shape).
+// via conc.FieldAlias takes the field's identity — a worker pool's shape).
 // Each channel carries its make-site buffer capacity, the "VC count" of
 // the analogy: an unbuffered channel is a VC-free link, a capacity-k
 // channel a link with k virtual channels' worth of slack.

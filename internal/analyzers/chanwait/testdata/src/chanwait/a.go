@@ -116,7 +116,7 @@ func waitBeforeSend() {
 	ch <- 1 // want `channel wait-for cycle: chanwait\.waitBeforeSend\.ch -> chanwait\.waitBeforeSend\.wg -> chanwait\.waitBeforeSend\.ch`
 }
 
-// pool replicates the simulator's shard-pool barrier: a worker ranging
+// pool is a barrier worker pool: a worker ranging
 // over a job channel and answering on a buffered done channel, a
 // dispatcher doing send-then-receive, and a shutdown doing
 // close-then-Wait. The locals are published into fields, so every

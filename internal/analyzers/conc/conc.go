@@ -242,8 +242,8 @@ func WaitsOn(info *types.Info, n ast.Node, obj types.Object) bool {
 // FieldAlias returns the field a local object is published through when
 // the function stores it into a struct field — `x.f = obj` or
 // `x.f = append(x.f, obj)` — so an obligation on the local can transfer
-// to the field (the shardPool pattern: worker channels built locally,
-// appended to p.jobs, closed by (*shardPool).close).
+// to the field (a worker pool's pattern: channels built locally, appended
+// to p.jobs, closed by the pool's close method).
 func FieldAlias(info *types.Info, body ast.Node, obj types.Object) types.Object {
 	var alias types.Object
 	Shallow(body, func(x ast.Node) bool {

@@ -7,8 +7,8 @@
 //     X.Add reaches the spawn site and X.Wait is guaranteed — on every
 //     CFG exit path of the spawning function for a local WaitGroup (a
 //     defer registered before the spawn counts), or anywhere in the
-//     package for a struct-field WaitGroup (the shardPool pattern, where
-//     close() owns the Wait).
+//     package for a struct-field WaitGroup (the serve.Server pattern,
+//     where Close owns the Wait).
 //  2. Channel signal: the spawned body sends on a channel; the join is a
 //     guaranteed receive — every exit path of the spawner, or anywhere in
 //     the package when the channel is (published to) a field.
@@ -19,9 +19,8 @@
 // A spawn with no obligation, an unverifiable one, or a statically
 // unresolvable spawned function is reported: this is the analyzer a
 // deadlock-freedom certificate leans on, so it is loud where the graph is
-// blind. These are exactly the shutdown paths PR 6 audited by hand
-// (runner.Map, routing.ForAllPairs, sim.shardPool); this analyzer pins
-// that audit in CI.
+// blind. It pins the shutdown paths of runner.Map, routing.ForAllPairs,
+// serve.Server and livefabric.Fabric in CI.
 package goleak
 
 import (

@@ -1,6 +1,6 @@
 // Second fixture file: spawned named functions with the obligation on a
 // parameter (mapped back to the caller's argument), and the struct-field
-// WaitGroup pattern where another method owns the Wait — the shardPool
+// WaitGroup pattern where another method owns the Wait — a worker pool's
 // shape.
 package goleak
 
@@ -25,7 +25,7 @@ func leakParam() {
 	go worker(&wg) // want `Wait on leakParam.wg is not guaranteed on every exit path`
 }
 
-// pool is the shardPool shape: the Wait lives in close, not next to the
+// pool is the worker-pool shape: the Wait lives in close, not next to the
 // spawn, so the field rule must find it package-wide.
 type pool struct {
 	wg   sync.WaitGroup

@@ -39,13 +39,12 @@ var allowWallClock = map[string]map[string]bool{
 }
 
 // allowGoroutines maps package path to file base names where go statements
-// are sanctioned: the audited barrier pools whose scheduling provably never
-// reaches a result (routing's merge-in-order parallel table builder and the
-// sim engine's sharded planner). Anywhere else in the contract packages a
-// goroutine is a latent scheduling dependence and is flagged.
+// are sanctioned: the audited pools whose scheduling provably never reaches
+// a result (routing's merge-in-order parallel table builder). Anywhere else
+// in the contract packages a goroutine is a latent scheduling dependence
+// and is flagged.
 var allowGoroutines = map[string]map[string]bool{
 	"repro/internal/routing": {"parallel.go": true},
-	"repro/internal/sim":     {"shard.go": true},
 	// serve's goroutines (acceptor, queue workers, refill ticker) are
 	// joined by Close and certified leak-free by the codecert golden;
 	// none of their scheduling reaches a result row.
@@ -81,7 +80,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "flag global math/rand use, wall-clock reads, and unsanctioned goroutines in " +
 		"determinism-contract packages; randomness must flow through an explicit runner-seeded " +
 		"*rand.Rand, wall time only through the campaign accounting sites, and parallelism only " +
-		"through the audited barrier pools",
+		"through the audited pools",
 	Run: run,
 }
 
@@ -98,7 +97,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if g, ok := n.(*ast.GoStmt); ok {
 				if !goroutineOK {
 					pass.Reportf(g.Pos(),
-						"goroutine launched outside the audited barrier pools; fan out across points via runner.Map, or inside a run via the sharded planner (internal/sim/shard.go), so scheduling can never reach a result")
+						"goroutine launched outside the audited pools; fan out across points via runner.Map, so scheduling can never reach a result")
 				}
 				return true
 			}

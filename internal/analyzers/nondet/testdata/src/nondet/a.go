@@ -38,7 +38,6 @@ func suppressed() int {
 
 func rogueGoroutine(ch chan int) {
 	// A bare goroutine in a contract package is a scheduling dependence
-	// waiting to leak into a result; only the audited barrier pools may
-	// fan out.
-	go func() { ch <- 1 }() // want `goroutine launched outside the audited barrier pools`
+	// waiting to leak into a result; only the audited pools may fan out.
+	go func() { ch <- 1 }() // want `goroutine launched outside the audited pools`
 }

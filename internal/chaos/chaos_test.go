@@ -218,51 +218,6 @@ func TestCampaignWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestCampaignShardDeterminism extends the reproducibility criterion to the
-// intra-run sharded engine: the campaign JSON must be byte-identical for
-// ANY (workers, shards) combination — trial-level parallelism and
-// cycle-level parallelism compose without either leaking into results. The
-// byte-identity of the sharded planner itself is proven exhaustively in
-// internal/sim; this pins the composition through the chaos engine's
-// dual-fabric retry and reconfiguration machinery.
-func TestCampaignShardDeterminism(t *testing.T) {
-	spec := chaos.CampaignSpec{
-		Trials:  3,
-		Packets: 150,
-		Flits:   3,
-		Window:  60,
-		Seed:    5,
-		Plan:    chaos.PlanSpec{LinkKills: 1, LinkFlaps: 1, RouterKills: 1, Window: 40, RepairAfter: 120},
-		Engine:  engineConfig(),
-	}
-	base, err := chaos.Campaign(spec, runner.NewConfig(runner.Workers(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := base.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, combo := range []struct{ workers, shards int }{
-		{1, 2}, {1, 4}, {4, 2}, {4, 4},
-	} {
-		s := spec
-		s.Engine.Sim.Shards = combo.shards
-		res, err := chaos.Campaign(s, runner.NewConfig(runner.Workers(combo.workers)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := res.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("campaign JSON differs at workers=%d shards=%d:\n%s\n---\n%s",
-				combo.workers, combo.shards, got, want)
-		}
-	}
-}
-
 // TestBackoffConfigValidation pins the config-fold bugfix: a BackoffCap
 // below BackoffBase used to be silently ignored from the very first
 // re-issue (base<<0 already exceeded the cap); the fold now rejects it,

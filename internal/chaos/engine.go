@@ -428,16 +428,6 @@ func Run(cfg Config, plan Plan, specs []sim.PacketSpec) (Result, error) {
 	e := &engine{cfg: cfg}
 	e.res.FirstFaultCycle = plan.FirstCycle()
 	e.res.FinalCertified = true // until a failed recertification says otherwise
-	// Whatever path exits Run — error, accounting failure, or a panic from
-	// a hook — the simulators' shard pools must not outlive it. Close is
-	// idempotent, so the normal path's Finish calls are unaffected.
-	defer func() {
-		for _, fs := range e.fabs {
-			if fs != nil {
-				fs.s.Close()
-			}
-		}
-	}()
 	for i := 0; i < 2; i++ {
 		dis, err := router.FromTables(dual.Tables[i])
 		if err != nil {

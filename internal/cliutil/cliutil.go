@@ -22,7 +22,7 @@ func Positive(name string, v int) error {
 }
 
 // NonNegative returns an error unless v >= 0. Use it for sizes where 0
-// selects a default (worker pools, shard counts, rate limits).
+// selects a default (worker pools, rate limits).
 func NonNegative(name string, v int) error {
 	if v < 0 {
 		return fmt.Errorf("-%s must be >= 0, got %d (0 selects the default)", name, v)

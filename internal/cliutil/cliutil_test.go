@@ -38,7 +38,7 @@ func TestNonNegative(t *testing.T) {
 		{"workers", 0, true},
 		{"workers", 8, true},
 		{"workers", -1, false},
-		{"shards", -5, false},
+		{"rate-burst", -5, false},
 	}
 	for _, c := range cases {
 		err := NonNegative(c.name, c.v)

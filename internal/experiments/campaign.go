@@ -11,11 +11,8 @@ import (
 // observe runs one simulation point through a system and records its cost
 // (cycles simulated, flit moves, wall time) in the campaign stats, if any.
 // Experiments route every worker-pool simulation through this helper so
-// cmd/paper can print a campaign summary, and so the campaign's engine
-// shard count reaches every point uniformly (sharding never changes a
-// result, so stamping it here cannot perturb any experiment).
+// cmd/paper can print a campaign summary.
 func observe(cfg runner.Config, label string, sys *core.System, specs []sim.PacketSpec, sc sim.Config) (sim.Result, error) {
-	sc.Shards = cfg.Shards
 	start := time.Now()
 	res, err := sys.Simulate(specs, sc)
 	if err != nil {

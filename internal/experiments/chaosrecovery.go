@@ -21,7 +21,6 @@ import (
 func ChaosRecovery(trials, packets, flits int, seed int64, opts ...runner.Option) (*chaos.CampaignResult, error) {
 	cfg := runner.NewConfig(opts...)
 	spec := ChaosRecoverySpec(trials, packets, flits, seed)
-	spec.Engine.Sim.Shards = cfg.Shards
 	var cr *chaos.CampaignResult
 	err := timedCost(cfg.Stats, "chaos recovery campaign", func() (int, int, error) {
 		var err error

@@ -88,7 +88,7 @@ func FailoverSim(packets, flits, faultCycle int, seed int64, opts ...runner.Opti
 		var err error
 		cr, err = chaos.Run(chaos.Config{
 			Build: dualFractahedron,
-			Sim:   sim.Config{FIFODepth: 4, Shards: cfg.Shards},
+			Sim:   sim.Config{FIFODepth: 4},
 		}, plan, specs)
 		return cr.Cycles, cr.FlitMoves, err
 	})

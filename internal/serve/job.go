@@ -22,7 +22,7 @@ import (
 // kind's spec. The spec IS the job identity — jobKey hashes its
 // canonical JSON together with the engine revision, so equal specs on
 // equal engines address the same artifact, and nothing execution-shaped
-// (worker counts, shard counts, delays) appears here.
+// (worker counts, delays) appears here.
 type JobSpec struct {
 	Kind  string                 `json:"kind"` // "sweep", "chaos" or "live"
 	Sweep *experiments.SweepSpec `json:"sweep,omitempty"`
@@ -191,12 +191,11 @@ func validKey(key string) bool {
 }
 
 // row computes one point's NDJSON row — a pure function of (spec,
-// point); shards is an engine execution detail that can never change
-// the bytes.
-func (j JobSpec) row(point, shards int) (json.RawMessage, error) {
+// point).
+func (j JobSpec) row(point int) (json.RawMessage, error) {
 	switch j.Kind {
 	case "sweep":
-		r, err := j.Sweep.Row(point, shards)
+		r, err := j.Sweep.Row(point, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -204,7 +203,6 @@ func (j JobSpec) row(point, shards int) (json.RawMessage, error) {
 	case "chaos":
 		c := j.Chaos
 		spec := experiments.ChaosRecoverySpec(c.Trials, c.Packets, c.Flits, c.Seed)
-		spec.Engine.Sim.Shards = shards
 		tr, err := chaos.Trial(spec, point)
 		if err != nil {
 			return nil, err

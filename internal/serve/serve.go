@@ -54,7 +54,6 @@ type Config struct {
 	QueueDepth    int           // admission bound on jobs queued behind the workers (default 16)
 	JobWorkers    int           // campaigns run concurrently (default 1)
 	PointWorkers  int           // runner pool width inside one campaign (0 = GOMAXPROCS)
-	Shards        int           // per-point engine shard count (<= 1 = sequential)
 	RateBurst     int           // token-bucket burst; 0 disables rate limiting
 	RateRefill    int           // tokens restored per refill tick (default 1)
 	RefillEvery   time.Duration // refill tick period (default 100ms)
@@ -374,7 +373,7 @@ func (s *Server) runJob(jb *job) {
 			if d := s.cfg.PointDelay; d > 0 {
 				s.cfg.Clock.Sleep(d)
 			}
-			row, err := jb.spec.row(i, s.cfg.Shards)
+			row, err := jb.spec.row(i)
 			if err != nil {
 				return nil, err
 			}

@@ -302,7 +302,7 @@ func TestStreamAndArtifact(t *testing.T) {
 		t.Fatalf("%d rows, want %d", len(lines), spec.points())
 	}
 	for i, line := range lines {
-		want, err := spec.row(i, 0)
+		want, err := spec.row(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func TestChaosJob(t *testing.T) {
 		t.Fatalf("%d rows, want 2", len(lines))
 	}
 	for i, line := range lines {
-		want, err := spec.row(i, 0)
+		want, err := spec.row(i)
 		if err != nil {
 			t.Fatal(err)
 		}

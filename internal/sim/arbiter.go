@@ -158,8 +158,7 @@ func (s *Simulator) planMoves(now int) []move {
 // emitGrants resolves the filled arbitration slots into at most one granted
 // move per touched output port, visiting ports in ascending global index so
 // grant emission order is canonical, and advances each port's round-robin
-// pointer. Shared by the sequential and sharded planners: the slots are
-// filled identically, so the grants are too.
+// pointer.
 //
 //simlint:hotpath
 func (s *Simulator) emitGrants(moves []move) []move {

@@ -4,9 +4,7 @@ package sim_test
 // reproduce the retired map-based implementation (preserved as
 // internal/sim/simref) byte for byte — every Result field, including the
 // deadlock witness and per-channel flit counts — across every builtin
-// topology spec and a matrix of load scenarios, and it must do so at every
-// shard count (TestMain in shard_test.go forces the sharded planner to
-// engage even on these small scenarios). The timeout scenarios stay
+// topology spec and a matrix of load scenarios. The timeout scenarios stay
 // on LinkLatency=1 / VirtualChannels=1 because the timeout semantics were
 // deliberately fixed for the other corners; bugfix_test.go pins those
 // divergences explicitly.
@@ -17,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/sim/simref"
 	"repro/internal/topology"
@@ -48,63 +47,46 @@ func equivScenarios() []equivScenario {
 	}
 }
 
-// equivShardCounts is the shard sweep every equivalence pairing runs: the
-// sequential engine plus two sharded widths, one even splitting and one that
-// leaves ragged shard slices. simref ignores Shards, so each width must
-// reproduce the identical reference Result.
-var equivShardCounts = []int{1, 2, 4}
+// engine is the driving surface the indexed engine and simref share.
+type engine interface {
+	OnDropped(hook func(spec sim.PacketSpec, now int))
+	ScheduleFault(f sim.LinkFault) error
+	AddBatch(t *routing.Tables, specs []sim.PacketSpec) error
+	Run() sim.Result
+}
 
-// runEquivPair drives identical inputs through both implementations — the
-// indexed engine once per shard count in equivShardCounts — and fails on any
-// Result or drop-hook divergence.
+// runEngine schedules faults, loads specs, runs e to completion and returns
+// its Result together with the drop-hook stream.
+func runEngine(t *testing.T, e engine, sys *core.System,
+	specs []sim.PacketSpec, faults []sim.LinkFault) (sim.Result, []dropRec) {
+	t.Helper()
+	var drops []dropRec
+	e.OnDropped(func(spec sim.PacketSpec, now int) {
+		drops = append(drops, dropRec{spec, now})
+	})
+	for _, f := range faults {
+		if err := e.ScheduleFault(f); err != nil {
+			t.Fatalf("ScheduleFault(%+v): %v", f, err)
+		}
+	}
+	if err := e.AddBatch(sys.Tables, specs); err != nil {
+		t.Fatalf("AddBatch: %v", err)
+	}
+	return e.Run(), drops
+}
+
+// runEquivPair drives identical inputs through both implementations and
+// fails on any Result or drop-hook divergence.
 func runEquivPair(t *testing.T, sys *core.System, cfg sim.Config,
 	specs []sim.PacketSpec, faults []sim.LinkFault) {
 	t.Helper()
-
-	oldSim := simref.New(sys.Net, sys.Disables, cfg)
-	var oldDrops []dropRec
-	oldSim.OnDropped(func(spec sim.PacketSpec, now int) {
-		oldDrops = append(oldDrops, dropRec{spec, now})
-	})
-	for _, f := range faults {
-		if err := oldSim.ScheduleFault(f); err != nil {
-			t.Fatalf("old ScheduleFault(%+v): %v", f, err)
-		}
+	want, oldDrops := runEngine(t, simref.New(sys.Net, sys.Disables, cfg), sys, specs, faults)
+	got, newDrops := runEngine(t, sim.New(sys.Net, sys.Disables, cfg), sys, specs, faults)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Result diverged\n new: %+v\n old: %+v", got, want)
 	}
-	if err := oldSim.AddBatch(sys.Tables, specs); err != nil {
-		t.Fatalf("old AddBatch: %v", err)
-	}
-	want := oldSim.Run()
-
-	for _, shards := range equivShardCounts {
-		shardCfg := cfg
-		shardCfg.Shards = shards
-		newSim := sim.New(sys.Net, sys.Disables, shardCfg)
-		var newDrops []dropRec
-		newSim.OnDropped(func(spec sim.PacketSpec, now int) {
-			newDrops = append(newDrops, dropRec{spec, now})
-		})
-		for _, f := range faults {
-			if err := newSim.ScheduleFault(f); err != nil {
-				t.Fatalf("new ScheduleFault(%+v): %v", f, err)
-			}
-		}
-		if err := newSim.AddBatch(sys.Tables, specs); err != nil {
-			t.Fatalf("new AddBatch: %v", err)
-		}
-
-		got := newSim.Run()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Result diverged at Shards=%d\n new: %+v\n old: %+v",
-				shards, got, want)
-		}
-		if !reflect.DeepEqual(newDrops, oldDrops) {
-			t.Fatalf("drop hooks diverged at Shards=%d\n new: %+v\n old: %+v",
-				shards, newDrops, oldDrops)
-		}
-		if shards > 1 && newSim.ShardedCycles() == 0 {
-			t.Fatalf("Shards=%d run never engaged the sharded planner", shards)
-		}
+	if !reflect.DeepEqual(newDrops, oldDrops) {
+		t.Fatalf("drop hooks diverged\n new: %+v\n old: %+v", newDrops, oldDrops)
 	}
 }
 
@@ -201,7 +183,7 @@ func TestEquivalenceTimeoutRecovery(t *testing.T) {
 // TestEquivalenceChaosDisabled proves the chaos-era hooks are free when
 // disabled: the indexed engine — with a zero-rate corruption filter
 // installed and driven through the incremental Start/StepTo/Finish API
-// instead of the monolithic Run, sequentially and sharded — still
+// instead of the monolithic Run — still
 // reproduces the reference engine byte for byte, drop hooks included.
 func TestEquivalenceChaosDisabled(t *testing.T) {
 	sys, _, err := core.ParseSystem("fat-fract:levels=2")
@@ -212,48 +194,34 @@ func TestEquivalenceChaosDisabled(t *testing.T) {
 	specs := workload.UniformRandom(rng, sys.Net.NumNodes(), 96, 4, 50)
 	fault := sim.LinkFault{Cycle: 20, Link: topology.LinkID(rng.Intn(sys.Net.NumLinks()))}
 
-	oldSim := simref.New(sys.Net, sys.Disables, sim.Config{FIFODepth: 4})
-	var oldDrops []dropRec
-	oldSim.OnDropped(func(spec sim.PacketSpec, now int) {
-		oldDrops = append(oldDrops, dropRec{spec, now})
+	want, oldDrops := runEngine(t, simref.New(sys.Net, sys.Disables, sim.Config{FIFODepth: 4}),
+		sys, specs, []sim.LinkFault{fault})
+
+	newSim := sim.New(sys.Net, sys.Disables, sim.Config{FIFODepth: 4})
+	var newDrops []dropRec
+	newSim.OnDropped(func(spec sim.PacketSpec, now int) {
+		newDrops = append(newDrops, dropRec{spec, now})
 	})
-	if err := oldSim.ScheduleFault(fault); err != nil {
-		t.Fatalf("old ScheduleFault: %v", err)
+	if err := newSim.EnableCorruption(0, 123); err != nil {
+		t.Fatalf("EnableCorruption(0): %v", err)
 	}
-	if err := oldSim.AddBatch(sys.Tables, specs); err != nil {
-		t.Fatalf("old AddBatch: %v", err)
+	if err := newSim.ScheduleFault(fault); err != nil {
+		t.Fatalf("new ScheduleFault: %v", err)
 	}
-	want := oldSim.Run()
+	if err := newSim.AddBatch(sys.Tables, specs); err != nil {
+		t.Fatalf("new AddBatch: %v", err)
+	}
 
-	for _, shards := range equivShardCounts {
-		newSim := sim.New(sys.Net, sys.Disables, sim.Config{FIFODepth: 4, Shards: shards})
-		var newDrops []dropRec
-		newSim.OnDropped(func(spec sim.PacketSpec, now int) {
-			newDrops = append(newDrops, dropRec{spec, now})
-		})
-		if err := newSim.EnableCorruption(0, 123); err != nil {
-			t.Fatalf("EnableCorruption(0): %v", err)
-		}
-		if err := newSim.ScheduleFault(fault); err != nil {
-			t.Fatalf("new ScheduleFault: %v", err)
-		}
-		if err := newSim.AddBatch(sys.Tables, specs); err != nil {
-			t.Fatalf("new AddBatch: %v", err)
-		}
-
-		newSim.Start()
-		for newSim.Running() {
-			newSim.StepTo(newSim.Now() + 1)
-		}
-		got := newSim.Finish()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step-driven Result diverged from reference at Shards=%d\n new: %+v\n old: %+v",
-				shards, got, want)
-		}
-		if !reflect.DeepEqual(newDrops, oldDrops) {
-			t.Fatalf("drop hooks diverged at Shards=%d\n new: %+v\n old: %+v",
-				shards, newDrops, oldDrops)
-		}
+	newSim.Start()
+	for newSim.Running() {
+		newSim.StepTo(newSim.Now() + 1)
+	}
+	got := newSim.Finish()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("step-driven Result diverged from reference\n new: %+v\n old: %+v", got, want)
+	}
+	if !reflect.DeepEqual(newDrops, oldDrops) {
+		t.Fatalf("drop hooks diverged\n new: %+v\n old: %+v", newDrops, oldDrops)
 	}
 }
 

@@ -1,16 +1,18 @@
 package sim_test
 
-// Differential fuzzing of the sharded planner: an arbitrary scenario —
-// builtin topology, load, virtual channels, timeouts, a fault schedule with
-// permanent, transient, and router faults plus corruption, and a shard
-// count from 1 to 8 — must produce a Result and drop-hook stream
-// byte-identical to the sequential engine's. The equivalence matrix in
-// equiv_test.go pins chosen corners; this is the adversarial sweep between
-// them, in the style of internal/fabricver's FuzzMutatedTetra.
+// Differential fuzzing of the indexed engine against the reference engine
+// in internal/sim/simref: an arbitrary scenario — builtin topology, load,
+// virtual channels, a schedule of permanent link faults, and timeout
+// recovery — must produce a Result and drop-hook stream byte-identical to
+// the reference's. simref models neither transient nor router faults nor
+// corruption, so those stay out; timeouts run at VirtualChannels=1 only,
+// the corner whose semantics both engines share (bugfix_test.go pins the
+// others). The equivalence matrix in equiv_test.go pins chosen corners;
+// this is the adversarial sweep between them, in the style of
+// internal/fabricver's FuzzMutatedTetra.
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -19,14 +21,14 @@ import (
 	"repro/internal/workload"
 )
 
-func FuzzShardedVsSequential(f *testing.F) {
-	f.Add(uint8(0), uint8(40), int64(1), uint8(0), uint8(0), uint8(0), uint8(3))   // plain uniform load
-	f.Add(uint8(3), uint8(90), int64(7), uint8(1), uint8(0), uint8(0), uint8(1))   // VC2, shards=2
-	f.Add(uint8(5), uint8(20), int64(11), uint8(0), uint8(1), uint8(0), uint8(7))  // timeouts, shards=8
-	f.Add(uint8(2), uint8(60), int64(13), uint8(0), uint8(0), uint8(3), uint8(2))  // transient link faults
-	f.Add(uint8(7), uint8(75), int64(17), uint8(2), uint8(1), uint8(6), uint8(4))  // router fault + corruption
-	f.Add(uint8(9), uint8(55), int64(23), uint8(1), uint8(0), uint8(5), uint8(0))  // faults at shards=1
-	f.Fuzz(func(t *testing.T, specSel, load uint8, seed int64, vcSel, timeoutSel, faultSel, shardSel uint8) {
+func FuzzIndexedVsReference(f *testing.F) {
+	f.Add(uint8(0), uint8(40), int64(1), uint8(0), uint8(0), uint8(0))  // plain uniform load
+	f.Add(uint8(3), uint8(90), int64(7), uint8(1), uint8(0), uint8(0))  // VC2
+	f.Add(uint8(5), uint8(20), int64(11), uint8(0), uint8(1), uint8(0)) // timeouts
+	f.Add(uint8(2), uint8(60), int64(13), uint8(2), uint8(0), uint8(2)) // VC3, two link faults
+	f.Add(uint8(7), uint8(75), int64(17), uint8(1), uint8(1), uint8(1)) // timeouts + a link fault
+	f.Add(uint8(9), uint8(55), int64(23), uint8(1), uint8(0), uint8(1)) // VC2 + a link fault
+	f.Fuzz(func(t *testing.T, specSel, load uint8, seed int64, vcSel, timeoutSel, faultSel uint8) {
 		builtins := core.BuiltinSpecs()
 		sys, _, err := core.ParseSystem(builtins[int(specSel)%len(builtins)])
 		if err != nil {
@@ -48,82 +50,20 @@ func FuzzShardedVsSequential(f *testing.F) {
 			MaxCycles:         20000,
 		}
 		if timeoutSel%2 == 1 {
+			cfg.VirtualChannels = 1
 			cfg.TimeoutCycles = 20 + int(timeoutSel)%40
 			cfg.MaxRetries = int(timeoutSel) % 3
 			cfg.DeadlockThreshold = 4000
 		}
 
-		// Pre-draw the whole fault schedule so both engines receive the
-		// identical one regardless of how many random values each knob eats.
 		var faults []sim.LinkFault
 		for i := 0; i < int(faultSel)%3; i++ {
-			lf := sim.LinkFault{
+			faults = append(faults, sim.LinkFault{
 				Cycle: 1 + rng.Intn(200),
 				Link:  topology.LinkID(rng.Intn(sys.Net.NumLinks())),
-			}
-			if faultSel&1 != 0 {
-				lf.RepairCycle = lf.Cycle + 1 + rng.Intn(200)
-			}
-			faults = append(faults, lf)
-		}
-		routerFault := topology.DeviceID(-1)
-		routerFaultCycle := 0
-		if faultSel&2 != 0 {
-			var routers []topology.DeviceID
-			for _, d := range sys.Net.Devices() {
-				if d.Kind == topology.Router {
-					routers = append(routers, d.ID)
-				}
-			}
-			if len(routers) > 0 {
-				routerFault = routers[rng.Intn(len(routers))]
-				routerFaultCycle = 1 + rng.Intn(200)
-			}
-		}
-		corruptRate := 0.0
-		if faultSel&4 != 0 {
-			corruptRate = 0.02
-		}
-
-		run := func(shards int) (sim.Result, []sim.PacketSpec) {
-			c := cfg
-			c.Shards = shards
-			s := sim.New(sys.Net, sys.Disables, c)
-			var drops []sim.PacketSpec
-			s.OnDropped(func(spec sim.PacketSpec, now int) {
-				drops = append(drops, spec)
 			})
-			for _, lf := range faults {
-				if err := s.ScheduleFault(lf); err != nil {
-					t.Fatalf("ScheduleFault(%+v): %v", lf, err)
-				}
-			}
-			if routerFault >= 0 {
-				if err := s.ScheduleRouterFault(routerFault, routerFaultCycle); err != nil {
-					t.Fatalf("ScheduleRouterFault(%v, %d): %v", routerFault, routerFaultCycle, err)
-				}
-			}
-			if corruptRate > 0 {
-				if err := s.EnableCorruption(corruptRate, uint64(seed)); err != nil {
-					t.Fatalf("EnableCorruption: %v", err)
-				}
-			}
-			if err := s.AddBatch(sys.Tables, specs); err != nil {
-				t.Fatalf("AddBatch: %v", err)
-			}
-			return s.Run(), drops
 		}
 
-		shards := 1 + int(shardSel)%8
-		want, wantDrops := run(0)
-		got, gotDrops := run(shards)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Result diverged at Shards=%d\n sharded:    %+v\n sequential: %+v",
-				shards, got, want)
-		}
-		if !reflect.DeepEqual(gotDrops, wantDrops) {
-			t.Fatalf("drop hooks diverged at Shards=%d\n sharded:    %+v\n sequential: %+v",
-				shards, gotDrops, wantDrops)
-		}
+		runEquivPair(t, sys, cfg, specs, faults)
 	})
 }

@@ -226,3 +226,43 @@ func TestLatencyPercentiles(t *testing.T) {
 		t.Error("p50 missing")
 	}
 }
+
+// TestRunResumesAfterRecoveredHookPanic checks that a delivery hook's panic,
+// recovered by the caller while a scheduled fault is in play, leaves the
+// simulator resumable: clearing the hook and stepping on must reach Finish.
+func TestRunResumesAfterRecoveredHookPanic(t *testing.T) {
+	fm := topology.NewFullMesh(3, 6)
+	tb := routing.FullMesh(fm)
+	s := New(fm.Network, router.AllowAll(fm.Network), Config{FIFODepth: 2})
+	n := fm.Network.NumNodes()
+	var specs []PacketSpec
+	for rep := 0; rep < 4; rep++ {
+		for src := 0; src < n; src++ {
+			specs = append(specs, PacketSpec{Src: src, Dst: (src + 4) % n, Flits: 6, InjectCycle: rep})
+		}
+	}
+	if err := s.AddBatch(tb, specs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ScheduleFault(LinkFault{Cycle: 2, Link: 0}); err != nil {
+		t.Fatal(err)
+	}
+	s.OnDelivered(func(spec PacketSpec, now int) { panic("hook boom") })
+	pv := func() (pv any) {
+		defer func() { pv = recover() }()
+		s.Run()
+		return nil
+	}()
+	if pv != "hook boom" {
+		t.Fatalf("recovered %v, want the hook's panic", pv)
+	}
+
+	s.OnDelivered(nil)
+	for s.Running() {
+		s.StepTo(s.Now() + 1)
+	}
+	res := s.Finish()
+	if res.Delivered == 0 {
+		t.Fatalf("resumed run delivered nothing: %+v", res)
+	}
+}

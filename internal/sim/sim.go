@@ -71,16 +71,6 @@ type Config struct {
 	// (default 1). The paper's links "can reach up to 30 meters"; longer
 	// cables add pipeline stages without changing any safety property.
 	LinkLatency int
-	// Shards, when greater than 1, runs the per-cycle switching plan over
-	// that many goroutines: each shard classifies a disjoint range of the
-	// sorted active-buffer worklist (and of the injection sources) on
-	// private scratch, and the results are committed sequentially in
-	// canonical channel order behind a barrier, so the output is
-	// byte-identical to the sequential engine for every scenario and every
-	// shard count (see shard.go). 0 and 1 mean sequential. The reference
-	// engine in simref ignores the field — it is a parallelism knob, never
-	// a semantic one.
-	Shards int
 	// Trace, when non-nil, receives one line per flit movement
 	// ("cycle pkt flit channel"), for debugging and visualization.
 	Trace io.Writer
@@ -116,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LinkLatency <= 0 {
 		c.LinkLatency = 1
-	}
-	if c.Shards < 0 {
-		c.Shards = 0
 	}
 	return c
 }
@@ -297,11 +284,8 @@ func (s *Simulator) StepTo(limit int) {
 }
 
 // Finish seals the run and returns its Result. Callable once the step loop
-// stops (and again after a resume); Run calls it for you. It also releases
-// the shard worker pool, so a finished simulator holds no goroutines; a
-// later resume (AddPacket + StepTo) re-creates the pool on demand.
+// stops (and again after a resume); Run calls it for you.
 func (s *Simulator) Finish() Result {
-	s.Close()
 	rs := s.rs
 	rs.res.Cycles = rs.now
 	cf := make(map[topology.ChannelID]int)
@@ -394,7 +378,7 @@ func (s *Simulator) stepCycle(limit int) {
 		landed++
 	}
 
-	moves := s.plan(now)
+	moves := s.planMoves(now)
 
 	for _, mv := range moves {
 		var f flit

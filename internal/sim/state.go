@@ -104,15 +104,6 @@ type Simulator struct {
 	moves      []move // planMoves scratch, reused every cycle
 	nextInject int    // earliest future InjectCycle among queue fronts
 
-	// Sharded-planner state (see shard.go): the lazily-created barrier
-	// pool, per-shard private record scratch, per-shard injection-horizon
-	// scratch, and a diagnostic count of cycles planned by the sharded
-	// path (never part of a Result — Results are identical either way).
-	pool          *shardPool
-	shardRecs     [][]shardRec
-	shardNext     []int
-	shardedCycles int
-
 	// hook, when set, runs after a packet's tail flit is delivered. It may
 	// call AddPacket to inject follow-up traffic (acknowledgments, read
 	// responses, interrupts) — the mechanism the ServerNet transaction

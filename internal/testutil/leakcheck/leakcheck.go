@@ -2,10 +2,9 @@
 // baseline count before starting concurrent machinery, run it through any
 // shutdown path (normal drain, context cancellation, watchdog abort,
 // mid-run fault), and require the live goroutine count to return to the
-// baseline. The generalization of the hand-rolled waitGoroutines helper
-// the sharded-engine tests used; every concurrent subsystem's tests now
-// share one implementation, and a failure dumps every live stack so the
-// leaked goroutine is identified, not just counted.
+// baseline. Every concurrent subsystem's tests share this one
+// implementation, and a failure dumps every live stack so the leaked
+// goroutine is identified, not just counted.
 //
 // The check polls rather than comparing once: goroutines unwind
 // asynchronously after a WaitGroup releases its waiter, and the runtime's
