@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race bench bench-smoke bench-json sweep-bench golden clean lint vet-lint lint-concurrency vet-conc codecert certify verify-fabric chaos-smoke serve-smoke livefabric
+.PHONY: all build test check race bench bench-smoke bench-json sweep-bench golden clean lint vet-lint lint-concurrency vet-conc codecert verify-fabric chaos-smoke serve-smoke livefabric
 
 all: build test
 
@@ -47,11 +47,6 @@ codecert:
 	bin/simlint -certify > bin/codecert.json
 	cmp bin/codecert.json internal/analysis/codecert/testdata/codecert.golden.json
 
-# certify re-proves the Dally–Seitz deadlock-freedom certificate for every
-# built-in topology × routing pair.
-certify:
-	$(GO) run ./cmd/deadlockcheck -all
-
 # verify-fabric runs the whole-fabric static verifier over every built-in
 # topology × routing pair: table consistency, CDG acyclicity, all-pairs
 # reachability within the analytical hop bound, exact path disables, and
@@ -61,13 +56,14 @@ verify-fabric:
 	$(GO) run ./cmd/fabricver -all
 
 # check is the CI gate: go vet (plus its named concurrency passes), the
-# simlint determinism suite, the
-# concurrency analyzers plus their committed code certificate, the static
-# deadlock certificates, the whole-fabric verification matrix, the full
+# simlint determinism suite, the concurrency analyzers plus their
+# committed code certificate, the whole-fabric verification matrix (whose
+# CDG check is the static Dally–Seitz deadlock certificate), the full
 # test suite under the race detector (the parallel experiment engine must
 # be race-clean), one pass over every benchmark so a broken benchmark
-# cannot land silently, and a small chaos-recovery campaign.
-check: lint lint-concurrency vet-conc codecert certify verify-fabric
+# cannot land silently, a small chaos-recovery campaign, the campaign
+# server smoke, and the live-fabric race matrix.
+check: lint lint-concurrency vet-conc codecert verify-fabric
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) bench-smoke

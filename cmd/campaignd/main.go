@@ -37,11 +37,9 @@ func main() {
 	refill := flag.Int("rate-refill", 1, "tokens restored per refill tick")
 	refillEvery := flag.Duration("refill-every", 100*time.Millisecond, "refill tick period")
 	pointDelay := flag.Duration("point-delay", 0, "artificial per-point delay (smoke-test hook; wall-clock only, never changes a row)")
-	backend := flag.String("backend", "indexed", "execution backend: indexed (sweep/chaos campaigns) | live (additionally accepts live concurrent-fabric jobs)")
 	flag.Parse()
 
 	if err := cliutil.First(
-		cliutil.Backend("backend", *backend),
 		cliutil.Positive("queue", *queue),
 		cliutil.Positive("job-workers", *jobWorkers),
 		cliutil.NonNegative("point-workers", *pointWorkers),
@@ -62,7 +60,6 @@ func main() {
 		RateRefill:    *refill,
 		RefillEvery:   *refillEvery,
 		PointDelay:    *pointDelay,
-		Backend:       *backend,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "campaignd: %v\n", err)

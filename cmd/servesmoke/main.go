@@ -12,11 +12,6 @@
 //  4. Re-submit the same spec: the reply must be cache-served (zero new
 //     simulator points; the computed counter stays flat, cache hits
 //     climb).
-//  5. Repeat the survivability story on the live concurrent backend: a
-//     live job is refused by an indexed server (admission control),
-//     accepted by a -backend live server, killed mid-campaign and
-//     resumed byte-identically, with /statusz attributing the points
-//     to the live counter.
 //
 // Server logs and the final /statusz snapshot are written under -dir
 // for CI to archive. Exit status 0 only if every check passes.
@@ -50,19 +45,6 @@ var jobSpec = []byte(`{
 }`)
 
 const points = 6 // 2 specs x 3 rates
-
-var liveSpec = []byte(`{
-  "kind": "live",
-  "live": {
-    "spec": "fat-fract:levels=1",
-    "runs": 6,
-    "packets": 60,
-    "flits": 4,
-    "seed": 11
-  }
-}`)
-
-const livePoints = 6 // runs
 
 func main() {
 	bin := flag.String("bin", "bin/campaignd", "campaignd binary to exercise")
@@ -203,108 +185,7 @@ func run(bin, dir string) error {
 	}
 	fmt.Printf("servesmoke: repeat submission cache-served (hits %d -> %d, computed flat at %d)\n",
 		before.Cache.Hits, after.Cache.Hits, after.Points.Computed)
-
-	// Phase 5, admission control: the indexed server refuses live jobs.
-	if _, code, err := submitStatus(b2.addr, liveSpec); err != nil || code != http.StatusBadRequest {
-		return fmt.Errorf("live job on indexed server: HTTP %d (err %v), want 400", code, err)
-	}
-	if err := b2.shutdown(); err != nil {
-		return err
-	}
-	fmt.Println("servesmoke: indexed server refused the live job (400)")
-
-	// Live reference: an uninterrupted live campaign.
-	ckptL := filepath.Join(dir, "l-ckpt")
-	cacheL := filepath.Join(dir, "l-cache")
-	l1, err := startServer(abs, filepath.Join(dir, "serverL1.log"),
-		"-backend", "live", "-checkpoint", ckptL, "-cache", cacheL)
-	if err != nil {
-		return err
-	}
-	defer l1.kill()
-	liveKey, err := submit(l1.addr, liveSpec)
-	if err != nil {
-		return fmt.Errorf("live submission: %w", err)
-	}
-	if err := waitState(l1.addr, liveKey, "done", 0, 60*time.Second); err != nil {
-		return fmt.Errorf("live reference campaign: %w", err)
-	}
-	liveRef, err := fetch(l1.addr, "/v1/artifacts/"+liveKey)
-	if err != nil {
-		return err
-	}
-	if n := bytes.Count(liveRef, []byte{'\n'}); n != livePoints {
-		return fmt.Errorf("live reference artifact has %d rows, want %d", n, livePoints)
-	}
-	if err := l1.shutdown(); err != nil {
-		return err
-	}
-	fmt.Printf("servesmoke: live reference artifact %s (%d bytes)\n", liveKey[:12], len(liveRef))
-
-	// Live survivability: kill mid-campaign on fresh dirs, resume,
-	// byte-compare.
-	ckptM := filepath.Join(dir, "m-ckpt")
-	cacheM := filepath.Join(dir, "m-cache")
-	m1, err := startServer(abs, filepath.Join(dir, "serverM1.log"),
-		"-backend", "live", "-checkpoint", ckptM, "-cache", cacheM,
-		"-point-delay", "300ms", "-point-workers", "1")
-	if err != nil {
-		return err
-	}
-	defer m1.kill()
-	if _, err := submit(m1.addr, liveSpec); err != nil {
-		return err
-	}
-	if err := waitState(m1.addr, liveKey, "running", 2, 60*time.Second); err != nil {
-		return fmt.Errorf("live mid-campaign progress: %w", err)
-	}
-	m1.kill()
-	fmt.Println("servesmoke: killed live server mid-campaign")
-
-	m2, err := startServer(abs, filepath.Join(dir, "serverM2.log"),
-		"-backend", "live", "-checkpoint", ckptM, "-cache", cacheM)
-	if err != nil {
-		return err
-	}
-	defer m2.kill()
-	if err := waitState(m2.addr, liveKey, "done", 0, 60*time.Second); err != nil {
-		return fmt.Errorf("resumed live campaign: %w", err)
-	}
-	lst, err := status(m2.addr, liveKey)
-	if err != nil {
-		return err
-	}
-	if lst.Resumed < 2 {
-		return fmt.Errorf("resumed live campaign restored %d points, want >= 2", lst.Resumed)
-	}
-	liveGot, err := fetch(m2.addr, "/v1/artifacts/"+liveKey)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(liveGot, liveRef) {
-		return fmt.Errorf("resumed live artifact differs from the uninterrupted reference (%d vs %d bytes)", len(liveGot), len(liveRef))
-	}
-	lz, err := statusz(m2.addr)
-	if err != nil {
-		return err
-	}
-	if lz.Backend != "live" {
-		return fmt.Errorf("live server statusz backend %q, want \"live\"", lz.Backend)
-	}
-	if lz.Points.ComputedLive == 0 || lz.Points.ComputedIndexed != 0 {
-		return fmt.Errorf("live server per-backend counters: indexed %d, live %d",
-			lz.Points.ComputedIndexed, lz.Points.ComputedLive)
-	}
-	raw, err = fetch(m2.addr, "/statusz")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "live-stats.json"), raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("servesmoke: live campaign survived kill+resume byte-identically (%d points restored, %d live-computed)\n",
-		lst.Resumed, lz.Points.ComputedLive)
-	return m2.shutdown()
+	return b2.shutdown()
 }
 
 // server is one campaignd child process.
@@ -389,12 +270,9 @@ type jobStatus struct {
 }
 
 type statuszReply struct {
-	Backend string `json:"backend"`
-	Points  struct {
-		Computed        int64 `json:"computed"`
-		ComputedIndexed int64 `json:"computed_indexed"`
-		ComputedLive    int64 `json:"computed_live"`
-		Resumed         int64 `json:"resumed"`
+	Points struct {
+		Computed int64 `json:"computed"`
+		Resumed  int64 `json:"resumed"`
 	} `json:"points"`
 	Cache struct {
 		Hits   int64 `json:"hits"`

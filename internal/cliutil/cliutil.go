@@ -30,10 +30,8 @@ func NonNegative(name string, v int) error {
 	return nil
 }
 
-// Backends every execution-backend flag accepts: the deterministic
-// indexed engine and the concurrent live fabric. The list is the
-// contract between netsim, chaos and campaignd — one vocabulary, one
-// error message.
+// Backends netsim's execution-backend flag accepts: the deterministic
+// indexed engine and the concurrent live fabric.
 var Backends = []string{"indexed", "live"}
 
 // Backend returns an error unless v names a known execution backend.

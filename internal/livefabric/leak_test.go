@@ -7,12 +7,15 @@ package livefabric_test
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/livefabric"
 	"repro/internal/sim"
 	"repro/internal/testutil/leakcheck"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -81,29 +84,42 @@ func TestLeakFreeWatchdogAbort(t *testing.T) {
 	leakcheck.Check(t, base)
 }
 
+// TestLeakFreeMidRunFault kills one seeded link mid-flight on the fat
+// fractahedron, for several seeded (workload, link, delay) choices: the
+// degraded fabric stays inside the certified disable set, so it must
+// drain without wedging or leaking and account every packet as
+// delivered or dropped.
 func TestLeakFreeMidRunFault(t *testing.T) {
-	base := leakcheck.Baseline()
 	sys := buildSystem(t, "fat-fract:levels=2")
-	specs := uniformLoad(sys, 11)
-	// A small wire delay stretches the run so the kill lands while worms
-	// are in flight, not after the drain.
-	f := livefabric.New(sys.Net, sys.Disables, livefabric.Config{
-		FIFODepth:       2,
-		VirtualChannels: sys.Tables.NumVC(),
-		LinkDelay:       time.Millisecond,
-	})
-	if err := f.AddBatch(sys.Tables, specs); err != nil {
-		t.Fatalf("AddBatch: %v", err)
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		link := topology.LinkID(rng.Intn(sys.Net.NumLinks()))
+		delay := time.Duration(rng.Intn(4)+1) * time.Millisecond
+		t.Run(fmt.Sprintf("seed=%d/link=%d@%s", seed, link, delay), func(t *testing.T) {
+			base := leakcheck.Baseline()
+			specs := uniformLoad(sys, 10+seed)
+			// A small wire delay stretches the run so the kill lands
+			// while worms are in flight, not after the drain.
+			f := livefabric.New(sys.Net, sys.Disables, livefabric.Config{
+				FIFODepth:       2,
+				VirtualChannels: sys.Tables.NumVC(),
+				LinkDelay:       time.Millisecond,
+			})
+			if err := f.AddBatch(sys.Tables, specs); err != nil {
+				t.Fatalf("AddBatch: %v", err)
+			}
+			timer := time.AfterFunc(delay, func() { f.KillLink(link) })
+			defer timer.Stop()
+			res := f.Run(context.Background())
+			if res.Deadlocked {
+				dumpWitness(t, fmt.Sprintf("fat-fract:levels=2/fault-seed%d", seed), res)
+				t.Fatalf("fault wedged a certified fabric: witness %v", res.Witness)
+			}
+			if res.Delivered+res.Dropped != len(specs) {
+				t.Fatalf("fault run lost packets: %+v (want %d accounted)", res, len(specs))
+			}
+			t.Logf("delivered=%d dropped=%d", res.Delivered, res.Dropped)
+			leakcheck.Check(t, base)
+		})
 	}
-	timer := time.AfterFunc(3*time.Millisecond, func() { f.KillLink(0) })
-	defer timer.Stop()
-	res := f.Run(context.Background())
-	if res.Deadlocked {
-		dumpWitness(t, "fat-fract:levels=2/fault", res)
-		t.Fatalf("fault wedged a certified fabric: witness %v", res.Witness)
-	}
-	if res.Delivered+res.Dropped != len(specs) {
-		t.Fatalf("fault run lost packets: %+v (want %d accounted)", res, len(specs))
-	}
-	leakcheck.Check(t, base)
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 )
 
@@ -43,8 +44,16 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	// Strict decoding: an unknown field (a misspelling, a spec the kind
+	// does not define) is an error, never silently dropped from the job
+	// identity.
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		httpError(w, http.StatusBadRequest, "bad job JSON: "+err.Error())
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		httpError(w, http.StatusBadRequest, "bad job JSON: data after the job object")
 		return
 	}
 	if err := spec.validate(); err != nil {
@@ -54,10 +63,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	st, code := s.submit(spec)
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
-		httpError(w, code, st.Error)
-		return
-	}
-	if code == http.StatusBadRequest {
 		httpError(w, code, st.Error)
 		return
 	}
@@ -155,8 +160,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // Statusz is the wire form of GET /statusz.
 type Statusz struct {
 	Revision string         `json:"revision"`
-	Backend  string         `json:"backend"` // active execution backend: "indexed" or "live"
-	Jobs     map[string]int `json:"jobs"`    // state -> count
+	Jobs     map[string]int `json:"jobs"` // state -> count
 	Queue    QueueStats     `json:"queue"`
 	Points   PointStats     `json:"points"`
 	Cache    CacheStats     `json:"cache"`
@@ -169,15 +173,11 @@ type QueueStats struct {
 }
 
 // PointStats separates simulated work from restored work: Computed
-// counts points that actually ran an engine, split per backend
-// (ComputedIndexed for sweep/chaos on the cycle-level engine,
-// ComputedLive for live jobs on the concurrent fabric), Resumed points
-// restored from checkpoints. A fully cache-served repeat moves none.
+// counts points that actually ran the engine, Resumed points restored
+// from checkpoints. A fully cache-served repeat moves neither.
 type PointStats struct {
-	Computed        int64 `json:"computed"`
-	ComputedIndexed int64 `json:"computed_indexed"`
-	ComputedLive    int64 `json:"computed_live"`
-	Resumed         int64 `json:"resumed"`
+	Computed int64 `json:"computed"`
+	Resumed  int64 `json:"resumed"`
 }
 
 // CacheStats is the artifact cache hit/miss record.
@@ -189,15 +189,9 @@ type CacheStats struct {
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	st := Statusz{
 		Revision: s.revision,
-		Backend:  s.cfg.Backend,
 		Jobs:     map[string]int{},
 		Queue:    QueueStats{Depth: s.cfg.QueueDepth, Occupancy: s.queued.Load()},
-		Points: PointStats{
-			Computed:        s.computed.Load(),
-			ComputedIndexed: s.computedIndexed.Load(),
-			ComputedLive:    s.computedLive.Load(),
-			Resumed:         s.resumedPoints.Load(),
-		},
+		Points:   PointStats{Computed: s.computed.Load(), Resumed: s.resumedPoints.Load()},
 	}
 	st.Cache.Hits, st.Cache.Misses = s.cache.Stats()
 	s.mu.Lock()

@@ -2,20 +2,14 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/deadlock"
 	"repro/internal/experiments"
-	"repro/internal/livefabric"
-	"repro/internal/workload"
 )
 
 // JobSpec is the wire form of one campaign job: a kind tag plus that
@@ -24,15 +18,10 @@ import (
 // equal engines address the same artifact, and nothing execution-shaped
 // (worker counts, delays) appears here.
 type JobSpec struct {
-	Kind  string                 `json:"kind"` // "sweep", "chaos" or "live"
+	Kind  string                 `json:"kind"` // "sweep" or "chaos"
 	Sweep *experiments.SweepSpec `json:"sweep,omitempty"`
 	Chaos *ChaosJobSpec          `json:"chaos,omitempty"`
-	Live  *LiveJobSpec           `json:"live,omitempty"`
 }
-
-// kindLive tags jobs that run the concurrent fabric; only a server
-// started with the live backend admits them.
-const kindLive = "live"
 
 // ChaosJobSpec sizes a chaos-recovery campaign on the dual
 // fractahedron pair — the same campaign cmd/chaos runs, with one trial
@@ -42,32 +31,6 @@ type ChaosJobSpec struct {
 	Packets int   `json:"packets"`
 	Flits   int   `json:"flits"`
 	Seed    int64 `json:"seed"`
-}
-
-// LiveJobSpec sizes a live-backend campaign: Runs independent
-// executions of the concurrent goroutine fabric on one registry
-// topology spec, each over a seeded uniform-random workload. A row
-// carries only schedule-independent fields — for a certified
-// deadlock-free spec the delivered set is a pure function of the
-// workload (robustness property 1), so live campaigns checkpoint,
-// resume and cache byte-identically like the indexed kinds.
-type LiveJobSpec struct {
-	Spec    string `json:"spec"`    // core.ParseSystem topology/routing spec
-	Runs    int    `json:"runs"`    // campaign points; one fabric execution each
-	Packets int    `json:"packets"` // packets injected per run
-	Flits   int    `json:"flits"`   // flits per packet
-	Seed    int64  `json:"seed"`    // workload seed; run i uses Seed+i
-}
-
-// liveRow is the NDJSON row of one live-fabric run. Every field is a
-// pure function of (spec, point) on a certified fabric; nothing
-// schedule-shaped (timings, arbitration orders) may ever appear here.
-type liveRow struct {
-	Run        int  `json:"run"`
-	Packets    int  `json:"packets"`
-	Delivered  int  `json:"delivered"`
-	Dropped    int  `json:"dropped"`
-	Deadlocked bool `json:"deadlocked"`
 }
 
 // validate rejects malformed jobs at admission.
@@ -99,41 +62,8 @@ func (j JobSpec) validate() error {
 			return fmt.Errorf("serve: chaos flits %d, need >= 1", c.Flits)
 		}
 		return nil
-	case kindLive:
-		if j.Live == nil {
-			return fmt.Errorf("serve: live job without a live spec")
-		}
-		if j.Sweep != nil || j.Chaos != nil {
-			return fmt.Errorf("serve: live job with another kind's spec attached")
-		}
-		l := j.Live
-		if l.Runs < 1 {
-			return fmt.Errorf("serve: live runs %d, need >= 1", l.Runs)
-		}
-		if l.Packets < 1 {
-			return fmt.Errorf("serve: live packets %d, need >= 1", l.Packets)
-		}
-		if l.Flits < 1 {
-			return fmt.Errorf("serve: live flits %d, need >= 1", l.Flits)
-		}
-		sys, _, err := core.ParseSystem(l.Spec)
-		if err != nil {
-			return fmt.Errorf("serve: live spec: %w", err)
-		}
-		// Row determinism rests on the Dally–Seitz certificate: an
-		// uncertified fabric can wedge with a schedule-dependent partial
-		// delivery count, which would break the byte-identical
-		// checkpoint/resume and cache contracts.
-		rep, err := deadlock.Analyze(sys.Tables)
-		if err != nil {
-			return fmt.Errorf("serve: live spec: %w", err)
-		}
-		if !rep.Free {
-			return fmt.Errorf("serve: live spec %q is not certified deadlock-free", l.Spec)
-		}
-		return nil
 	default:
-		return fmt.Errorf("serve: unknown job kind %q (want \"sweep\", \"chaos\" or \"live\")", j.Kind)
+		return fmt.Errorf("serve: unknown job kind %q (want \"sweep\" or \"chaos\")", j.Kind)
 	}
 }
 
@@ -144,8 +74,6 @@ func (j JobSpec) points() int {
 		return j.Sweep.Points()
 	case "chaos":
 		return j.Chaos.Trials
-	case kindLive:
-		return j.Live.Runs
 	}
 	return 0
 }
@@ -208,25 +136,6 @@ func (j JobSpec) row(point int) (json.RawMessage, error) {
 			return nil, err
 		}
 		return json.Marshal(tr)
-	case kindLive:
-		l := j.Live
-		sys, _, err := core.ParseSystem(l.Spec)
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(l.Seed + int64(point)))
-		specs := workload.UniformRandom(rng, sys.Net.NumNodes(), l.Packets, l.Flits, 0)
-		f := livefabric.New(sys.Net, sys.Disables,
-			livefabric.Config{VirtualChannels: sys.Tables.NumVC()})
-		if err := f.AddBatch(sys.Tables, specs); err != nil {
-			return nil, err
-		}
-		res := f.Run(context.Background())
-		return json.Marshal(liveRow{
-			Run: point, Packets: len(specs),
-			Delivered: res.Delivered, Dropped: res.Dropped,
-			Deadlocked: res.Deadlocked,
-		})
 	}
 	return nil, fmt.Errorf("serve: unknown job kind %q", j.Kind)
 }

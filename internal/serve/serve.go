@@ -58,18 +58,8 @@ type Config struct {
 	RateRefill    int           // tokens restored per refill tick (default 1)
 	RefillEvery   time.Duration // refill tick period (default 100ms)
 	PointDelay    time.Duration // artificial per-point delay — a smoke-test hook; wall-clock only, never in a row
-	Backend       string        // execution backend: BackendIndexed (default) or BackendLive
 	Clock         Clock         // timed-wait source; nil selects the wall clock
 }
-
-// Execution backends a server can advertise. The indexed backend runs
-// sweep and chaos campaigns on the deterministic cycle-level engine;
-// the live backend additionally accepts "live" jobs, which execute the
-// concurrent goroutine fabric (internal/livefabric).
-const (
-	BackendIndexed = "indexed"
-	BackendLive    = "live"
-)
 
 // Server is one campaign service instance.
 type Server struct {
@@ -88,10 +78,8 @@ type Server struct {
 	limiter *Limiter
 	cache   *Cache
 
-	computed        atomic.Int64 // points actually simulated (never cache/checkpoint-served)
-	computedIndexed atomic.Int64 // computed points that ran the indexed engine (sweep/chaos)
-	computedLive    atomic.Int64 // computed points that ran the live concurrent fabric
-	resumedPoints   atomic.Int64 // points restored from checkpoints at startup
+	computed      atomic.Int64 // points actually simulated (never cache/checkpoint-served)
+	resumedPoints atomic.Int64 // points restored from checkpoints at startup
 
 	wg       sync.WaitGroup
 	stop     chan struct{}
@@ -121,14 +109,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = wallClock{}
-	}
-	switch cfg.Backend {
-	case "":
-		cfg.Backend = BackendIndexed
-	case BackendIndexed, BackendLive:
-	default:
-		return nil, fmt.Errorf("serve: unknown backend %q (want %q or %q)",
-			cfg.Backend, BackendIndexed, BackendLive)
 	}
 	cache, err := NewCache(cfg.CacheDir)
 	if err != nil {
@@ -287,14 +267,10 @@ func (s *Server) loadCheckpoints() ([]*job, error) {
 
 // submit admits one validated job, returning its status and the HTTP
 // code that describes the outcome: 200 done (possibly straight from the
-// cache), 202 admitted or already in flight, 400 job kind unsupported by
-// the active backend, 429 rate-limited, 503 queue full or shutting down.
+// cache), 202 admitted or already in flight, 429 rate-limited, 503
+// queue full or shutting down.
 func (s *Server) submit(spec JobSpec) (JobStatus, int) {
 	key := jobKey(s.revision, spec)
-	if spec.Kind == kindLive && s.cfg.Backend != BackendLive {
-		return JobStatus{Key: key, Error: "live jobs need the live backend (start with -backend live)"},
-			http.StatusBadRequest
-	}
 	// Content-addressed fast path: the artifact exists under this engine
 	// revision, so the answer is already exact — zero simulator cycles.
 	if _, ok := s.cache.Get(key); ok {
@@ -378,11 +354,6 @@ func (s *Server) runJob(jb *job) {
 				return nil, err
 			}
 			s.computed.Add(1)
-			if jb.spec.Kind == kindLive {
-				s.computedLive.Add(1)
-			} else {
-				s.computedIndexed.Add(1)
-			}
 			return row, nil
 		},
 		func(i int, row json.RawMessage) {
