@@ -14,7 +14,7 @@ package deadlock
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -38,43 +38,28 @@ type Report struct {
 
 // BuildCDG routes every ordered node pair through the tables and returns
 // the channel dependency graph: vertex i is channel i, and an edge c1 -> c2
-// means some route crosses c1 immediately followed by c2.
+// means some route crosses c1 immediately followed by c2. Edges are
+// inserted in ascending order, so the graph (and any witness cycle
+// extracted from it) is reproducible. When some pair does not route it
+// returns Tables.Verify's error.
 func BuildCDG(t *routing.Tables) (*graph.Digraph, error) {
-	// The all-pairs sweep runs on a worker pool; dependency edges are
-	// deduplicated and sorted before insertion so the graph (and any
-	// witness cycle extracted from it) is independent of the worker count.
-	seen := make(map[[2]topology.ChannelID]bool)
-	err := t.ForAllPairs(0,
-		func() any { return make(map[[2]topology.ChannelID]bool) },
-		func(acc any, r routing.Route) error {
-			m := acc.(map[[2]topology.ChannelID]bool)
-			for i := 1; i < len(r.Channels); i++ {
-				m[[2]topology.ChannelID{r.Channels[i-1], r.Channels[i]}] = true
-			}
-			return nil
-		},
-		func(acc any) error {
-			for key := range acc.(map[[2]topology.ChannelID]bool) {
-				seen[key] = true
-			}
-			return nil
-		})
-	if err != nil {
+	sw := t.Sweep()
+	if err := sw.Err(); err != nil {
 		return nil, err
 	}
-	edges := make([][2]topology.ChannelID, 0, len(seen))
-	for key := range seen {
-		edges = append(edges, key)
+	v := t.NumVC()
+	if v == 1 {
+		return sw.CDG(), nil
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
+	// Project (channel, VC) vertices onto their physical channels.
+	deps := sw.Deps()
+	for i := range deps {
+		deps[i] = [2]int{deps[i][0] / v, deps[i][1] / v}
+	}
+	slices.SortFunc(deps, routing.CompareEdges)
 	g := graph.NewDigraph(t.Net.NumChannels())
-	for _, e := range edges {
-		g.AddEdge(int(e[0]), int(e[1]))
+	for _, e := range slices.Compact(deps) {
+		g.AddEdge(e[0], e[1])
 	}
 	return g, nil
 }

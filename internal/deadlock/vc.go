@@ -15,33 +15,15 @@ import (
 // paper weighs against topology-based avoidance.
 
 // BuildCDGVC routes every pair and returns the dependency graph over
-// (channel, VC) vertices; vertex index is channel*V + vc.
+// (channel, VC) vertices; vertex index is channel*V + vc. Edges are
+// inserted in ascending order. When some pair does not route it returns
+// Tables.Verify's error.
 func BuildCDGVC(t *routing.Tables) (*graph.Digraph, error) {
-	v := t.NumVC()
-	g := graph.NewDigraph(t.Net.NumChannels() * v)
-	seen := make(map[[2]int]bool)
-	n := t.Net.NumNodes()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			r, err := t.Route(s, d)
-			if err != nil {
-				return nil, err
-			}
-			for i := 1; i < len(r.Channels); i++ {
-				a := int(r.Channels[i-1])*v + r.VCAt(i-1)
-				b := int(r.Channels[i])*v + r.VCAt(i)
-				key := [2]int{a, b}
-				if !seen[key] {
-					seen[key] = true
-					g.AddEdge(a, b)
-				}
-			}
-		}
+	sw := t.Sweep()
+	if err := sw.Err(); err != nil {
+		return nil, err
 	}
-	return g, nil
+	return sw.CDG(), nil
 }
 
 // VCReport is the outcome of a VC-aware CDG analysis.

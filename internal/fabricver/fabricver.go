@@ -189,10 +189,10 @@ func Verify(sys *core.System, spec string, opt Options) Certificate {
 
 	// 2. One all-pairs sweep collects the dependency edges, used turns,
 	// reachability and worst hops together.
-	sw := sweepPairs(sys.Tables)
-	cert.Reach = sw.reachCheck(net, cert.HopBound, violate)
-	cert.CDG = sw.cdgCheck(net, sys.Tables.NumVC(), violate)
-	cert.Disables = sw.disablesCheck(sys, violate)
+	sw := sys.Tables.Sweep()
+	cert.Reach = reachCheck(sw, net, cert.HopBound, violate)
+	cert.CDG = cdgCheck(sw, net, sys.Tables.NumVC(), violate)
+	cert.Disables = disablesCheck(sw, sys, violate)
 
 	// 3. Single-fault enumeration over every link and every router.
 	if !opt.SkipFaults {

@@ -219,18 +219,18 @@ func verifyComponent(net *topology.Network, c component, skipLink topology.LinkI
 	// 2*diameter+1 over the degraded router graph.
 	bound, _ := hopBound(tb.Algorithm, routerDiameter(sub))
 
-	sw := sweepPairs(tb)
-	for _, f := range sw.failures {
+	sw := tb.Sweep()
+	for _, f := range failureLines(sw) {
 		out = append(out, fmt.Sprintf("%s: degraded fabric unreachable pair: %s", desc, f))
 	}
-	if sw.failTotal > maxDetail {
-		out = append(out, fmt.Sprintf("%s: degraded fabric unreachable pairs:%s", desc, capNote(sw.failTotal)))
+	if len(sw.Failures) > maxDetail {
+		out = append(out, fmt.Sprintf("%s: degraded fabric unreachable pairs:%s", desc, capNote(len(sw.Failures))))
 	}
-	if sw.maxHops > bound {
+	if maxHops, _, _ := sw.MaxHops(); maxHops > bound {
 		out = append(out, fmt.Sprintf("%s: degraded route takes %d router hops, exceeding the up*/down* bound %d",
-			desc, sw.maxHops, bound))
+			desc, maxHops, bound))
 	}
-	if cycle, cyclic := sw.cdg(sub.NumChannels(), tb.NumVC()).ShortestCycle(); cyclic {
+	if cycle, cyclic := sw.CDG().ShortestCycle(); cyclic {
 		lines := make([]string, len(cycle))
 		for i, vtx := range cycle {
 			lines[i] = vcChannelString(sub, vtx, tb.NumVC())
@@ -243,13 +243,9 @@ func verifyComponent(net *topology.Network, c component, skipLink topology.LinkI
 	// disable registers are reloaded to match the new tables). The swept
 	// turn sets are exactly the new dependency structure; a mismatch here
 	// means FromTurns and the sweep disagree on the fabric's turns.
-	dis := router.FromTurns(sub, sw.turns)
-	enabled, _ := dis.Counts()
-	used := 0
-	for _, m := range sw.turns {
-		used += len(m)
-	}
-	if enabled != used {
+	turns := sw.Turns()
+	enabled, _ := router.FromTurns(sub, turns).Counts()
+	if used := turnCount(turns); enabled != used {
 		out = append(out, fmt.Sprintf("%s: recomputed disables enable %d turns but routes use %d", desc, enabled, used))
 	}
 	return out

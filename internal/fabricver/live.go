@@ -2,8 +2,8 @@ package fabricver
 
 // Online (re)certification: the primitive an in-flight recovery controller
 // calls before hot-swapping freshly recomputed tables into a live
-// simulator. It is the same memoized all-pairs sweep and CDG analysis the
-// offline certificates are built from (sweep.go), stripped to the two
+// simulator. It is the same memoized all-pairs sweep (routing.Sweep) and CDG
+// analysis the offline certificates are built from, stripped to the two
 // properties a reconfiguration must establish — the new dependency graph is
 // acyclic (so even stale-route traffic stays deadlock-free under minimal
 // disables, §2.4) and every pair the degraded topology can still connect is
@@ -34,19 +34,19 @@ type LiveCheck struct {
 // the minimal path-disables from the exact dependency structure that was
 // just certified — the pair never goes out of sync.
 func CertifyLive(tb *routing.Tables) (LiveCheck, map[topology.DeviceID]map[routing.Turn]bool) {
-	sw := sweepPairs(tb)
+	sw := tb.Sweep()
+	turns := sw.Turns()
+	maxHops, _, _ := sw.MaxHops()
 	lc := LiveCheck{
-		Pairs:       sw.pairs,
-		Reached:     sw.reached,
-		Unreachable: sw.failTotal,
-		MaxHops:     sw.maxHops,
-		Failures:    append([]string(nil), sw.failures...),
-	}
-	for _, m := range sw.turns {
-		lc.UsedTurns += len(m)
+		Pairs:       sw.Pairs(),
+		Reached:     sw.Reached(),
+		Unreachable: len(sw.Failures),
+		MaxHops:     maxHops,
+		UsedTurns:   turnCount(turns),
+		Failures:    failureLines(sw),
 	}
 	numVC := tb.NumVC()
-	g := sw.cdg(tb.Net.NumChannels(), numVC)
+	g := sw.CDG()
 	if cycle, cyclic := g.ShortestCycle(); cyclic {
 		lc.MinimalCycle = make([]string, len(cycle))
 		for i, vtx := range cycle {
@@ -55,5 +55,5 @@ func CertifyLive(tb *routing.Tables) (LiveCheck, map[topology.DeviceID]map[routi
 	} else {
 		lc.Acyclic = true
 	}
-	return lc, sw.turns
+	return lc, turns
 }

@@ -59,32 +59,70 @@ func terminalsOf(p BisectionProblem) []int {
 	return ts
 }
 
-// evalCut computes the minimum crossing-edge count over placements of the
-// zero-weight vertices, given fixed sides for the terminals, and fills in
-// the full side assignment.
-func evalCut(p BisectionProblem, termSide map[int]bool) (int, []bool) {
+// cutEvaluator computes the minimum crossing-edge count over placements of
+// the zero-weight vertices, given fixed sides for the terminals. It builds
+// one flow network per bisection problem — the graph's edges in both
+// directions with capacity 1, plus a source edge s -> v and a sink edge
+// v -> t per terminal — and each evaluation only switches the terminal
+// edges (the pinned side infinite, the other zero) and restores the base
+// capacities. Edge order does not matter to the result: the cut value is
+// the maximum flow, and the s-side (the residual-reachable set) is the
+// same for every maximum flow.
+type cutEvaluator struct {
+	f         *FlowNetwork
+	s, t      int
+	toS, toT  []int // per vertex: edge ids of s -> v and v -> t (terminals only)
+	terminals []int
+}
+
+func newCutEvaluator(p BisectionProblem, terminals []int) *cutEvaluator {
 	n := p.G.N()
-	s, t := n, n+1
-	f := NewFlowNetwork(n + 2)
-	const inf = int64(1) << 40
-	for v, right := range termSide {
-		if right {
-			f.AddEdge(v, t, inf)
-		} else {
-			f.AddEdge(s, v, inf)
-		}
+	ev := &cutEvaluator{
+		f:         NewFlowNetwork(n + 2),
+		s:         n,
+		t:         n + 1,
+		toS:       make([]int, n),
+		toT:       make([]int, n),
+		terminals: terminals,
 	}
 	for _, e := range p.G.Edges() {
-		f.AddEdge(e[0], e[1], 1)
-		f.AddEdge(e[1], e[0], 1)
+		ev.f.AddEdge(e[0], e[1], 1)
+		ev.f.AddEdge(e[1], e[0], 1)
 	}
-	cut := f.MaxFlow(s, t)
-	reach := f.MinCutSide(s)
-	side := make([]bool, n)
-	for v := 0; v < n; v++ {
+	for _, v := range terminals {
+		ev.toS[v] = ev.f.AddEdge(ev.s, v, 0)
+		ev.toT[v] = ev.f.AddEdge(v, ev.t, 0)
+	}
+	return ev
+}
+
+// eval returns the minimum cut with every terminal v pinned to the right
+// side when termSide[v], else to the left. side reads the optimal
+// placement until the next eval.
+func (ev *cutEvaluator) eval(termSide []bool) int {
+	const inf = int64(1) << 40
+	for _, v := range ev.terminals {
+		if termSide[v] {
+			ev.f.SetCap(ev.toS[v], 0)
+			ev.f.SetCap(ev.toT[v], inf)
+		} else {
+			ev.f.SetCap(ev.toS[v], inf)
+			ev.f.SetCap(ev.toT[v], 0)
+		}
+	}
+	ev.f.Reset()
+	return int(ev.f.MaxFlow(ev.s, ev.t))
+}
+
+// side returns the full side assignment of the last evaluation: right for
+// every vertex the source cannot reach in the residual network.
+func (ev *cutEvaluator) side() []bool {
+	reach := ev.f.MinCutSide(ev.s)
+	side := make([]bool, ev.s)
+	for v := range side {
 		side[v] = !reach[v]
 	}
-	return int(cut), side
+	return side
 }
 
 func exactBisection(p BisectionProblem, terminals []int, half int) BisectionResult {
@@ -94,6 +132,8 @@ func exactBisection(p BisectionProblem, terminals []int, half int) BisectionResu
 		side := make([]bool, p.G.N())
 		return BisectionResult{Cut: 0, Side: side, Exact: true}
 	}
+	ev := newCutEvaluator(p, terminals)
+	termSide := make([]bool, p.G.N())
 	// Fix terminal 0 on the left to halve the space; enumerate subsets of
 	// the rest whose weight reaches half on the right.
 	for mask := 0; mask < 1<<(k-1); mask++ {
@@ -106,14 +146,12 @@ func exactBisection(p BisectionProblem, terminals []int, half int) BisectionResu
 		if w != half {
 			continue
 		}
-		termSide := make(map[int]bool, k)
-		termSide[terminals[0]] = false
 		for i := 0; i < k-1; i++ {
 			termSide[terminals[i+1]] = mask&(1<<i) != 0
 		}
-		cut, side := evalCut(p, termSide)
+		cut := ev.eval(termSide)
 		if best.Cut == -1 || cut < best.Cut {
-			best.Cut, best.Side = cut, side
+			best.Cut, best.Side = cut, ev.side()
 		}
 	}
 	return best
@@ -122,13 +160,14 @@ func exactBisection(p BisectionProblem, terminals []int, half int) BisectionResu
 func searchBisection(p BisectionProblem, terminals []int, half int, restarts int, seed int64) BisectionResult {
 	rng := rand.New(rand.NewSource(seed))
 	best := BisectionResult{Cut: -1}
+	ev := newCutEvaluator(p, terminals)
 
 	// Each improvement pass tries at most this many candidate swaps, so the
 	// search stays tractable on instances with hundreds of terminals.
 	const maxSwapTries = 512
 
-	improve := func(termSide map[int]bool) {
-		cut, side := evalCut(p, termSide)
+	improve := func(termSide []bool) {
+		cut, side := ev.eval(termSide), ev.side()
 		// Pair-swap local search: swap one left terminal with one right
 		// terminal of equal weight; keep any strict improvement.
 		for improved := true; improved; {
@@ -154,9 +193,8 @@ func searchBisection(p BisectionProblem, terminals []int, half int, restarts int
 						break swap
 					}
 					termSide[l], termSide[r] = true, false
-					c2, s2 := evalCut(p, termSide)
-					if c2 < cut {
-						cut, side = c2, s2
+					if c2 := ev.eval(termSide); c2 < cut {
+						cut, side = c2, ev.side()
 						improved = true
 						break swap
 					}
@@ -171,7 +209,7 @@ func searchBisection(p BisectionProblem, terminals []int, half int, restarts int
 
 	// Seeds first: structural cuts provided by topology builders.
 	for _, seedSide := range p.Seeds {
-		termSide := make(map[int]bool, len(terminals))
+		termSide := make([]bool, p.G.N())
 		w := 0
 		for _, t := range terminals {
 			termSide[t] = seedSide[t]
@@ -186,7 +224,7 @@ func searchBisection(p BisectionProblem, terminals []int, half int, restarts int
 	}
 
 	for r := 0; r < restarts; r++ {
-		termSide := randomBalanced(terminals, p.Weight, half, rng)
+		termSide := randomBalanced(p.G.N(), terminals, p.Weight, half, rng)
 		if termSide == nil {
 			break
 		}
@@ -196,12 +234,12 @@ func searchBisection(p BisectionProblem, terminals []int, half int, restarts int
 }
 
 // randomBalanced produces a random terminal assignment with right weight
-// exactly half. Terminals are shuffled and greedily assigned; with uniform
-// weights this always succeeds.
-func randomBalanced(terminals []int, weight []int, half int, rng *rand.Rand) map[int]bool {
+// exactly half, indexed by vertex over n vertices. Terminals are shuffled
+// and greedily assigned; with uniform weights this always succeeds.
+func randomBalanced(n int, terminals []int, weight []int, half int, rng *rand.Rand) []bool {
 	order := append([]int(nil), terminals...)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	termSide := make(map[int]bool, len(order))
+	termSide := make([]bool, n)
 	w := 0
 	for _, t := range order {
 		if w+weight[t] <= half {

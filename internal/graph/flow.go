@@ -3,14 +3,22 @@ package graph
 // FlowNetwork is a capacitated directed graph for maximum-flow computation
 // (Dinic's algorithm). Adding an edge also adds the reverse residual edge
 // with zero capacity.
+//
+// A network is built once and may be solved many times: MaxFlow consumes
+// the residual capacities, and Reset restores every edge to its nominal
+// capacity (the one it was added with, or the last SetCap). The BFS level,
+// edge-iterator and queue buffers are allocated once and reused by every
+// MaxFlow and MinCutSide call.
 type FlowNetwork struct {
 	n     int
 	head  []int // first edge index per vertex, -1 terminated chain via next
 	next  []int
 	to    []int
-	cap   []int64
+	cap   []int64 // residual capacity
+	nom   []int64 // nominal capacity, restored by Reset
 	level []int
 	iter  []int
+	queue []int
 }
 
 // NewFlowNetwork returns an empty flow network with n vertices.
@@ -19,7 +27,7 @@ func NewFlowNetwork(n int) *FlowNetwork {
 	for i := range head {
 		head[i] = -1
 	}
-	return &FlowNetwork{n: n, head: head}
+	return &FlowNetwork{n: n, head: head, level: make([]int, n), iter: make([]int, n)}
 }
 
 // N reports the number of vertices.
@@ -30,36 +38,39 @@ func (f *FlowNetwork) N() int { return f.n }
 // valid for ResidualCap.
 func (f *FlowNetwork) AddEdge(u, v int, capacity int64) int {
 	id := len(f.to)
-	f.to = append(f.to, v)
-	f.cap = append(f.cap, capacity)
-	f.next = append(f.next, f.head[u])
+	f.to = append(f.to, v, u)
+	f.cap = append(f.cap, capacity, 0)
+	f.nom = append(f.nom, capacity, 0)
+	f.next = append(f.next, f.head[u], f.head[v])
 	f.head[u] = id
-
-	f.to = append(f.to, u)
-	f.cap = append(f.cap, 0)
-	f.next = append(f.next, f.head[v])
 	f.head[v] = id + 1
 	return id
 }
+
+// SetCap sets the nominal capacity of edge id; it takes effect at the next
+// Reset.
+func (f *FlowNetwork) SetCap(id int, capacity int64) { f.nom[id] = capacity }
+
+// Reset restores every edge, and its residual reverse, to its nominal
+// capacity, undoing a MaxFlow.
+func (f *FlowNetwork) Reset() { copy(f.cap, f.nom) }
 
 // ResidualCap reports the residual capacity of edge id after MaxFlow.
 func (f *FlowNetwork) ResidualCap(id int) int64 { return f.cap[id] }
 
 func (f *FlowNetwork) bfs(s, t int) bool {
-	f.level = make([]int, f.n)
 	for i := range f.level {
 		f.level[i] = -1
 	}
-	queue := []int{s}
 	f.level[s] = 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	f.queue = append(f.queue[:0], s)
+	for i := 0; i < len(f.queue); i++ {
+		u := f.queue[i]
 		for e := f.head[u]; e != -1; e = f.next[e] {
 			v := f.to[e]
 			if f.cap[e] > 0 && f.level[v] == -1 {
 				f.level[v] = f.level[u] + 1
-				queue = append(queue, v)
+				f.queue = append(f.queue, v)
 			}
 		}
 	}
@@ -88,13 +99,13 @@ func (f *FlowNetwork) dfs(u, t int, pushed int64) int64 {
 	return 0
 }
 
-// MaxFlow computes the maximum s-t flow. It may be called once per network;
-// capacities are consumed.
+// MaxFlow computes the maximum s-t flow over the current residual
+// capacities, which it consumes; call Reset before solving the network
+// again.
 func (f *FlowNetwork) MaxFlow(s, t int) int64 {
 	const inf = int64(^uint64(0) >> 1)
 	var flow int64
 	for f.bfs(s, t) {
-		f.iter = make([]int, f.n)
 		copy(f.iter, f.head)
 		for {
 			pushed := f.dfs(s, t, inf)
@@ -112,15 +123,14 @@ func (f *FlowNetwork) MaxFlow(s, t int) int64 {
 func (f *FlowNetwork) MinCutSide(s int) []bool {
 	side := make([]bool, f.n)
 	side[s] = true
-	queue := []int{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	f.queue = append(f.queue[:0], s)
+	for i := 0; i < len(f.queue); i++ {
+		u := f.queue[i]
 		for e := f.head[u]; e != -1; e = f.next[e] {
 			v := f.to[e]
 			if f.cap[e] > 0 && !side[v] {
 				side[v] = true
-				queue = append(queue, v)
+				f.queue = append(f.queue, v)
 			}
 		}
 	}

@@ -21,43 +21,30 @@ type HopStats struct {
 }
 
 // Hops routes every ordered pair through the tables and aggregates the
-// router-hop distribution. The all-pairs sweep fans out over a worker pool
-// sized to GOMAXPROCS; the result is independent of the worker count.
+// router-hop distribution. When some pair does not route it returns
+// Tables.Verify's error.
 func Hops(t *routing.Tables) (HopStats, error) {
-	type accum struct {
-		hist  map[int]int
-		total int
-		pairs int
+	sw := t.Sweep()
+	if err := sw.Err(); err != nil {
+		return HopStats{}, err
 	}
 	st := HopStats{Min: -1, Histogram: make(map[int]int)}
 	total := 0
-	err := t.ForAllPairs(0,
-		func() any { return &accum{hist: make(map[int]int)} },
-		func(acc any, r routing.Route) error {
-			a := acc.(*accum)
-			h := r.RouterHops()
-			a.hist[h]++
-			a.pairs++
-			a.total += h
-			return nil
-		},
-		func(acc any) error {
-			a := acc.(*accum)
-			for h, c := range a.hist {
-				st.Histogram[h] += c
-				if st.Min < 0 || h < st.Min {
-					st.Min = h
-				}
-				if h > st.Max {
-					st.Max = h
-				}
+	n := t.Net.NumNodes()
+	for dst := 0; dst < n; dst++ {
+		for src := 0; src < n; src++ {
+			if src == dst {
+				continue
 			}
-			st.Pairs += a.pairs
-			total += a.total
-			return nil
-		})
-	if err != nil {
-		return HopStats{}, err
+			h := sw.Hops(src, dst)
+			st.Histogram[h]++
+			st.Pairs++
+			total += h
+			if st.Min < 0 || h < st.Min {
+				st.Min = h
+			}
+			st.Max = max(st.Max, h)
+		}
 	}
 	if st.Pairs > 0 {
 		st.Mean = float64(total) / float64(st.Pairs)

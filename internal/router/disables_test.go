@@ -87,3 +87,21 @@ func TestAllowedPanicsOnNode(t *testing.T) {
 	}()
 	d.Allowed(fm.NodeByIndex(0), 0, 0)
 }
+
+// BenchmarkFromTables measures path-disable configuration for the 512-CPU
+// level-3 fat fractahedron: one all-pairs sweep for the used turns, then
+// the per-router permission matrices.
+func BenchmarkFromTables(b *testing.B) {
+	tb := routing.Fractahedron(topology.NewFractahedron(topology.Tetra(3, true)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := FromTables(tb)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if enabled, _ := d.Counts(); enabled == 0 {
+			b.Fatal("no turns enabled")
+		}
+	}
+}

@@ -145,7 +145,7 @@ func (t *Tables) Route(src, dst int) (Route, error) {
 // Destination-indexed routing makes the step a function of (dev, dst)
 // alone — no source, no history — which is what lets whole-fabric sweeps
 // memoize walks per destination instead of re-walking every source (see
-// internal/fabricver). End nodes inject on their only port; routers consult
+// Sweep). End nodes inject on their only port; routers consult
 // their table. Unlike Route, Next rejects out-of-range ports with an error
 // instead of panicking, so it is safe on arbitrarily corrupted tables.
 func (t *Tables) Next(dev topology.DeviceID, dst int) (topology.ChannelID, int, error) {
@@ -212,29 +212,9 @@ type Turn struct{ In, Out int }
 // routers can disable all unused turns so that even a corrupted routing
 // table cannot re-introduce a dependency loop.
 func (t *Tables) UsedTurns() (map[topology.DeviceID]map[Turn]bool, error) {
-	used := make(map[topology.DeviceID]map[Turn]bool)
-	for _, d := range t.Net.Devices() {
-		if d.Kind == topology.Router {
-			used[d.ID] = make(map[Turn]bool)
-		}
+	sw := t.Sweep()
+	if err := sw.Err(); err != nil {
+		return nil, err
 	}
-	n := t.Net.NumNodes()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			r, err := t.Route(s, d)
-			if err != nil {
-				return nil, err
-			}
-			for i := 1; i < len(r.Channels); i++ {
-				dev := t.Net.ChannelDst(r.Channels[i-1]).Device
-				in := t.Net.ChannelDst(r.Channels[i-1]).Port
-				out := t.Net.ChannelSrc(r.Channels[i]).Port
-				used[dev][Turn{in, out}] = true
-			}
-		}
-	}
-	return used, nil
+	return sw.Turns(), nil
 }

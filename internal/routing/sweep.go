@@ -1,0 +1,344 @@
+package routing
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"repro/internal/graph"
+	"repro/internal/topology"
+)
+
+// PairSweep is the outcome of routing every ordered node pair through the
+// tables exactly once: each pair's router-hop count or failure reason, and
+// the dependency structure the successful routes induce. Because every
+// dependency between consecutive channels is a turn at the router joining
+// them, that structure is kept as one dense bitmap per router, indexed by
+// (in port, in VC, out port, out VC); with a single VC that is the
+// in*ports+out turn bitmap itself. The used turns (§2.4's path-disable
+// configuration) and the channel dependency graph are both read from it.
+type PairSweep struct {
+	tables *Tables
+	n      int
+	hops   []int32 // [dst*n+src]: router hops; -1 when the pair fails and on the diagonal
+
+	// Failures lists every pair that does not route, in (dst, src) order.
+	Failures []PairFailure
+
+	turnBase []int // per device: first bit of its dependency block; -1 for end nodes
+	stride   []int // per device: ports × VCs, the row length of its block
+	bits     []uint64
+}
+
+// PairFailure is one ordered node pair the tables cannot route.
+type PairFailure struct {
+	Src, Dst int
+	Reason   string
+}
+
+// walk statuses in the per-destination memo.
+const (
+	swUnknown = iota
+	swOK
+	swBad
+)
+
+// Sweep routes all ordered pairs through the tables. Route failures
+// (holes, out-of-range or unwired ports, loops) are collected, not fatal:
+// the fabric verifier's fault enumeration and fuzzed-table checks must keep
+// going to count the damage. Callers that need every route to exist check
+// Err.
+//
+// Destination-indexed routing means the step taken at a device depends on
+// (device, destination) only, so the sweep walks each destination's
+// in-tree once with memoization: a walk stops at the first device whose
+// verdict toward the destination is already known and inherits it. That
+// turns the all-pairs cost from O(N² · path) into O(N² + N · routers).
+// Pairs are visited in ascending (dst, src) order, so every derived
+// field, including the order of Failures, is deterministic.
+func (t *Tables) Sweep() *PairSweep {
+	net := t.Net
+	v := t.NumVC()
+	n := net.NumNodes()
+	nd := net.NumDevices()
+
+	sw := &PairSweep{
+		tables:   t,
+		n:        n,
+		hops:     make([]int32, n*n),
+		turnBase: make([]int, nd),
+		stride:   make([]int, nd),
+	}
+	for i := range sw.hops {
+		sw.hops[i] = -1
+	}
+	nbits := 0
+	for _, d := range net.Devices() {
+		sw.turnBase[d.ID] = -1
+		if d.Kind == topology.Router {
+			sw.turnBase[d.ID] = nbits
+			sw.stride[d.ID] = d.Ports * v
+			nbits += sw.stride[d.ID] * sw.stride[d.ID]
+		}
+	}
+	sw.bits = make([]uint64, (nbits+63)/64)
+
+	// Per-destination memo, invalidated by stamping (stamp == dst+1) so no
+	// per-destination clearing pass is needed.
+	stamp := make([]int, nd)
+	status := make([]uint8, nd)
+	hops := make([]int32, nd)                // router hops from the device to dst
+	outCh := make([]topology.ChannelID, nd)  // channel the device forwards on
+	outVC := make([]int, nd)                 // and its virtual channel
+	failDev := make([]topology.DeviceID, nd) // device originating the failure
+	why := make([]string, nd)                // reason, set on the originating device
+
+	seen := make([]int, nd) // walk counter, for on-path loop detection
+	walkID := 0
+	path := make([]topology.DeviceID, 0, nd)
+
+	// walk explores from router r until it reaches a memoized device, a
+	// routing failure, or a loop, then seals the verdict onto every device
+	// it visited. On success it also marks the newly discovered
+	// dependencies: each device's out-channel is recorded once per
+	// destination, in the walk that first reaches it.
+	walk := func(r topology.DeviceID, dst, ds int) {
+		walkID++
+		path = path[:0]
+		cur := r
+		loopAt := -1
+		for stamp[cur] != ds {
+			if seen[cur] == walkID {
+				loopAt = slices.Index(path, cur)
+				break
+			}
+			seen[cur] = walkID
+			path = append(path, cur)
+			var sealWhy string
+			if net.Device(cur).Kind != topology.Router {
+				// A walk only ever enters a node by mis-routing: the
+				// destination node is pre-memoized and sources inject
+				// outside walk.
+				sealWhy = fmt.Sprintf("walk enters foreign end node %s", net.Device(cur).Name)
+			} else if ch, vc, err := t.Next(cur, dst); err != nil {
+				sealWhy = err.Error()
+			} else {
+				outCh[cur], outVC[cur] = ch, vc
+				cur = net.ChannelDst(ch).Device
+				continue
+			}
+			stamp[cur] = ds
+			status[cur] = swBad
+			failDev[cur] = cur
+			why[cur] = sealWhy
+			path = path[:len(path)-1]
+			break
+		}
+		if loopAt >= 0 {
+			// Every device from the loop entry onward fails at the loop.
+			entry := path[loopAt]
+			why[entry] = fmt.Sprintf("routing loop through %s", net.Device(entry).Name)
+			for _, d := range path[loopAt:] {
+				stamp[d] = ds
+				status[d] = swBad
+				failDev[d] = entry
+			}
+			cur = entry
+			path = path[:loopAt]
+		}
+		// cur is now sealed; unwind the explored prefix against its verdict.
+		bst, bfail := status[cur], failDev[cur]
+		h := hops[cur]
+		for i := len(path) - 1; i >= 0; i-- {
+			d := path[i]
+			stamp[d] = ds
+			status[d] = bst
+			if bst == swBad {
+				failDev[d] = bfail
+				continue
+			}
+			h++ // every unsealed path device on an OK walk is a router
+			hops[d] = h
+		}
+		if bst != swOK {
+			return
+		}
+		// The newly sealed segment's dependencies: consecutive path
+		// devices, plus the junction into the memoized base (whose own
+		// downstream dependencies were marked when it was first sealed).
+		for i := 1; i < len(path); i++ {
+			p := path[i-1]
+			sw.mark(path[i], outCh[p], outVC[p], outCh[path[i]], outVC[path[i]])
+		}
+		if len(path) > 0 && net.Device(cur).Kind == topology.Router {
+			last := path[len(path)-1]
+			sw.mark(cur, outCh[last], outVC[last], outCh[cur], outVC[cur])
+		}
+	}
+
+	for dst := 0; dst < n; dst++ {
+		ds := dst + 1
+		dstDev := net.NodeByIndex(dst)
+		stamp[dstDev] = ds
+		status[dstDev] = swOK
+		hops[dstDev] = 0
+
+		for s := 0; s < n; s++ {
+			if s == dst {
+				continue
+			}
+			src := net.NodeByIndex(s)
+			// Injection: sources always take their single port; a node's
+			// verdict as a walk victim (mis-routed into) differs from its
+			// verdict as a source, so sources are never memo-read.
+			ch, vc, err := t.Next(src, dst)
+			if err != nil {
+				sw.Failures = append(sw.Failures, PairFailure{s, dst, err.Error()})
+				continue
+			}
+			r0 := net.ChannelDst(ch).Device
+			if stamp[r0] != ds {
+				walk(r0, dst, ds)
+			}
+			if status[r0] == swBad {
+				sw.Failures = append(sw.Failures, PairFailure{s, dst, why[failDev[r0]]})
+				continue
+			}
+			sw.hops[dst*n+s] = hops[r0]
+			if r0 != dstDev {
+				// The injection dependency at the first router; the rest of
+				// the path was marked when the walk sealed it.
+				sw.mark(r0, ch, vc, outCh[r0], outVC[r0])
+			}
+		}
+	}
+	return sw
+}
+
+// mark records the dependency inCh(inVC) -> outCh(outVC) at router dev.
+func (sw *PairSweep) mark(dev topology.DeviceID, inCh topology.ChannelID, inVC int, outCh topology.ChannelID, outVC int) {
+	net := sw.tables.Net
+	v := sw.tables.NumVC()
+	in := net.ChannelDst(inCh).Port
+	out := net.ChannelSrc(outCh).Port
+	i := sw.turnBase[dev] + (in*v+inVC)*sw.stride[dev] + out*v + outVC
+	sw.bits[i/64] |= 1 << (i % 64)
+}
+
+func (sw *PairSweep) bit(i int) bool { return sw.bits[i/64]&(1<<(i%64)) != 0 }
+
+// Err reports whether every pair routed. When one did not, it returns the
+// error of the source-major route walk (exactly what Tables.Verify
+// returns), so callers that require full reachability fail the same way
+// whichever analysis ran first; that walk runs only on this error path.
+func (sw *PairSweep) Err() error {
+	if len(sw.Failures) == 0 {
+		return nil
+	}
+	if err := sw.tables.Verify(); err != nil {
+		return err
+	}
+	f := sw.Failures[0] // unreachable: the sweep and Route agree on failures
+	return fmt.Errorf("routing[%s]: %d -> %d: %s", sw.tables.Algorithm, f.Src, f.Dst, f.Reason)
+}
+
+// Pairs reports the number of ordered node pairs swept.
+func (sw *PairSweep) Pairs() int { return sw.n * (sw.n - 1) }
+
+// Reached reports the number of pairs that route end to end.
+func (sw *PairSweep) Reached() int { return sw.Pairs() - len(sw.Failures) }
+
+// Hops returns the router hops of the route from node src to node dst
+// (Route.RouterHops), or -1 when the pair does not route.
+func (sw *PairSweep) Hops(src, dst int) int { return int(sw.hops[dst*sw.n+src]) }
+
+// MaxHops returns the largest router-hop count over the routed pairs and
+// the first pair, in (dst, src) order, that takes it. src and dst are 0
+// when no pair takes a router hop.
+func (sw *PairSweep) MaxHops() (hops, src, dst int) {
+	for i, h := range sw.hops {
+		if int(h) > hops {
+			hops, src, dst = int(h), i%sw.n, i/sw.n
+		}
+	}
+	return hops, src, dst
+}
+
+// turnUsed reports whether some route turns from port in to port out at
+// router dev (on any virtual channels).
+func (sw *PairSweep) turnUsed(dev topology.DeviceID, in, out int) bool {
+	v := sw.tables.NumVC()
+	base, stride := sw.turnBase[dev], sw.stride[dev]
+	for vi := 0; vi < v; vi++ {
+		for vo := 0; vo < v; vo++ {
+			if sw.bit(base + (in*v+vi)*stride + out*v + vo) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Turns returns the used turns of every router as sets (every router has
+// an entry, possibly empty); UsedTurns' map form.
+func (sw *PairSweep) Turns() map[topology.DeviceID]map[Turn]bool {
+	net := sw.tables.Net
+	used := make(map[topology.DeviceID]map[Turn]bool)
+	for _, d := range net.Devices() {
+		if d.Kind != topology.Router {
+			continue
+		}
+		m := make(map[Turn]bool)
+		for in := 0; in < d.Ports; in++ {
+			for out := 0; out < d.Ports; out++ {
+				if sw.turnUsed(d.ID, in, out) {
+					m[Turn{In: in, Out: out}] = true
+				}
+			}
+		}
+		used[d.ID] = m
+	}
+	return used
+}
+
+// Deps returns the distinct channel dependencies of the routed pairs as
+// (from, to) edges over (channel, VC) vertices (vertex = channel*NumVC +
+// vc), sorted ascending so a graph built from them, and any cycle taken
+// from it, is reproducible.
+func (sw *PairSweep) Deps() [][2]int {
+	net := sw.tables.Net
+	v := sw.tables.NumVC()
+	var deps [][2]int
+	for _, d := range net.Devices() {
+		base, stride := sw.turnBase[d.ID], sw.stride[d.ID]
+		for i := 0; i < stride*stride; i++ {
+			if !sw.bit(base + i) {
+				continue
+			}
+			row, col := i/stride, i%stride
+			// The in-channel arrives on port row/v: the reverse of the
+			// channel leaving through it.
+			inCh, _ := net.ChannelFromPort(d.ID, row/v)
+			outCh, _ := net.ChannelFromPort(d.ID, col/v)
+			deps = append(deps, [2]int{int(net.Reverse(inCh))*v + row%v, int(outCh)*v + col%v})
+		}
+	}
+	slices.SortFunc(deps, CompareEdges)
+	return deps
+}
+
+// CompareEdges orders (from, to) edges by from, then to.
+func CompareEdges(a, b [2]int) int {
+	return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+}
+
+// CDG returns the channel dependency graph over (channel, VC) vertices,
+// with Deps inserted in order so the graph, and any cycle taken from it,
+// is reproducible.
+func (sw *PairSweep) CDG() *graph.Digraph {
+	g := graph.NewDigraph(sw.tables.Net.NumChannels() * sw.tables.NumVC())
+	for _, e := range sw.Deps() {
+		g.AddEdge(e[0], e[1])
+	}
+	return g
+}

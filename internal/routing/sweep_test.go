@@ -1,0 +1,340 @@
+package routing_test
+
+import (
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/deadlock"
+	"repro/internal/graph"
+	"repro/internal/metrics"
+	"repro/internal/routing"
+	"repro/internal/topology"
+)
+
+// The reference analyses below are the per-pair route walks the sweep
+// replaced: every ordered pair is routed with Tables.Route, source-major,
+// and the first failure is returned as is.
+
+func refUsedTurns(t *routing.Tables) (map[topology.DeviceID]map[routing.Turn]bool, error) {
+	used := make(map[topology.DeviceID]map[routing.Turn]bool)
+	for _, d := range t.Net.Devices() {
+		if d.Kind == topology.Router {
+			used[d.ID] = make(map[routing.Turn]bool)
+		}
+	}
+	err := forEachRoute(t, func(r routing.Route) {
+		for i := 1; i < len(r.Channels); i++ {
+			dev := t.Net.ChannelDst(r.Channels[i-1]).Device
+			in := t.Net.ChannelDst(r.Channels[i-1]).Port
+			out := t.Net.ChannelSrc(r.Channels[i]).Port
+			used[dev][routing.Turn{In: in, Out: out}] = true
+		}
+	})
+	return used, err
+}
+
+// refDeps returns the sorted distinct dependency edges, over (channel, VC)
+// vertices when vc is set and over physical channels otherwise.
+func refDeps(t *routing.Tables, vc bool) ([][2]int, error) {
+	v := t.NumVC()
+	seen := make(map[[2]int]bool)
+	err := forEachRoute(t, func(r routing.Route) {
+		for i := 1; i < len(r.Channels); i++ {
+			a, b := int(r.Channels[i-1]), int(r.Channels[i])
+			if vc {
+				a, b = a*v+r.VCAt(i-1), b*v+r.VCAt(i)
+			}
+			seen[[2]int{a, b}] = true
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	edges := make([][2]int, 0, len(seen))
+	for e := range seen {
+		edges = append(edges, e)
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i][0] != edges[j][0] {
+			return edges[i][0] < edges[j][0]
+		}
+		return edges[i][1] < edges[j][1]
+	})
+	return edges, nil
+}
+
+func refHops(t *routing.Tables) (metrics.HopStats, error) {
+	st := metrics.HopStats{Min: -1, Histogram: make(map[int]int)}
+	total := 0
+	err := forEachRoute(t, func(r routing.Route) {
+		h := r.RouterHops()
+		st.Histogram[h]++
+		st.Pairs++
+		total += h
+		if st.Min < 0 || h < st.Min {
+			st.Min = h
+		}
+		st.Max = max(st.Max, h)
+	})
+	if err != nil {
+		return metrics.HopStats{}, err
+	}
+	if st.Pairs > 0 {
+		st.Mean = float64(total) / float64(st.Pairs)
+	}
+	return st, nil
+}
+
+func forEachRoute(t *routing.Tables, visit func(routing.Route)) error {
+	n := t.Net.NumNodes()
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
+			}
+			r, err := t.Route(s, d)
+			if err != nil {
+				return err
+			}
+			visit(r)
+		}
+	}
+	return nil
+}
+
+func edgesOf(g *graph.Digraph) [][2]int {
+	var edges [][2]int
+	for a := 0; a < g.N(); a++ {
+		for _, b := range g.Out(a) {
+			edges = append(edges, [2]int{a, b})
+		}
+	}
+	return edges
+}
+
+// sweepSystems is every built-in system plus the VC dateline routings and
+// the cyclic Figure 1 ring.
+func sweepSystems(t testing.TB) map[string]*routing.Tables {
+	t.Helper()
+	systems := make(map[string]*routing.Tables)
+	for _, spec := range append(core.BuiltinSpecs(), "ring:size=4,unsafe") {
+		sys, _, err := core.ParseSystem(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		systems[spec] = sys.Tables
+	}
+	systems["ring-dateline"] = routing.RingDateline(topology.NewRing(4, 1))
+	systems["torus-dateline"] = routing.TorusDateline(topology.NewTorus(4, 3, 1))
+	return systems
+}
+
+// checkAgainstReference requires every sweep-backed analysis to equal its
+// route-walk reference: the same result when every pair routes, and
+// otherwise exactly Tables.Verify's error.
+func checkAgainstReference(t *testing.T, name string, tb *routing.Tables) {
+	t.Helper()
+	verr := tb.Verify()
+	sameErr := func(what string, err error) {
+		t.Helper()
+		if (err == nil) != (verr == nil) || (err != nil && err.Error() != verr.Error()) {
+			t.Errorf("%s: %s error %v, Verify says %v", name, what, err, verr)
+		}
+	}
+
+	turns, err := tb.UsedTurns()
+	sameErr("UsedTurns", err)
+	g, gErr := deadlock.BuildCDG(tb)
+	sameErr("BuildCDG", gErr)
+	gvc, vcErr := deadlock.BuildCDGVC(tb)
+	sameErr("BuildCDGVC", vcErr)
+	hops, hErr := metrics.Hops(tb)
+	sameErr("Hops", hErr)
+	if verr != nil {
+		return
+	}
+
+	if want, _ := refUsedTurns(tb); !reflect.DeepEqual(turns, want) {
+		t.Errorf("%s: UsedTurns differs from the route walk", name)
+	}
+	if want, _ := refDeps(tb, false); !slices.Equal(edgesOf(g), want) {
+		t.Errorf("%s: BuildCDG has %d edges, route walk %d (or they differ)", name, g.M(), len(want))
+	}
+	want, _ := refDeps(tb, true)
+	if !slices.Equal(edgesOf(gvc), want) {
+		t.Errorf("%s: BuildCDGVC has %d edges, route walk %d (or they differ)", name, gvc.M(), len(want))
+	}
+	sw := tb.Sweep()
+	if !slices.Equal(sw.Deps(), want) {
+		t.Errorf("%s: Sweep.Deps differs from the route walk", name)
+	}
+	if want, _ := refHops(tb); !reflect.DeepEqual(hops, want) {
+		t.Errorf("%s: Hops = %+v, route walk %+v", name, hops, want)
+	}
+	n := tb.Net.NumNodes()
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
+			}
+			r, _ := tb.Route(s, d)
+			if got := sw.Hops(s, d); got != r.RouterHops() {
+				t.Fatalf("%s: Sweep.Hops(%d, %d) = %d, Route takes %d", name, s, d, got, r.RouterHops())
+			}
+		}
+	}
+}
+
+func TestSweepMatchesRouteWalk(t *testing.T) {
+	for name, tb := range sweepSystems(t) {
+		if testing.Short() && tb.Net.NumNodes() > 64 {
+			continue
+		}
+		checkAgainstReference(t, name, tb)
+	}
+}
+
+// The sweep memoizes per destination, so a failing pair's reason is the
+// one its first router's in-tree walk found; every failing pair is listed,
+// in (dst, src) order.
+func TestSweepFailuresInDstSrcOrder(t *testing.T) {
+	sys, _, err := core.ParseSystem("fat-fract:levels=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := sys.Tables
+	r := tb.Net.ChannelDst(mustChannel(t, tb.Net, tb.Net.NodeByIndex(0), 0)).Device
+	tb.SetOutPort(r, 5, -1)
+	sw := tb.Sweep()
+	if len(sw.Failures) == 0 || sw.Reached()+len(sw.Failures) != sw.Pairs() {
+		t.Fatalf("failures %d, reached %d of %d", len(sw.Failures), sw.Reached(), sw.Pairs())
+	}
+	for i, f := range sw.Failures {
+		if f.Dst != 5 || sw.Hops(f.Src, f.Dst) != -1 {
+			t.Errorf("failure %d = %+v, want a pair toward 5 with no hops", i, f)
+		}
+		if i > 0 && f.Src <= sw.Failures[i-1].Src {
+			t.Errorf("failures out of order: %+v after %+v", f, sw.Failures[i-1])
+		}
+	}
+	if sw.Err() == nil || sw.Err().Error() != tb.Verify().Error() {
+		t.Errorf("Err = %v, Verify = %v", sw.Err(), tb.Verify())
+	}
+}
+
+func mustChannel(t *testing.T, net *topology.Network, dev topology.DeviceID, port int) topology.ChannelID {
+	t.Helper()
+	ch, ok := net.ChannelFromPort(dev, port)
+	if !ok {
+		t.Fatalf("device %d port %d unwired", dev, port)
+	}
+	return ch
+}
+
+// On a broken table every all-pairs analysis fails with Verify's error,
+// whatever the scheduler: the error names the first failing pair in source
+// order, never a worker.
+func TestBrokenTableErrorIndependentOfGOMAXPROCS(t *testing.T) {
+	sys, _, err := core.ParseSystem("fat-fract:levels=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := sys.Tables
+	net := tb.Net
+	// Holes for destinations 1 and 60 at one level-1 router. A source-
+	// striped worker pool reports the first failing stripe, which here is
+	// worker 0 at GOMAXPROCS 1 and 2 but worker 2 at GOMAXPROCS 4.
+	holed := false
+	for _, d := range net.Devices() {
+		if d.Name == "L1.e0.l0.r1" {
+			tb.SetOutPort(d.ID, 1, -1)
+			tb.SetOutPort(d.ID, 60, -1)
+			holed = true
+		}
+	}
+	if !holed {
+		t.Fatal("router L1.e0.l0.r1 not found")
+	}
+	want := tb.Verify()
+	if want == nil {
+		t.Fatal("holed tables verify")
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		_, aErr := deadlock.Analyze(tb)
+		_, gErr := deadlock.BuildCDG(tb)
+		_, hErr := metrics.Hops(tb)
+		for what, err := range map[string]error{"Analyze": aErr, "BuildCDG": gErr, "Hops": hErr} {
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("GOMAXPROCS %d: %s error %q, want Verify's %q", procs, what, err, want)
+			}
+		}
+	}
+}
+
+// FuzzSweepVsRoute mutates up to two table entries — a hole, an unwired or
+// wrong port, or a port that loops back — and requires the sweep-backed
+// analyses to agree with the route walk: equal outputs whenever Verify
+// passes, Verify's error whenever it fails.
+func FuzzSweepVsRoute(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(1), int8(-1), uint8(3), uint8(2), int8(0))
+	f.Add(uint8(1), uint8(2), uint8(5), int8(4), uint8(0), uint8(0), int8(-1))
+	f.Add(uint8(2), uint8(1), uint8(0), int8(1), uint8(1), uint8(3), int8(0))
+	f.Add(uint8(3), uint8(3), uint8(2), int8(5), uint8(2), uint8(7), int8(2))
+	f.Add(uint8(4), uint8(0), uint8(3), int8(0), uint8(1), uint8(1), int8(1))
+	specs := []string{"fat-fract:levels=1", "mesh:cols=4,rows=4,nodes=2", "ring:size=6", "hypercube:dim=3,updown", "ring-dateline"}
+	f.Fuzz(func(t *testing.T, specSel, r1, d1 uint8, p1 int8, r2, d2 uint8, p2 int8) {
+		spec := specs[int(specSel)%len(specs)]
+		var tb *routing.Tables
+		if spec == "ring-dateline" {
+			tb = routing.RingDateline(topology.NewRing(4, 1))
+		} else {
+			sys, _, err := core.ParseSystem(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb = sys.Tables
+		}
+		net := tb.Net
+		var routers []topology.DeviceID
+		for _, d := range net.Devices() {
+			if d.Kind == topology.Router {
+				routers = append(routers, d.ID)
+			}
+		}
+		mutate := func(rs, ds uint8, p int8) {
+			r := routers[int(rs)%len(routers)]
+			// Ports stay in [-1, Ports): Route, like the table hardware,
+			// has no out-of-range entries to walk.
+			port := int(p)%(net.Device(r).Ports+1) - 1
+			if port < -1 {
+				port += net.Device(r).Ports + 1
+			}
+			tb.SetOutPort(r, int(ds)%net.NumNodes(), port)
+		}
+		mutate(r1, d1, p1)
+		mutate(r2, d2, p2)
+		checkAgainstReference(t, spec, tb)
+	})
+}
+
+// BenchmarkSweep measures the all-pairs sweep of the 512-CPU level-3 fat
+// fractahedron (261,632 ordered pairs), including the dependency list a
+// CDG is built from.
+func BenchmarkSweep(b *testing.B) {
+	tb := routing.Fractahedron(topology.NewFractahedron(topology.Tetra(3, true)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sw := tb.Sweep()
+		if sw.Err() != nil || len(sw.Deps()) == 0 {
+			b.Fatal(sw.Err())
+		}
+	}
+}

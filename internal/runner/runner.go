@@ -1,7 +1,7 @@
 // Package runner is the parallel experiment engine: it fans independent
 // simulation points (topology × rate × seed × config) over a worker pool
 // and merges results in point order, following the deterministic
-// merge-in-order pattern of routing.ForAllPairs.
+// merge-in-order pattern of routing's parallel all-pairs walk.
 //
 // Determinism contract: a point's result may depend only on its inputs and
 // its own RNG stream, derived from (experiment seed, point index) via
