@@ -51,9 +51,9 @@ func main() {
 		var err error
 		switch c := sys.Concrete.(type) {
 		case *topology.Fractahedron:
-			err = viz.WriteFractahedronSVG(os.Stdout, c, viz.Options{})
+			err = viz.WriteFractahedronSVG(os.Stdout, c)
 		case *topology.FatTree:
-			err = viz.WriteFatTreeSVG(os.Stdout, c, viz.Options{})
+			err = viz.WriteFatTreeSVG(os.Stdout, c)
 		default:
 			root := topology.DeviceID(-1)
 			for _, d := range sys.Net.Devices() {
@@ -62,7 +62,7 @@ func main() {
 					break
 				}
 			}
-			err = viz.WriteSVG(os.Stdout, sys.Net, root, viz.Options{})
+			err = viz.WriteSVG(os.Stdout, sys.Net, root)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fractagen: %v\n", err)

@@ -157,6 +157,84 @@ func TestNoFaultsNoOverhead(t *testing.T) {
 	}
 }
 
+// TestBuildValidation pins Run's dual-fabric input checks: the tables Build
+// returns must belong to the network it returns, and the two calls (X, then
+// Y) must produce fabrics of one shape, or node addresses would not name the
+// same dual-ported node on both.
+func TestBuildValidation(t *testing.T) {
+	specs := []sim.PacketSpec{{Src: 0, Dst: 1, Flits: 2}}
+	foreign := func() (*topology.Network, *routing.Tables) {
+		net, _ := buildFract2()
+		_, tb := buildFract2()
+		return net, tb
+	}
+	calls := 0
+	growing := func() (*topology.Network, *routing.Tables) {
+		calls++
+		r := topology.NewRing(4+calls, 1)
+		return r.Network, routing.RingSeamless(r)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (*topology.Network, *routing.Tables)
+		want  string
+	}{
+		{"foreign tables", foreign, "chaos: fabric X tables do not belong to the built network"},
+		{"shape mismatch", growing, "chaos: X and Y fabrics differ in shape"},
+	} {
+		cfg := engineConfig()
+		cfg.Build = tc.build
+		if _, err := chaos.Run(cfg, chaos.Plan{}, specs); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestNodeLinkFault is §1's dual-fabric claim on the engine that runs: with
+// node 0's only link dead on X, every transfer still completes by failing
+// over to Y; with it dead on both fabrics, node 0 is isolated and exactly
+// the transfers touching it are lost.
+func TestNodeLinkFault(t *testing.T) {
+	net, _ := buildFract2()
+	nodeLink, ok := net.LinkAt(net.NodeByIndex(0), 0)
+	if !ok {
+		t.Fatal("node 0 unwired")
+	}
+	specs := workload.UniformRandom(runner.RNG(4, 0), net.NumNodes(), 300, 4, 60)
+	touching := 0
+	for _, s := range specs {
+		if s.Src == 0 || s.Dst == 0 {
+			touching++
+		}
+	}
+	if touching == 0 {
+		t.Fatal("no transfer touches node 0; the test would prove nothing")
+	}
+	kill := func(fabric int) chaos.Fault {
+		return chaos.Fault{Fabric: fabric, Kind: chaos.LinkKill, Cycle: 1, Link: nodeLink}
+	}
+	for _, tc := range []struct {
+		name   string
+		faults []chaos.Fault
+		lost   int
+	}{
+		{"X only", []chaos.Fault{kill(0)}, 0},
+		{"X and Y", []chaos.Fault{kill(0), kill(1)}, touching},
+	} {
+		res, err := chaos.Run(engineConfig(), chaos.Plan{Faults: tc.faults}, specs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Lost != tc.lost || res.Unresolved != 0 {
+			t.Errorf("%s: lost %d, unresolved %d; want lost %d, unresolved 0",
+				tc.name, res.Lost, res.Unresolved, tc.lost)
+		}
+		if tc.lost == 0 && res.DeliveredY == 0 {
+			t.Errorf("%s: no transfer failed over to Y", tc.name)
+		}
+	}
+}
+
 // TestCorruptionDrops exercises the probabilistic flit-corruption path:
 // with a high rate, packets die mid-flight and the retry machinery still
 // accounts for every transfer.

@@ -18,7 +18,6 @@ package chaos
 import (
 	"fmt"
 
-	"repro/internal/fabric"
 	"repro/internal/fabricver"
 	"repro/internal/router"
 	"repro/internal/routing"
@@ -29,10 +28,13 @@ import (
 // dipWindow is the throughput-sampling granularity in cycles.
 const dipWindow = 64
 
+// fabricName names the primary (X) and standby (Y) fabric for messages.
+var fabricName = [2]string{"X", "Y"}
+
 // Config parameterizes one recovery run.
 type Config struct {
-	// Build constructs one fabric; fabric.NewDual calls it twice. It must
-	// be deterministic.
+	// Build constructs one fabric; Run calls it twice, once for X and once
+	// for Y. It must be deterministic so the two fabrics share one shape.
 	Build func() (*topology.Network, *routing.Tables)
 	// Sim configures both simulators. TimeoutCycles should normally be set:
 	// it is the end-node detection mechanism that surfaces worms wedged
@@ -172,7 +174,7 @@ func (e *engine) pop(fab int, spec sim.PacketSpec) int {
 	if len(q) == 0 {
 		if e.err == nil {
 			e.err = fmt.Errorf("chaos: fabric %s resolved packet %d->%d (%d flits) with no pending transfer",
-				fabric.FabricID(fab), spec.Src, spec.Dst, spec.Flits)
+				fabricName[fab], spec.Src, spec.Dst, spec.Flits)
 		}
 		return -1
 	}
@@ -421,19 +423,26 @@ func Run(cfg Config, plan Plan, specs []sim.PacketSpec) (Result, error) {
 	if cfg.Build == nil {
 		return Result{}, fmt.Errorf("chaos: Config.Build is required")
 	}
-	dual, err := fabric.NewDual(cfg.Build)
-	if err != nil {
-		return Result{}, err
+	var nets [2]*topology.Network
+	var tables [2]*routing.Tables
+	for i := range nets {
+		nets[i], tables[i] = cfg.Build()
+		if tables[i].Net != nets[i] {
+			return Result{}, fmt.Errorf("chaos: fabric %s tables do not belong to the built network", fabricName[i])
+		}
+	}
+	if nets[0].NumNodes() != nets[1].NumNodes() || nets[0].NumLinks() != nets[1].NumLinks() {
+		return Result{}, fmt.Errorf("chaos: X and Y fabrics differ in shape")
 	}
 	e := &engine{cfg: cfg}
 	e.res.FirstFaultCycle = plan.FirstCycle()
 	e.res.FinalCertified = true // until a failed recertification says otherwise
 	for i := 0; i < 2; i++ {
-		dis, err := router.FromTables(dual.Tables[i])
+		dis, err := router.FromTables(tables[i])
 		if err != nil {
-			return e.res, fmt.Errorf("chaos: fabric %s disables: %w", fabric.FabricID(i), err)
+			return e.res, fmt.Errorf("chaos: fabric %s disables: %w", fabricName[i], err)
 		}
-		fs := &fabState{id: i, net: dual.Net[i], tb: dual.Tables[i], s: sim.New(dual.Net[i], dis, cfg.Sim)}
+		fs := &fabState{id: i, net: nets[i], tb: tables[i], s: sim.New(nets[i], dis, cfg.Sim)}
 		e.fabs[i] = fs
 		e.pending[i] = make(map[[3]int][]int)
 		fab := i

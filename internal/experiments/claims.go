@@ -214,8 +214,11 @@ func Claims() ([]Claim, error) {
 		fmt.Sprintf("%d hops", fanHops.Max), fanHops.Max == 4, "")
 
 	// --- §2.2 1024-CPU delays (thin 12, fat 10, fan-out included). The
-	// structurally worst pair: an all-sevens source address against an
-	// all-fours destination (see examples/scaling for the derivation).
+	// structurally worst pair is an all-sevens source address against an
+	// all-fours destination. Digit 7 sits on router 3 of its ensemble at
+	// every level, which forces an intra-ensemble hop before every thin
+	// ascent; digit 4 sits on router 2, which forces one at the apex and
+	// after every descent. Both variants route it at their maximum delay.
 	for _, c := range []struct {
 		fat  bool
 		want int

@@ -52,3 +52,50 @@ func ExampleUpDownGeneric() {
 	// Output:
 	// updown-generic routes all 552 pairs
 }
+
+// §2's case for reflexive routing: with one dead link, a pair whose forward
+// route is healthy is still unusable when its reverse route, which carries
+// the acknowledgments, crosses the fault. Clockwise-only ring routing is not
+// reflexive and loses such pairs; seamless (shortest-way) routing is
+// reflexive and loses none.
+func Example_ackPath() {
+	ring := topology.NewRing(8, 1)
+	dead, _ := ring.LinkAt(ring.Routers[0], topology.RingPortCW)
+	broken := func(r routing.Route) bool {
+		for _, ch := range r.Channels {
+			if ring.ChannelLink(ch) == dead {
+				return true
+			}
+		}
+		return false
+	}
+	for _, tb := range []*routing.Tables{routing.RingClockwise(ring), routing.RingSeamless(ring)} {
+		healthy, lost := 0, 0
+		for a := 0; a < ring.NumNodes(); a++ {
+			for b := 0; b < ring.NumNodes(); b++ {
+				if a == b {
+					continue
+				}
+				fwd, err := tb.Route(a, b)
+				if err != nil {
+					log.Fatal(err)
+				}
+				if broken(fwd) {
+					continue
+				}
+				healthy++
+				rev, err := tb.Route(b, a)
+				if err != nil {
+					log.Fatal(err)
+				}
+				if broken(rev) {
+					lost++
+				}
+			}
+		}
+		fmt.Printf("%s: %d forward-healthy pairs, %d lost to the ack path\n", tb.Algorithm, healthy, lost)
+	}
+	// Output:
+	// ring-cw: 28 forward-healthy pairs, 28 lost to the ack path
+	// ring-seamless: 42 forward-healthy pairs, 0 lost to the ack path
+}

@@ -493,8 +493,8 @@ func TestThinFractahedronN4Formula(t *testing.T) {
 		t.Fatalf("nodes = %d", f.NumNodes())
 	}
 	tb := Fractahedron(f)
-	// Worst pair: all-sevens source, all-fours destination (see
-	// examples/scaling for the derivation).
+	// Worst pair: all-sevens source, all-fours destination (the derivation
+	// is at the §2.2 1024-CPU claim in internal/experiments/claims.go).
 	worstSrc, worstDst := 0, 0
 	for k := 0; k < 4; k++ {
 		worstSrc = worstSrc*8 + 7

@@ -15,29 +15,12 @@ import (
 	"repro/internal/topology"
 )
 
-// Options tunes the rendering.
-type Options struct {
-	// CellW and CellH are the horizontal and vertical device spacings in
-	// pixels (defaults 56 and 96).
-	CellW, CellH int
-	// Highlight marks a set of channels to stroke in a distinct color —
-	// used to draw a route or a witness cycle over the topology.
-	Highlight []topology.ChannelID
-	// Weights, when non-nil, colors each link by relative load (e.g. the
-	// utilization profile): heavier links draw thicker and redder. Values
-	// are normalized against the maximum present.
-	Weights map[topology.LinkID]float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.CellW <= 0 {
-		o.CellW = 56
-	}
-	if o.CellH <= 0 {
-		o.CellH = 96
-	}
-	return o
-}
+// Device spacings in pixels: horizontal within a layer, vertical between
+// layers.
+const (
+	cellW = 56
+	cellH = 96
+)
 
 // layerFunc assigns each device a layer index (smaller = drawn higher).
 type layerFunc func(topology.DeviceID) int
@@ -45,7 +28,7 @@ type layerFunc func(topology.DeviceID) int
 // WriteSVG renders the network with devices grouped into layers by BFS
 // distance from the given root router (end nodes hang one layer below
 // their router).
-func WriteSVG(w io.Writer, net *topology.Network, root topology.DeviceID, opt Options) error {
+func WriteSVG(w io.Writer, net *topology.Network, root topology.DeviceID) error {
 	levels := bfsLevels(net, root)
 	maxLevel := 0
 	for _, l := range levels {
@@ -53,7 +36,7 @@ func WriteSVG(w io.Writer, net *topology.Network, root topology.DeviceID, opt Op
 			maxLevel = l
 		}
 	}
-	return render(w, net, opt, func(d topology.DeviceID) int {
+	return render(w, net, func(d topology.DeviceID) int {
 		dev := net.Device(d)
 		if dev.Kind == topology.Node {
 			return maxLevel + 1
@@ -65,9 +48,9 @@ func WriteSVG(w io.Writer, net *topology.Network, root topology.DeviceID, opt Op
 // WriteFractahedronSVG renders a fractahedron with one row per recursion
 // level: the top ensemble first, fan-out routers and end nodes at the
 // bottom — the orientation of the paper's Figure 7.
-func WriteFractahedronSVG(w io.Writer, f *topology.Fractahedron, opt Options) error {
+func WriteFractahedronSVG(w io.Writer, f *topology.Fractahedron) error {
 	top := f.Cfg.Levels + 1
-	return render(w, f.Network, opt, func(d topology.DeviceID) int {
+	return render(w, f.Network, func(d topology.DeviceID) int {
 		if f.Device(d).Kind == topology.Node {
 			return top
 		}
@@ -77,8 +60,8 @@ func WriteFractahedronSVG(w io.Writer, f *topology.Fractahedron, opt Options) er
 }
 
 // WriteFatTreeSVG renders a fat tree with the roots on top.
-func WriteFatTreeSVG(w io.Writer, ft *topology.FatTree, opt Options) error {
-	return render(w, ft.Network, opt, func(d topology.DeviceID) int {
+func WriteFatTreeSVG(w io.Writer, ft *topology.FatTree) error {
+	return render(w, ft.Network, func(d topology.DeviceID) int {
 		if ft.Device(d).Kind == topology.Node {
 			return ft.Levels
 		}
@@ -86,9 +69,7 @@ func WriteFatTreeSVG(w io.Writer, ft *topology.FatTree, opt Options) error {
 	})
 }
 
-func render(w io.Writer, net *topology.Network, opt Options, layer layerFunc) error {
-	opt = opt.withDefaults()
-
+func render(w io.Writer, net *topology.Network, layer layerFunc) error {
 	// Group devices by layer, order within a layer by ID (builders create
 	// devices in structural order, so this keeps siblings adjacent).
 	byLayer := make(map[int][]topology.DeviceID)
@@ -113,25 +94,14 @@ func render(w io.Writer, net *topology.Network, opt Options, layer layerFunc) er
 
 	type point struct{ x, y int }
 	pos := make(map[topology.DeviceID]point, net.NumDevices())
-	width := widest*opt.CellW + opt.CellW
-	height := (maxLayer-minLayer+1)*opt.CellH + opt.CellH
+	width := widest*cellW + cellW
+	height := (maxLayer-minLayer+1)*cellH + cellH
 	for l := minLayer; l <= maxLayer; l++ {
 		ds := byLayer[l]
-		span := len(ds) * opt.CellW
+		span := len(ds) * cellW
 		x0 := (width - span) / 2
 		for i, d := range ds {
-			pos[d] = point{x0 + i*opt.CellW + opt.CellW/2, (l-minLayer)*opt.CellH + opt.CellH/2}
-		}
-	}
-
-	highlight := make(map[topology.LinkID]bool, len(opt.Highlight))
-	for _, ch := range opt.Highlight {
-		highlight[net.ChannelLink(ch)] = true
-	}
-	maxWeight := 0.0
-	for _, w := range opt.Weights {
-		if w > maxWeight {
-			maxWeight = w
+			pos[d] = point{x0 + i*cellW + cellW/2, (l-minLayer)*cellH + cellH/2}
 		}
 	}
 
@@ -142,19 +112,8 @@ func render(w io.Writer, net *topology.Network, opt Options, layer layerFunc) er
 	// Links first so devices draw over them.
 	for _, l := range net.Links() {
 		a, b := pos[l.A.Device], pos[l.B.Device]
-		stroke, sw := "#999", 1
-		if maxWeight > 0 {
-			frac := opt.Weights[l.ID] / maxWeight
-			// Gray (light load) to red (heavy), width 1..5.
-			stroke = fmt.Sprintf("#%02x%02x%02x",
-				0x99+int(frac*(0xd4-0x99)), int((1-frac)*0x99), int((1-frac)*0x99))
-			sw = 1 + int(frac*4)
-		}
-		if highlight[l.ID] {
-			stroke, sw = "#d40000", 3
-		}
-		fmt.Fprintf(&sb, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" stroke-width="%d"/>`+"\n",
-			a.x, a.y, b.x, b.y, stroke, sw)
+		fmt.Fprintf(&sb, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#999" stroke-width="1"/>`+"\n",
+			a.x, a.y, b.x, b.y)
 	}
 	for _, d := range net.Devices() {
 		p := pos[d.ID]

@@ -2,12 +2,12 @@ package viz
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/xml"
+	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/contention"
-	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -29,7 +29,7 @@ func wellFormed(t *testing.T, svg string) {
 func TestFractahedronSVG(t *testing.T) {
 	f := topology.NewFractahedron(topology.Tetra(2, true))
 	var buf bytes.Buffer
-	if err := WriteFractahedronSVG(&buf, f, Options{}); err != nil {
+	if err := WriteFractahedronSVG(&buf, f); err != nil {
 		t.Fatal(err)
 	}
 	svg := buf.String()
@@ -48,7 +48,7 @@ func TestFractahedronSVG(t *testing.T) {
 func TestFatTreeSVG(t *testing.T) {
 	ft := topology.NewFatTree(4, 2, 16)
 	var buf bytes.Buffer
-	if err := WriteFatTreeSVG(&buf, ft, Options{}); err != nil {
+	if err := WriteFatTreeSVG(&buf, ft); err != nil {
 		t.Fatal(err)
 	}
 	wellFormed(t, buf.String())
@@ -57,23 +57,46 @@ func TestFatTreeSVG(t *testing.T) {
 	}
 }
 
-func TestGenericSVGWithHighlight(t *testing.T) {
+// TestGenericSVG checks the BFS layout used for topologies without
+// structural levels: every router of the cube-connected cycles draws once.
+func TestGenericSVG(t *testing.T) {
 	c := topology.NewCCC(3)
-	tb := routing.UpDownGeneric(c.Network, c.Routers[0][0])
-	r, err := tb.Route(0, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := WriteSVG(&buf, c.Network, c.Routers[0][0], Options{Highlight: r.Channels}); err != nil {
+	if err := WriteSVG(&buf, c.Network, c.Routers[0][0]); err != nil {
 		t.Fatal(err)
 	}
 	svg := buf.String()
 	wellFormed(t, svg)
-	// The highlighted route must appear as thick red strokes, one per
-	// distinct link of the route.
-	if got := strings.Count(svg, `stroke="#d40000"`); got != len(r.Channels) {
-		t.Errorf("highlighted lines = %d, want %d", got, len(r.Channels))
+	if got := strings.Count(svg, "<rect"); got != c.NumRouters() {
+		t.Errorf("rects = %d, want %d routers", got, c.NumRouters())
+	}
+}
+
+// TestSVGBytesPinned pins the rendered bytes of the Figure 7 fat
+// fractahedron and of the Figure 1 ring, so a layout or styling change
+// shows up as a deliberate edit here. The digests equal those of
+// `fractagen -svg -spec fat-fract:levels=2` and `-spec ring:size=4`.
+func TestSVGBytesPinned(t *testing.T) {
+	ring := topology.NewRing(4, 1)
+	for _, tc := range []struct {
+		name   string
+		render func(*bytes.Buffer) error
+		want   string
+	}{
+		{"fat-fract:levels=2", func(b *bytes.Buffer) error {
+			return WriteFractahedronSVG(b, topology.NewFractahedron(topology.Tetra(2, true)))
+		}, "99b9c3eeb4fe5c65055aca25674a60891e134d7f3d34ff34629bf28390d9a7dd"},
+		{"ring:size=4", func(b *bytes.Buffer) error {
+			return WriteSVG(b, ring.Network, ring.Routers[0])
+		}, "8c976def6d5b4043781a42ec95272bca8f7a7f51c93ca4aef3c4d3573d80d1fe"},
+	} {
+		var buf bytes.Buffer
+		if err := tc.render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.want {
+			t.Errorf("%s: sha256 = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -83,7 +106,7 @@ func TestSVGEscapesNames(t *testing.T) {
 	nd := n.AddNode("n<&>")
 	n.ConnectNext(r0, nd)
 	var buf bytes.Buffer
-	if err := WriteSVG(&buf, n, r0, Options{}); err != nil {
+	if err := WriteSVG(&buf, n, r0); err != nil {
 		t.Fatal(err)
 	}
 	wellFormed(t, buf.String())
@@ -99,35 +122,12 @@ func min(a, b int) int {
 	return b
 }
 
-func TestWeightedRendering(t *testing.T) {
-	f := topology.NewFractahedron(topology.Tetra(1, false))
-	tb := routing.Fractahedron(f)
-	prof, err := contention.Utilization(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weights := make(map[topology.LinkID]float64)
-	for ch, c := range prof.PerChannel {
-		weights[f.ChannelLink(ch)] += float64(c)
-	}
-	var buf bytes.Buffer
-	if err := WriteFractahedronSVG(&buf, f, Options{Weights: weights}); err != nil {
-		t.Fatal(err)
-	}
-	svg := buf.String()
-	wellFormed(t, svg)
-	// Heavy links should draw wider than 1px somewhere.
-	if !strings.Contains(svg, `stroke-width="5"`) {
-		t.Error("no heavy link rendered at max width")
-	}
-}
-
 func TestFanoutFractahedronSVG(t *testing.T) {
 	cfg := topology.Tetra(1, false)
 	cfg.Fanout = true
 	f := topology.NewFractahedron(cfg)
 	var buf bytes.Buffer
-	if err := WriteFractahedronSVG(&buf, f, Options{}); err != nil {
+	if err := WriteFractahedronSVG(&buf, f); err != nil {
 		t.Fatal(err)
 	}
 	wellFormed(t, buf.String())
