@@ -348,4 +348,3 @@ func firstChanRange(info *types.Info, body ast.Node) types.Object {
 	})
 	return obj
 }
-

@@ -9,16 +9,16 @@ import (
 )
 
 func globalRand() int {
-	n := mrand.Intn(10) // want `global math/rand Intn`
+	n := mrand.Intn(10)                 // want `global math/rand Intn`
 	mrand.Shuffle(n, func(i, j int) {}) // want `global math/rand Shuffle`
-	mrand.Seed(42) // want `global math/rand Seed`
-	return n + int(mrand.Int63()) // want `global math/rand Int63`
+	mrand.Seed(42)                      // want `global math/rand Seed`
+	return n + int(mrand.Int63())       // want `global math/rand Int63`
 }
 
 func wallClock() time.Duration {
-	start := time.Now() // want `wall-clock time.Now outside the accounting allowlist`
+	start := time.Now()          // want `wall-clock time.Now outside the accounting allowlist`
 	time.Sleep(time.Millisecond) // want `wall-clock time.Sleep outside the accounting allowlist`
-	return time.Since(start) // want `wall-clock time.Since outside the accounting allowlist`
+	return time.Since(start)     // want `wall-clock time.Since outside the accounting allowlist`
 }
 
 func clockSeed() *mrand.Rand {

@@ -10,9 +10,9 @@ import (
 	"strings"
 )
 
-func produce() error                { return nil }
-func produceBoth() (string, error)  { return "", nil }
-func produceValue() int             { return 0 }
+func produce() error               { return nil }
+func produceBoth() (string, error) { return "", nil }
+func produceValue() int            { return 0 }
 func sink(w *os.File, rows []string) error {
 	for _, r := range rows {
 		if _, err := w.WriteString(r); err != nil {

@@ -55,49 +55,59 @@ func MaxLinkContention(t *routing.Tables) (Result, error) {
 // experiments use the filter to reproduce that figure alongside the
 // unrestricted metric.
 func MaxLinkContentionFiltered(t *routing.Tables, keep func(topology.ChannelID) bool) (Result, error) {
-	// The all-pairs route sweep runs on a worker pool; per-channel transfer
-	// lists are sorted before matching so the result does not depend on the
-	// worker count.
-	perChannel := make(map[topology.ChannelID][]Transfer)
-	err := t.ForAllPairs(0,
-		func() any { return make(map[topology.ChannelID][]Transfer) },
-		func(acc any, r routing.Route) error {
-			m := acc.(map[topology.ChannelID][]Transfer)
-			for _, ch := range r.Channels {
-				if !interRouter(t.Net, ch) || !keep(ch) {
-					continue
-				}
-				m[ch] = append(m[ch], Transfer{r.Src, r.Dst})
-			}
-			return nil
-		},
-		func(acc any) error {
-			for ch, pairs := range acc.(map[topology.ChannelID][]Transfer) {
-				perChannel[ch] = append(perChannel[ch], pairs...)
-			}
-			return nil
-		})
+	perChannel, err := channelPairs(t, allPairs(t.Net.NumNodes()), func(ch topology.ChannelID) bool {
+		return interRouter(t.Net, ch) && keep(ch)
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	for _, pairs := range perChannel {
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].Src != pairs[j].Src {
-				return pairs[i].Src < pairs[j].Src
-			}
-			return pairs[i].Dst < pairs[j].Dst
-		})
-	}
+	return worst(perChannel), nil
+}
 
-	res := Result{Max: 1, WorstChannel: -1, PerChannel: make(map[topology.ChannelID]int, len(perChannel))}
-	// Deterministic iteration order for reproducible witnesses.
-	channels := make([]topology.ChannelID, 0, len(perChannel))
-	for ch := range perChannel {
-		channels = append(channels, ch)
+// allPairs lists every ordered pair of distinct nodes in (Src, Dst) order,
+// the order Tables.Verify walks: routing them in turn reports Verify's
+// error on broken tables, and fills each channel's list already sorted.
+func allPairs(n int) []Transfer {
+	pairs := make([]Transfer, 0, n*(n-1))
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s != d {
+				pairs = append(pairs, Transfer{s, d})
+			}
+		}
 	}
-	sort.Slice(channels, func(i, j int) bool { return channels[i] < channels[j] })
-	for _, ch := range channels {
-		size, witness := channelContention(perChannel[ch])
+	return pairs
+}
+
+// channelPairs routes each pair in the order given and lists, per channel
+// accepted by keep (indexed by ChannelID), the pairs whose route crosses
+// it. The first route error is returned as is.
+func channelPairs(t *routing.Tables, pairs []Transfer, keep func(topology.ChannelID) bool) ([][]Transfer, error) {
+	perChannel := make([][]Transfer, t.Net.NumChannels())
+	for _, p := range pairs {
+		r, err := t.Route(p.Src, p.Dst)
+		if err != nil {
+			return nil, err
+		}
+		for _, ch := range r.Channels {
+			if keep(ch) {
+				perChannel[ch] = append(perChannel[ch], p)
+			}
+		}
+	}
+	return perChannel, nil
+}
+
+// worst solves the matching problem on every channel with pairs, in
+// ascending channel order so the reported witness is reproducible.
+func worst(perChannel [][]Transfer) Result {
+	res := Result{Max: 1, WorstChannel: -1, PerChannel: make(map[topology.ChannelID]int)}
+	for c, pairs := range perChannel {
+		if len(pairs) == 0 {
+			continue
+		}
+		ch := topology.ChannelID(c)
+		size, witness := channelContention(pairs)
 		res.PerChannel[ch] = size
 		if size > res.Max || (size == res.Max && res.WorstChannel < 0) {
 			res.Max = size
@@ -105,7 +115,7 @@ func MaxLinkContentionFiltered(t *routing.Tables, keep func(topology.ChannelID) 
 			res.Witness = witness
 		}
 	}
-	return res, nil
+	return res
 }
 
 // channelContention solves the matching problem for one channel's pairs.
@@ -143,40 +153,20 @@ func channelContention(pairs []Transfer) (int, []Transfer) {
 // used by the dual-fabric load-sharing study, where each fabric carries
 // only half the pair space.
 func MaxLinkContentionPairs(t *routing.Tables, pairs []Transfer) (Result, error) {
-	perChannel := make(map[topology.ChannelID][]Transfer)
+	var distinct []Transfer
 	seen := make(map[Transfer]bool, len(pairs))
 	for _, p := range pairs {
 		if p.Src == p.Dst || seen[p] {
 			continue
 		}
 		seen[p] = true
-		r, err := t.Route(p.Src, p.Dst)
-		if err != nil {
-			return Result{}, err
-		}
-		for _, ch := range r.Channels {
-			if !interRouter(t.Net, ch) {
-				continue
-			}
-			perChannel[ch] = append(perChannel[ch], p)
-		}
+		distinct = append(distinct, p)
 	}
-	res := Result{Max: 1, WorstChannel: -1, PerChannel: make(map[topology.ChannelID]int, len(perChannel))}
-	channels := make([]topology.ChannelID, 0, len(perChannel))
-	for ch := range perChannel {
-		channels = append(channels, ch)
+	perChannel, err := channelPairs(t, distinct, func(ch topology.ChannelID) bool { return interRouter(t.Net, ch) })
+	if err != nil {
+		return Result{}, err
 	}
-	sort.Slice(channels, func(i, j int) bool { return channels[i] < channels[j] })
-	for _, ch := range channels {
-		size, witness := channelContention(perChannel[ch])
-		res.PerChannel[ch] = size
-		if size > res.Max || (size == res.Max && res.WorstChannel < 0) {
-			res.Max = size
-			res.WorstChannel = ch
-			res.Witness = witness
-		}
-	}
-	return res, nil
+	return worst(perChannel), nil
 }
 
 // ContentionOfSet computes, for an explicit transfer set (e.g. the database
@@ -184,20 +174,14 @@ func MaxLinkContentionPairs(t *routing.Tables, pairs []Transfer) (Result, error)
 // number of its transfers sharing any single channel. The set's sources and
 // destinations need not be distinct; the count is over transfers as given.
 func ContentionOfSet(t *routing.Tables, transfers []Transfer) (int, topology.ChannelID, error) {
-	counts := make(map[topology.ChannelID]int)
-	for _, tr := range transfers {
-		r, err := t.Route(tr.Src, tr.Dst)
-		if err != nil {
-			return 0, -1, err
-		}
-		for _, ch := range r.Channels {
-			counts[ch]++
-		}
+	perChannel, err := channelPairs(t, transfers, func(topology.ChannelID) bool { return true })
+	if err != nil {
+		return 0, -1, err
 	}
 	best, bestCh := 0, topology.ChannelID(-1)
-	for ch, c := range counts {
-		if c > best || (c == best && ch < bestCh) {
-			best, bestCh = c, ch
+	for c, pairs := range perChannel {
+		if len(pairs) > best {
+			best, bestCh = len(pairs), topology.ChannelID(c)
 		}
 	}
 	return best, bestCh, nil

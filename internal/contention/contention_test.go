@@ -99,6 +99,10 @@ func TestFatFractahedron64AllLinksContention(t *testing.T) {
 	if res.Max != 8 {
 		t.Errorf("all-links contention = %d:1, want 8:1", res.Max)
 	}
+	const want = "max link contention 8:1 on L2.e0.l0.r0[0] -> L1.e0.l0.r0[5]; witness transfers: 8->0 9->1 16->2 17->3 24->4 25->5 32->6 33->7"
+	if got := res.String(f.Network); got != want {
+		t.Errorf("result\n got %s\nwant %s", got, want)
+	}
 	src := f.Meta(f.ChannelSrc(res.WorstChannel).Device)
 	dst := f.Meta(f.ChannelDst(res.WorstChannel).Device)
 	if !(src.Level == 2 && dst.Level == 1) {
@@ -227,14 +231,6 @@ func TestUtilizationConservation(t *testing.T) {
 	}
 	if total != want {
 		t.Errorf("total crossings %d, want %d", total, want)
-	}
-	values, counts := p.Histogram()
-	sum := 0
-	for _, c := range counts {
-		sum += c
-	}
-	if sum != len(p.PerChannel) || len(values) != len(counts) {
-		t.Errorf("histogram inconsistent: %v %v", values, counts)
 	}
 }
 

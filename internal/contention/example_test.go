@@ -17,9 +17,9 @@ func ExampleMaxLinkContention() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("max contention %d:1 with a witness of %d transfers\n", res.Max, len(res.Witness))
+	fmt.Println(res.String(ft.Network))
 	// Output:
-	// max contention 12:1 with a witness of 12 transfers
+	// max link contention 12:1 on L2.0.0[4] -> L3.0.0[0]; witness transfers: 0->16 1->20 2->24 3->28 4->32 5->36 6->40 7->44 8->48 9->52 10->56 11->60
 }
 
 // Check the paper's hand-built §3.4 scenario on the fat fractahedron: all

@@ -1,68 +1,44 @@
 package contention
 
 import (
-	"sort"
-
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
 // UtilizationProfile reports how uniform all-pairs traffic spreads over the
-// inter-router channels: the route count per channel and summary statistics.
+// inter-router channels: the route count per channel and its extremes.
 // §2 of the paper uses this notion to argue that "most arrangements of path
 // disables give uneven link utilization under uniform load" on the
 // hypercube.
 type UtilizationProfile struct {
 	PerChannel map[topology.ChannelID]int
 	Min, Max   int
-	Mean       float64
 }
 
 // Utilization counts, for every inter-router channel, how many of the
-// all-pairs routes cross it.
+// all-pairs routes cross it. Unused inter-router channels count zero.
 func Utilization(t *routing.Tables) (UtilizationProfile, error) {
-	p := UtilizationProfile{PerChannel: make(map[topology.ChannelID]int)}
-	// Seed every inter-router channel with zero so unused links show up.
-	for c := 0; c < t.Net.NumChannels(); c++ {
-		ch := topology.ChannelID(c)
-		if interRouter(t.Net, ch) {
-			p.PerChannel[ch] = 0
-		}
-	}
-	err := t.ForAllPairs(0,
-		func() any { return make(map[topology.ChannelID]int) },
-		func(acc any, r routing.Route) error {
-			m := acc.(map[topology.ChannelID]int)
-			for _, ch := range r.Channels {
-				m[ch]++
-			}
-			return nil
-		},
-		func(acc any) error {
-			for ch, c := range acc.(map[topology.ChannelID]int) {
-				if _, ok := p.PerChannel[ch]; ok {
-					p.PerChannel[ch] += c
-				}
-			}
-			return nil
-		})
+	inter := func(ch topology.ChannelID) bool { return interRouter(t.Net, ch) }
+	perChannel, err := channelPairs(t, allPairs(t.Net.NumNodes()), inter)
 	if err != nil {
 		return UtilizationProfile{}, err
 	}
+	p := UtilizationProfile{PerChannel: make(map[topology.ChannelID]int)}
 	first := true
-	total := 0
-	for _, c := range p.PerChannel {
-		if first || c < p.Min {
-			p.Min = c
+	for c, pairs := range perChannel {
+		ch := topology.ChannelID(c)
+		if !inter(ch) {
+			continue
 		}
-		if first || c > p.Max {
-			p.Max = c
+		n := len(pairs)
+		p.PerChannel[ch] = n
+		if first || n < p.Min {
+			p.Min = n
+		}
+		if first || n > p.Max {
+			p.Max = n
 		}
 		first = false
-		total += c
-	}
-	if len(p.PerChannel) > 0 {
-		p.Mean = float64(total) / float64(len(p.PerChannel))
 	}
 	return p, nil
 }
@@ -74,22 +50,4 @@ func (p UtilizationProfile) ImbalanceRatio() (ratio float64, ok bool) {
 		return float64(p.Max), false
 	}
 	return float64(p.Max) / float64(p.Min), true
-}
-
-// Histogram returns the sorted distinct utilization values with their
-// channel counts, for reporting.
-func (p UtilizationProfile) Histogram() (values []int, counts []int) {
-	m := make(map[int]int)
-	for _, c := range p.PerChannel {
-		m[c]++
-	}
-	for v := range m {
-		values = append(values, v)
-	}
-	sort.Ints(values)
-	counts = make([]int, len(values))
-	for i, v := range values {
-		counts[i] = m[v]
-	}
-	return values, counts
 }

@@ -144,17 +144,12 @@ type AnalyzeOptions struct {
 	SkipBisection bool
 	// BisectionRestarts is the random-restart count (default 3).
 	BisectionRestarts int
-	// Seed drives the bisection search (default 1).
-	Seed int64
 }
 
 // Analyze computes the full comparison suite for the system.
 func (s *System) Analyze(opt AnalyzeOptions) (Analysis, error) {
 	if opt.BisectionRestarts == 0 {
 		opt.BisectionRestarts = 3
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
 	}
 	var a Analysis
 	var err error
@@ -167,7 +162,8 @@ func (s *System) Analyze(opt AnalyzeOptions) (Analysis, error) {
 		}
 	}
 	if !opt.SkipBisection {
-		a.Bisection = metrics.Bisection(s.Net, opt.BisectionRestarts, opt.Seed)
+		// One fixed seed: every table the paper prints is reproducible.
+		a.Bisection = metrics.Bisection(s.Net, opt.BisectionRestarts, 1)
 	}
 	if a.Deadlock, err = deadlock.Analyze(s.Tables); err != nil {
 		return a, fmt.Errorf("core: deadlock analysis: %w", err)

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -171,56 +170,3 @@ func simplePath(r Route) bool {
 	}
 	return true
 }
-
-// ForAllPairs produces the same aggregate regardless of worker count, and
-// propagates visit errors.
-func TestForAllPairsDeterministicAcrossWorkers(t *testing.T) {
-	f := topology.NewFractahedron(topology.Tetra(2, true))
-	tb := Fractahedron(f)
-	run := func(workers int) (int, int) {
-		total, pairs := 0, 0
-		err := tb.ForAllPairs(workers,
-			func() any { v := [2]int{}; return &v },
-			func(acc any, r Route) error {
-				a := acc.(*[2]int)
-				a[0] += r.RouterHops()
-				a[1]++
-				return nil
-			},
-			func(acc any) error {
-				a := acc.(*[2]int)
-				total += a[0]
-				pairs += a[1]
-				return nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return total, pairs
-	}
-	t1, p1 := run(1)
-	t4, p4 := run(4)
-	t0, p0 := run(0)
-	if t1 != t4 || t1 != t0 || p1 != p4 || p1 != p0 || p1 != 64*63 {
-		t.Errorf("inconsistent: (%d,%d) (%d,%d) (%d,%d)", t1, p1, t4, p4, t0, p0)
-	}
-}
-
-func TestForAllPairsPropagatesErrors(t *testing.T) {
-	f := topology.NewFractahedron(topology.Tetra(1, true))
-	tb := Fractahedron(f)
-	err := tb.ForAllPairs(3,
-		func() any { return nil },
-		func(acc any, r Route) error {
-			if r.Src == 5 && r.Dst == 2 {
-				return errSentinel
-			}
-			return nil
-		},
-		func(acc any) error { return nil })
-	if err == nil {
-		t.Fatal("visit error swallowed")
-	}
-}
-
-var errSentinel = fmt.Errorf("sentinel")

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/contention"
 	"repro/internal/core"
 	"repro/internal/deadlock"
 	"repro/internal/graph"
@@ -270,7 +271,10 @@ func TestBrokenTableErrorIndependentOfGOMAXPROCS(t *testing.T) {
 		_, aErr := deadlock.Analyze(tb)
 		_, gErr := deadlock.BuildCDG(tb)
 		_, hErr := metrics.Hops(tb)
-		for what, err := range map[string]error{"Analyze": aErr, "BuildCDG": gErr, "Hops": hErr} {
+		_, cErr := contention.MaxLinkContention(tb)
+		_, uErr := contention.Utilization(tb)
+		for what, err := range map[string]error{"Analyze": aErr, "BuildCDG": gErr, "Hops": hErr,
+			"MaxLinkContention": cErr, "Utilization": uErr} {
 			if err == nil || err.Error() != want.Error() {
 				t.Errorf("GOMAXPROCS %d: %s error %q, want Verify's %q", procs, what, err, want)
 			}
