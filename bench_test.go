@@ -2,7 +2,8 @@
 // micro-benchmarks of the core analyses. Each paper benchmark validates its
 // headline numbers once and then times the full regeneration, so
 // `go test -bench=. -benchmem` both re-checks the reproduction and reports
-// its cost.
+// its cost. Every iteration runs on a fresh experiments.Lab, so each one
+// times cold system builds and analyses.
 package repro_test
 
 import (
@@ -31,7 +32,7 @@ import (
 // simulate the circular wait, extract the witness, re-run restricted.
 func BenchmarkFigure1Deadlock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure1()
+		res, err := new(experiments.Lab).Figure1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,7 +45,7 @@ func BenchmarkFigure1Deadlock(b *testing.B) {
 // BenchmarkFigure2Hypercube times the hypercube path-disable analysis.
 func BenchmarkFigure2Hypercube(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure2()
+		res, err := new(experiments.Lab).Figure2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +58,7 @@ func BenchmarkFigure2Hypercube(b *testing.B) {
 // BenchmarkFigure3FullyConnected times the fully-connected group sweep.
 func BenchmarkFigure3FullyConnected(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure3()
+		rows, err := new(experiments.Lab).Figure3()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func BenchmarkFigure3FullyConnected(b *testing.B) {
 // BenchmarkFigure5ThinScaling times the thin-fractahedron depth sweep.
 func BenchmarkFigure5ThinScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure5(2)
+		rows, err := new(experiments.Lab).Figure5(2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func BenchmarkFigure5ThinScaling(b *testing.B) {
 // BenchmarkTable1Fractahedron regenerates Table 1 at N = 1..3.
 func BenchmarkTable1Fractahedron(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(3)
+		rows, err := new(experiments.Lab).Table1(3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func BenchmarkTable1Fractahedron(b *testing.B) {
 // BenchmarkTable2Comparison regenerates the 64-node headline comparison.
 func BenchmarkTable2Comparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table2()
+		res, err := new(experiments.Lab).Table2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func BenchmarkTable2Comparison(b *testing.B) {
 // BenchmarkMeshComparison regenerates §3.1's mesh scaling rows.
 func BenchmarkMeshComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Section31Mesh()
+		rows, err := new(experiments.Lab).Section31Mesh()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func BenchmarkMeshComparison(b *testing.B) {
 // BenchmarkFatTree regenerates §3.3's fat tree analysis.
 func BenchmarkFatTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Section33FatTree()
+		res, err := new(experiments.Lab).Section33FatTree()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,7 +152,7 @@ func BenchmarkDeadlockFreedom(b *testing.B) {
 // cycle budget.
 func BenchmarkSimulationSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SimSweep([]float64{0.005, 0.02}, 500, 8, 1)
+		rows, err := new(experiments.Lab).SimSweep([]float64{0.005, 0.02}, 500, 8, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func BenchmarkSimulationSweep(b *testing.B) {
 // parallel speedup on identical (bit-for-bit) rows.
 func benchmarkSimSweepWorkers(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SimSweep([]float64{0.002, 0.005, 0.01, 0.02}, 600, 8, 1,
+		rows, err := new(experiments.Lab).SimSweep([]float64{0.002, 0.005, 0.01, 0.02}, 600, 8, 1,
 			runner.Workers(workers))
 		if err != nil {
 			b.Fatal(err)
@@ -187,7 +188,7 @@ func BenchmarkSimSweepWorkers4(b *testing.B) { benchmarkSimSweepWorkers(b, 4) }
 // BenchmarkDatabaseScenario runs the §3.0 adversarial streaming comparison.
 func BenchmarkDatabaseScenario(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.DatabaseScenario(8, 16)
+		rows, err := new(experiments.Lab).DatabaseScenario(8, 16)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func BenchmarkDatabaseScenario(b *testing.B) {
 // BenchmarkAblationFIFODepth sweeps router buffer depth.
 func BenchmarkAblationFIFODepth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationFIFODepth([]int{2, 8}, 150, 8, 1); err != nil {
+		if _, err := new(experiments.Lab).AblationFIFODepth([]int{2, 8}, 150, 8, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,7 +210,7 @@ func BenchmarkAblationFIFODepth(b *testing.B) {
 // BenchmarkAblationRadix sweeps the generalized ensemble size of §4.
 func BenchmarkAblationRadix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationRadix([]int{3, 4, 5}); err != nil {
+		if _, err := new(experiments.Lab).AblationRadix([]int{3, 4, 5}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -403,7 +404,7 @@ func BenchmarkDisablesFromTables(b *testing.B) {
 // virtual channels vs timeout recovery).
 func BenchmarkDeadlockAvoidance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.DeadlockAvoidanceComparison(32)
+		rows, err := new(experiments.Lab).DeadlockAvoidanceComparison(32)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -490,7 +491,7 @@ func BenchmarkVCSimulator(b *testing.B) {
 // fat tree catches up to the fractahedron as traffic turns local.
 func BenchmarkLocalitySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.LocalitySweep([]float64{0, 0.6}, 400, 8, 1)
+		rows, err := new(experiments.Lab).LocalitySweep([]float64{0, 0.6}, 400, 8, 1)
 		if err != nil || len(rows) != 6 {
 			b.Fatal(err, len(rows))
 		}
@@ -501,7 +502,7 @@ func BenchmarkLocalitySweep(b *testing.B) {
 // 64-node contenders.
 func BenchmarkPermutationStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.PermutationStudy(8)
+		rows, err := new(experiments.Lab).PermutationStudy(8)
 		if err != nil || len(rows) != 20 {
 			b.Fatal(err, len(rows))
 		}
@@ -511,7 +512,7 @@ func BenchmarkPermutationStudy(b *testing.B) {
 // BenchmarkSaturation finds each topology's saturation knee.
 func BenchmarkSaturation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Saturation(400, 8, 1); err != nil {
+		if _, err := new(experiments.Lab).Saturation(400, 8, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -530,7 +531,7 @@ func BenchmarkFailover(b *testing.B) {
 // BenchmarkLargeSim runs the §4 512-node simulation at a reduced budget.
 func BenchmarkLargeSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.LargeSim([]float64{0.004}, 300, 8, 1)
+		rows, err := new(experiments.Lab).LargeSim([]float64{0.004}, 300, 8, 1)
 		if err != nil || rows[0].Deadlocked {
 			b.Fatal(err)
 		}

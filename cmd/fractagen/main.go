@@ -5,13 +5,7 @@
 //
 //	fractagen -spec fat-fract:levels=2 [-dot] [-no-contention] [-no-bisection]
 //
-// Spec grammar (see internal/core.ParseSystem):
-//
-//	fat-fract:levels=2[,fanout][,group=4][,down=2]
-//	thin-fract:levels=3[,fanout]
-//	fattree:d=4,u=2,nodes=64 | tree:d=4,nodes=16
-//	mesh:cols=6,rows=6,nodes=2 | hypercube:dim=3[,updown]
-//	ring:size=4[,unsafe] | fullmesh:m=4[,ports=6]
+// The -spec grammar is core.ParseSystem's, shared by every command.
 package main
 
 import (
@@ -20,6 +14,8 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/deadlock"
+	"repro/internal/metrics"
 	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/viz"
@@ -37,13 +33,11 @@ func main() {
 
 	sys, name, err := core.ParseSystem(*spec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fractagen: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 	if *dot {
 		if err := sys.Net.WriteDOT(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "fractagen: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		return
 	}
@@ -65,8 +59,7 @@ func main() {
 			err = viz.WriteSVG(os.Stdout, sys.Net, root)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fractagen: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		return
 	}
@@ -83,21 +76,18 @@ func main() {
 	if *tableOut != "" {
 		img := routing.CompileImage(sys.Tables)
 		if err := routing.VerifyImage(img, sys.Tables); err != nil {
-			fmt.Fprintf(os.Stderr, "fractagen: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		out, err := os.Create(*tableOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fractagen: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		n, err := img.WriteTo(out)
 		if cerr := out.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fractagen: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		fmt.Printf("wrote %d routing-table entries (%d bytes) to %s\n", img.Entries(), n, *tableOut)
 		return
@@ -107,28 +97,42 @@ func main() {
 	fmt.Printf("  nodes=%d routers=%d links=%d channels=%d\n",
 		sys.Net.NumNodes(), sys.Net.NumRouters(), sys.Net.NumLinks(), sys.Net.NumChannels())
 
-	a, err := sys.Analyze(core.AnalyzeOptions{
-		SkipContention: *noContention,
-		SkipBisection:  *noBisection,
-	})
+	hops, err := metrics.Hops(sys.Tables)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fractagen: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
-	fmt.Printf("  routing: %s, %s\n", sys.Tables.Algorithm, a.Hops)
-	fmt.Printf("  deadlock: %s\n", a.Deadlock)
+	rep, err := deadlock.Analyze(sys.Tables)
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("  routing: %s, %s\n", sys.Tables.Algorithm, hops)
+	fmt.Printf("  deadlock: %s\n", rep)
 	if !*noContention {
-		fmt.Printf("  %s\n", a.Contention.String(sys.Net))
+		c, err := sys.Contention()
+		if err != nil {
+			fail(err)
+		}
+		fmt.Printf("  %s\n", c.String(sys.Net))
 	}
 	if !*noBisection {
-		exact := "heuristic upper bound"
-		if a.Bisection.Exact {
-			exact = "exact"
+		if b, err := sys.Bisection(); err != nil {
+			fmt.Printf("  bisection bandwidth: none (%v)\n", err)
+		} else {
+			exact := "heuristic upper bound"
+			if b.Exact {
+				exact = "exact"
+			}
+			fmt.Printf("  bisection bandwidth: %d links (%s)\n", b.Cut, exact)
 		}
-		fmt.Printf("  bisection bandwidth: %d links (%s)\n", a.Bisection.Cut, exact)
 	}
 	enabled, disabled := sys.Disables.Counts()
 	fmt.Printf("  path disables: %d turns enabled, %d disabled\n", enabled, disabled)
+	cost := metrics.CostOf(sys.Net)
 	fmt.Printf("  cost: %d routers (%0.3f per node), %d inter-router cables\n",
-		a.Cost.Routers, a.Cost.RoutersPerNode, a.Cost.InterRouter)
+		cost.Routers, cost.RoutersPerNode, cost.InterRouter)
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "fractagen: %v\n", err)
+	os.Exit(1)
 }

@@ -4,10 +4,11 @@
 //
 // Usage:
 //
-//	paper [-only figure1|figure2|figure3|figure5|table1|table2|mesh|hypercube|fattree|deadlock|sweep|db|ablations]
-//	      [-levels N] [-quick]
+//	paper [-only NAME] [-levels N] [-quick] [-out DIR] [-workers N]
 //
-// With no flags it prints everything in paper order.
+// With no flags it prints every experiment in paper order; -only runs the
+// one named (`paper -h` lists the names). A run builds each system once
+// and shares it, with its contention and bisection, across experiments.
 package main
 
 import (
@@ -15,239 +16,216 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
 	"repro/internal/runner"
 )
 
+// output is what one experiment prints. Sweep-shaped experiments also set
+// rows, the row slice -out writes as CSV beside the text.
+type output struct {
+	text string
+	rows any
+}
+
+type experiment struct {
+	name string
+	run  func() (output, error)
+}
+
 func main() {
-	only := flag.String("only", "", "run a single experiment: claims figure1 figure2 figure3 figure5 table1 mesh hypercube fattree table2 deadlock avoidance zoo tables linkclass silicon frontier locality permutations saturation failover chaos large sweep db ablations (default: all)")
-	levels := flag.Int("levels", 3, "maximum fractahedron depth for Table 1 / Figure 5")
-	quick := flag.Bool("quick", false, "reduce sizes for a fast smoke run")
-	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<name>.txt")
+	var (
+		lab    experiments.Lab
+		levels int
+		quick  bool
+		opts   []runner.Option
+	)
+	text := func(s string) output { return output{text: s} }
+	exps := []experiment{
+		{"claims", func() (output, error) {
+			cs, err := lab.Claims()
+			return text(experiments.ClaimsMarkdown(cs)), err
+		}},
+		{"figure1", func() (output, error) {
+			r, err := lab.Figure1()
+			return text(r.String()), err
+		}},
+		{"figure2", func() (output, error) {
+			r, err := lab.Figure2()
+			return text(r.String()), err
+		}},
+		{"figure3", func() (output, error) {
+			rows, err := lab.Figure3()
+			return text(experiments.Figure3String(rows)), err
+		}},
+		{"figure5", func() (output, error) {
+			rows, err := lab.Figure5(levels)
+			return text(experiments.Figure5String(rows)), err
+		}},
+		{"table1", func() (output, error) {
+			rows, err := lab.Table1(levels)
+			return text(experiments.Table1String(rows)), err
+		}},
+		{"mesh", func() (output, error) {
+			rows, err := lab.Section31Mesh()
+			return text(experiments.Section31String(rows)), err
+		}},
+		{"hypercube", func() (output, error) {
+			return text(experiments.Section32String(experiments.Section32Hypercube())), nil
+		}},
+		{"fattree", func() (output, error) {
+			r, err := lab.Section33FatTree()
+			return text(r.String()), err
+		}},
+		{"table2", func() (output, error) {
+			r, err := lab.Table2()
+			return text(r.String()), err
+		}},
+		{"deadlock", func() (output, error) {
+			rows, err := experiments.DeadlockSummary()
+			return text(experiments.DeadlockSummaryString(rows)), err
+		}},
+		{"avoidance", func() (output, error) {
+			rows, err := lab.DeadlockAvoidanceComparison(32)
+			return text(experiments.DeadlockAvoidanceString(rows)), err
+		}},
+		{"zoo", func() (output, error) {
+			rows, err := experiments.BackgroundTopologies()
+			return text(experiments.BackgroundString(rows)), err
+		}},
+		{"tables", func() (output, error) {
+			rows, err := experiments.TableSizes()
+			return text(experiments.TableSizesString(rows)), err
+		}},
+		{"linkclass", func() (output, error) {
+			rows, err := lab.FractLinkClasses()
+			return text(experiments.FractLinkClassesString(rows)), err
+		}},
+		{"silicon", func() (output, error) {
+			return text(experiments.SiliconBudgetString(experiments.SiliconBudget(4))), nil
+		}},
+		{"frontier", func() (output, error) {
+			rows, err := lab.CostPerformanceFrontier()
+			return text(experiments.FrontierString(rows)), err
+		}},
+		{"locality", func() (output, error) {
+			packets := 1500
+			if quick {
+				packets = 400
+			}
+			rows, err := lab.LocalitySweep([]float64{0, 0.3, 0.6, 0.9}, packets, 8, 1, opts...)
+			return output{experiments.LocalitySweepString(rows), rows}, err
+		}},
+		{"permutations", func() (output, error) {
+			rows, err := lab.PermutationStudy(8, opts...)
+			return output{experiments.PermutationStudyString(rows), rows}, err
+		}},
+		{"saturation", func() (output, error) {
+			cycles := 1200
+			if quick {
+				cycles = 400
+			}
+			rows, err := lab.Saturation(cycles, 8, 1, opts...)
+			return output{experiments.SaturationString(rows), rows}, err
+		}},
+		{"failover", func() (output, error) {
+			r, err := experiments.FailoverSim(400, 8, 60, 2, opts...)
+			return text(r.String()), err
+		}},
+		{"chaos", func() (output, error) {
+			trials := 4
+			if quick {
+				trials = 2
+			}
+			cr, err := experiments.ChaosRecovery(trials, 300, 4, 2, opts...)
+			if err != nil {
+				return output{}, err
+			}
+			return text(experiments.ChaosRecoveryString(cr)), nil
+		}},
+		{"large", func() (output, error) {
+			rates := []float64{0.002, 0.01, 0.03}
+			cycles := 1500
+			if quick {
+				rates = []float64{0.005}
+				cycles = 300
+			}
+			rows, err := lab.LargeSim(rates, cycles, 8, 1, opts...)
+			return output{experiments.LargeSimString(rows), rows}, err
+		}},
+		{"sweep", func() (output, error) {
+			rates := []float64{0.001, 0.005, 0.01, 0.02, 0.05}
+			cycles := 2000
+			if quick {
+				rates = []float64{0.002, 0.02}
+				cycles = 500
+			}
+			rows, err := lab.SimSweep(rates, cycles, 8, 1, opts...)
+			return output{experiments.SimSweepString(rows), rows}, err
+		}},
+		{"db", func() (output, error) {
+			n := 16
+			if quick {
+				n = 4
+			}
+			rows, err := lab.DatabaseScenario(n, 16, opts...)
+			return text(experiments.DatabaseScenarioString(rows)), err
+		}},
+		{"ablations", func() (output, error) {
+			fifo, err := lab.AblationFIFODepth([]int{1, 2, 4, 8, 16}, 300, 8, 1, opts...)
+			if err != nil {
+				return output{}, err
+			}
+			radix, err := lab.AblationRadix([]int{3, 4, 5}, opts...)
+			if err != nil {
+				return output{}, err
+			}
+			parts, err := experiments.AblationFatTreePartitions(opts...)
+			if err != nil {
+				return output{}, err
+			}
+			cable, err := lab.AblationCableLength([]int{1, 2, 4}, 300, 8, 1, opts...)
+			if err != nil {
+				return output{}, err
+			}
+			return text(experiments.AblationFIFOString(fifo) +
+				"\n" + experiments.AblationRadixString(radix) +
+				"\n" + experiments.AblationPartitionsString(parts) +
+				"\n" + experiments.AblationCableString(cable)), nil
+		}},
+	}
+
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.name
+	}
+	only := flag.String("only", "", "run a single experiment: "+strings.Join(names, " ")+" (default: all)")
+	flag.IntVar(&levels, "levels", 3, "maximum fractahedron depth for Table 1 / Figure 5")
+	flag.BoolVar(&quick, "quick", false, "reduce sizes for a fast smoke run")
+	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<name>.txt, and a sweep's rows to <dir>/<name>.csv")
 	workers := flag.Int("workers", 0, "simulation worker-pool size (0 = GOMAXPROCS); results are identical for any value")
 	flag.Parse()
 
 	if err := cliutil.First(
-		cliutil.Positive("levels", *levels),
+		cliutil.Positive("levels", levels),
 		cliutil.NonNegative("workers", *workers),
 	); err != nil {
 		cliutil.Fail("paper", err)
 	}
 
 	stats := runner.NewStats()
-	opts := []runner.Option{runner.Workers(*workers), runner.WithStats(stats)}
+	opts = []runner.Option{runner.Workers(*workers), runner.WithStats(stats)}
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "paper: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
 
-	if *quick && *levels > 2 {
-		*levels = 2
-	}
-
-	type experiment struct {
-		name string
-		run  func() (fmt.Stringer, error)
-	}
-	str := func(s string) fmt.Stringer { return stringer(s) }
-
-	// csvRows provides machine-readable series for -out CSVs, for the
-	// sweep-shaped experiments.
-	csvRows := map[string]func() (any, error){
-		"sweep": func() (any, error) {
-			rates := []float64{0.001, 0.005, 0.01, 0.02, 0.05}
-			cycles := 2000
-			if *quick {
-				rates = []float64{0.002, 0.02}
-				cycles = 500
-			}
-			return experiments.SimSweep(rates, cycles, 8, 1, opts...)
-		},
-		"locality": func() (any, error) {
-			packets := 1500
-			if *quick {
-				packets = 400
-			}
-			return experiments.LocalitySweep([]float64{0, 0.3, 0.6, 0.9}, packets, 8, 1, opts...)
-		},
-		"saturation": func() (any, error) {
-			cycles := 1200
-			if *quick {
-				cycles = 400
-			}
-			return experiments.Saturation(cycles, 8, 1, opts...)
-		},
-		"large": func() (any, error) {
-			rates := []float64{0.002, 0.01, 0.03}
-			cycles := 1500
-			if *quick {
-				rates = []float64{0.005}
-				cycles = 300
-			}
-			return experiments.LargeSim(rates, cycles, 8, 1, opts...)
-		},
-		"permutations": func() (any, error) { return experiments.PermutationStudy(8, opts...) },
-	}
-
-	exps := []experiment{
-		{"claims", func() (fmt.Stringer, error) {
-			cs, err := experiments.Claims()
-			return str(experiments.ClaimsMarkdown(cs)), err
-		}},
-		{"figure1", func() (fmt.Stringer, error) {
-			r, err := experiments.Figure1()
-			return r, err
-		}},
-		{"figure2", func() (fmt.Stringer, error) {
-			r, err := experiments.Figure2()
-			return r, err
-		}},
-		{"figure3", func() (fmt.Stringer, error) {
-			rows, err := experiments.Figure3()
-			return str(experiments.Figure3String(rows)), err
-		}},
-		{"figure5", func() (fmt.Stringer, error) {
-			rows, err := experiments.Figure5(*levels)
-			return str(experiments.Figure5String(rows)), err
-		}},
-		{"table1", func() (fmt.Stringer, error) {
-			rows, err := experiments.Table1(*levels)
-			return str(experiments.Table1String(rows)), err
-		}},
-		{"mesh", func() (fmt.Stringer, error) {
-			rows, err := experiments.Section31Mesh()
-			return str(experiments.Section31String(rows)), err
-		}},
-		{"hypercube", func() (fmt.Stringer, error) {
-			return str(experiments.Section32String(experiments.Section32Hypercube())), nil
-		}},
-		{"fattree", func() (fmt.Stringer, error) {
-			r, err := experiments.Section33FatTree()
-			return r, err
-		}},
-		{"table2", func() (fmt.Stringer, error) {
-			r, err := experiments.Table2()
-			return r, err
-		}},
-		{"deadlock", func() (fmt.Stringer, error) {
-			rows, err := experiments.DeadlockSummary()
-			return str(experiments.DeadlockSummaryString(rows)), err
-		}},
-		{"avoidance", func() (fmt.Stringer, error) {
-			rows, err := experiments.DeadlockAvoidanceComparison(32)
-			return str(experiments.DeadlockAvoidanceString(rows)), err
-		}},
-		{"zoo", func() (fmt.Stringer, error) {
-			rows, err := experiments.BackgroundTopologies()
-			return str(experiments.BackgroundString(rows)), err
-		}},
-		{"tables", func() (fmt.Stringer, error) {
-			rows, err := experiments.TableSizes()
-			return str(experiments.TableSizesString(rows)), err
-		}},
-		{"linkclass", func() (fmt.Stringer, error) {
-			rows, err := experiments.FractLinkClasses()
-			return str(experiments.FractLinkClassesString(rows)), err
-		}},
-		{"silicon", func() (fmt.Stringer, error) {
-			return str(experiments.SiliconBudgetString(experiments.SiliconBudget(4))), nil
-		}},
-		{"frontier", func() (fmt.Stringer, error) {
-			rows, err := experiments.CostPerformanceFrontier()
-			return str(experiments.FrontierString(rows)), err
-		}},
-		{"locality", func() (fmt.Stringer, error) {
-			packets := 1500
-			if *quick {
-				packets = 400
-			}
-			rows, err := experiments.LocalitySweep([]float64{0, 0.3, 0.6, 0.9}, packets, 8, 1, opts...)
-			return str(experiments.LocalitySweepString(rows)), err
-		}},
-		{"permutations", func() (fmt.Stringer, error) {
-			rows, err := experiments.PermutationStudy(8, opts...)
-			return str(experiments.PermutationStudyString(rows)), err
-		}},
-		{"saturation", func() (fmt.Stringer, error) {
-			cycles := 1200
-			if *quick {
-				cycles = 400
-			}
-			rows, err := experiments.Saturation(cycles, 8, 1, opts...)
-			return str(experiments.SaturationString(rows)), err
-		}},
-		{"failover", func() (fmt.Stringer, error) {
-			r, err := experiments.FailoverSim(400, 8, 60, 2, opts...)
-			return r, err
-		}},
-		{"chaos", func() (fmt.Stringer, error) {
-			trials := 4
-			if *quick {
-				trials = 2
-			}
-			cr, err := experiments.ChaosRecovery(trials, 300, 4, 2, opts...)
-			if err != nil {
-				return nil, err
-			}
-			return str(experiments.ChaosRecoveryString(cr)), nil
-		}},
-		{"large", func() (fmt.Stringer, error) {
-			rates := []float64{0.002, 0.01, 0.03}
-			cycles := 1500
-			if *quick {
-				rates = []float64{0.005}
-				cycles = 300
-			}
-			rows, err := experiments.LargeSim(rates, cycles, 8, 1, opts...)
-			return str(experiments.LargeSimString(rows)), err
-		}},
-		{"sweep", func() (fmt.Stringer, error) {
-			rates := []float64{0.001, 0.005, 0.01, 0.02, 0.05}
-			cycles := 2000
-			if *quick {
-				rates = []float64{0.002, 0.02}
-				cycles = 500
-			}
-			rows, err := experiments.SimSweep(rates, cycles, 8, 1, opts...)
-			return str(experiments.SimSweepString(rows)), err
-		}},
-		{"db", func() (fmt.Stringer, error) {
-			n := 16
-			if *quick {
-				n = 4
-			}
-			rows, err := experiments.DatabaseScenario(n, 16, opts...)
-			return str(experiments.DatabaseScenarioString(rows)), err
-		}},
-		{"ablations", func() (fmt.Stringer, error) {
-			out := ""
-			fifo, err := experiments.AblationFIFODepth([]int{1, 2, 4, 8, 16}, 300, 8, 1, opts...)
-			if err != nil {
-				return nil, err
-			}
-			out += experiments.AblationFIFOString(fifo)
-			radix, err := experiments.AblationRadix([]int{3, 4, 5}, opts...)
-			if err != nil {
-				return nil, err
-			}
-			out += "\n" + experiments.AblationRadixString(radix)
-			parts, err := experiments.AblationFatTreePartitions(opts...)
-			if err != nil {
-				return nil, err
-			}
-			out += "\n" + experiments.AblationPartitionsString(parts)
-			cable, err := experiments.AblationCableLength([]int{1, 2, 4}, 300, 8, 1, opts...)
-			if err != nil {
-				return nil, err
-			}
-			out += "\n" + experiments.AblationCableString(cable)
-			return str(out), nil
-		}},
+	if quick && levels > 2 {
+		levels = 2
 	}
 
 	ran := false
@@ -258,36 +236,12 @@ func main() {
 		ran = true
 		out, err := e.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "paper: %s: %v\n", e.name, err)
-			os.Exit(1)
+			fail(fmt.Errorf("%s: %w", e.name, err))
 		}
-		text := out.String()
-		fmt.Println(text)
+		fmt.Println(out.text)
 		if *outDir != "" {
-			path := filepath.Join(*outDir, e.name+".txt")
-			if err := os.WriteFile(path, []byte(text+"\n"), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "paper: %v\n", err)
-				os.Exit(1)
-			}
-			if rowsFn := csvRows[e.name]; rowsFn != nil {
-				rows, err := rowsFn()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "paper: %s: %v\n", e.name, err)
-					os.Exit(1)
-				}
-				f, err := os.Create(filepath.Join(*outDir, e.name+".csv"))
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "paper: %v\n", err)
-					os.Exit(1)
-				}
-				err = experiments.WriteCSV(f, rows)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "paper: %v\n", err)
-					os.Exit(1)
-				}
+			if err := writeOutput(*outDir, e.name, out); err != nil {
+				fail(err)
 			}
 		}
 	}
@@ -300,6 +254,27 @@ func main() {
 	}
 }
 
-type stringer string
+// writeOutput writes an experiment's text to dir/name.txt and, when it has
+// rows, the rows to dir/name.csv.
+func writeOutput(dir, name string, out output) error {
+	if err := os.WriteFile(filepath.Join(dir, name+".txt"), []byte(out.text+"\n"), 0o644); err != nil {
+		return err
+	}
+	if out.rows == nil {
+		return nil
+	}
+	f, err := os.Create(filepath.Join(dir, name+".csv"))
+	if err != nil {
+		return err
+	}
+	err = experiments.WriteCSV(f, out.rows)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
-func (s stringer) String() string { return string(s) }
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "paper: %v\n", err)
+	os.Exit(1)
+}

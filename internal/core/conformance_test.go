@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/deadlock"
+	"repro/internal/metrics"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -26,15 +28,19 @@ func TestConformanceMatrix(t *testing.T) {
 			if err := sys.Net.Validate(); err != nil {
 				t.Fatalf("invalid network: %v", err)
 			}
-			a, err := sys.Analyze(AnalyzeOptions{SkipContention: true, SkipBisection: true})
+			rep, err := deadlock.Analyze(sys.Tables)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !a.Deadlock.Free {
-				t.Fatalf("not deadlock-free: %s", a.Deadlock)
+			if !rep.Free {
+				t.Fatalf("not deadlock-free: %s", rep)
 			}
-			if a.Hops.Pairs != sys.Net.NumNodes()*(sys.Net.NumNodes()-1) {
-				t.Fatalf("hop analysis covered %d pairs", a.Hops.Pairs)
+			hops, err := metrics.Hops(sys.Tables)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hops.Pairs != sys.Net.NumNodes()*(sys.Net.NumNodes()-1) {
+				t.Fatalf("hop analysis covered %d pairs", hops.Pairs)
 			}
 
 			// Table image integrity.

@@ -1,16 +1,17 @@
 // Package core is the library façade: it couples a topology with its
-// deadlock-free routing and path-disable configuration into a System, and
-// offers one-call analysis (hops, contention, bisection, deadlock freedom,
-// cost) and simulation. It is the API the examples, commands and benchmark
-// harness build on; the individual subsystems remain available in their own
-// packages for finer control.
+// deadlock-free routing and path-disable configuration into a System. A
+// System computes its two expensive analyses, contention and bisection,
+// once each and shares them, and it runs simulations. The cheap analyses
+// (metrics.Hops, deadlock.Analyze, metrics.CostOf) are called directly on
+// its tables and network. It is the API the commands, experiments and
+// benchmark harness build on.
 package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/contention"
-	"repro/internal/deadlock"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/router"
@@ -30,6 +31,14 @@ type System struct {
 	// *topology.Fractahedron) for callers that need structural metadata —
 	// the SVG renderers use it to pick a layered layout.
 	Concrete any
+
+	contentionOnce sync.Once
+	contention     contention.Result
+	contentionErr  error
+
+	bisectionOnce sync.Once
+	bisection     graph.BisectionResult
+	bisectionErr  error
 }
 
 func newSystem(net *topology.Network, tb *routing.Tables) (*System, error) {
@@ -127,49 +136,44 @@ func NewFullMesh(m, ports int) (*System, *topology.FullMesh, error) {
 	return s, fm, err
 }
 
-// Analysis aggregates every figure of merit the paper compares.
-type Analysis struct {
-	Hops       metrics.HopStats
-	Contention contention.Result
-	Bisection  graph.BisectionResult
-	Deadlock   deadlock.Report
-	Cost       metrics.Cost
+// Contention returns the system's worst-case link contention over every
+// inter-router channel (contention.MaxLinkContention). The matching runs
+// once, on the first call, and describes the tables as they were at that
+// call; later calls return the same result, which callers must not
+// modify. Safe for concurrent callers.
+func (s *System) Contention() (contention.Result, error) {
+	s.contentionOnce.Do(func() {
+		s.contention, s.contentionErr = contention.MaxLinkContention(s.Tables)
+	})
+	return s.contention, s.contentionErr
 }
 
-// AnalyzeOptions tunes the analysis.
-type AnalyzeOptions struct {
-	// SkipContention skips the (quadratic) contention matching.
-	SkipContention bool
-	// SkipBisection skips the bisection search.
-	SkipBisection bool
-	// BisectionRestarts is the random-restart count (default 3).
-	BisectionRestarts int
-}
-
-// Analyze computes the full comparison suite for the system.
-func (s *System) Analyze(opt AnalyzeOptions) (Analysis, error) {
-	if opt.BisectionRestarts == 0 {
-		opt.BisectionRestarts = 3
-	}
-	var a Analysis
-	var err error
-	if a.Hops, err = metrics.Hops(s.Tables); err != nil {
-		return a, fmt.Errorf("core: hop analysis: %w", err)
-	}
-	if !opt.SkipContention {
-		if a.Contention, err = contention.MaxLinkContention(s.Tables); err != nil {
-			return a, fmt.Errorf("core: contention analysis: %w", err)
+// Bisection returns the system's balanced minimum bisection in links
+// (metrics.Bisection with seed 1, so every printed table is reproducible).
+// Up to 128 end nodes the structural seed cuts are refined by 3 random
+// restarts; above that the seed cut alone is used, with restarts only when
+// the network offers no balanced seed cut. A network with an odd node count
+// has no balanced bisection and yields an error. The search runs once, on
+// the first call, and describes the network as it was at that call; later
+// calls return the same result, which callers must not modify. Safe for
+// concurrent callers.
+func (s *System) Bisection() (graph.BisectionResult, error) {
+	s.bisectionOnce.Do(func() {
+		n := s.Net.NumNodes()
+		if n%2 != 0 {
+			s.bisectionErr = fmt.Errorf("core: %s has %d end nodes, an odd count has no balanced bisection", s.Net.Name, n)
+			return
 		}
-	}
-	if !opt.SkipBisection {
-		// One fixed seed: every table the paper prints is reproducible.
-		a.Bisection = metrics.Bisection(s.Net, opt.BisectionRestarts, 1)
-	}
-	if a.Deadlock, err = deadlock.Analyze(s.Tables); err != nil {
-		return a, fmt.Errorf("core: deadlock analysis: %w", err)
-	}
-	a.Cost = metrics.CostOf(s.Net)
-	return a, nil
+		restarts := 3
+		if n > 128 {
+			restarts = 0
+		}
+		s.bisection = metrics.Bisection(s.Net, restarts, 1)
+		if s.bisection.Cut < 0 {
+			s.bisection = metrics.Bisection(s.Net, 3, 1)
+		}
+	})
+	return s.bisection, s.bisectionErr
 }
 
 // Simulate runs a workload through the wormhole simulator with the

@@ -5,6 +5,8 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/deadlock"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -15,25 +17,40 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a, err := sys.Analyze(core.AnalyzeOptions{SkipBisection: true})
+	hops, err := metrics.Hops(sys.Tables)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("routers: %d\n", a.Cost.Routers)
-	fmt.Printf("average hops: %.1f\n", a.Hops.Mean)
-	fmt.Printf("deadlock-free: %v\n", a.Deadlock.Free)
+	rep, err := deadlock.Analyze(sys.Tables)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("routers: %d\n", metrics.CostOf(sys.Net).Routers)
+	fmt.Printf("average hops: %.1f\n", hops.Mean)
+	fmt.Printf("deadlock-free: %v\n", rep.Free)
 	// Output:
 	// routers: 48
 	// average hops: 4.3
 	// deadlock-free: true
 }
 
-// Route one of the paper's §3.4 transfers and inspect the path.
+// The two expensive analyses run once per System and are shared by every
+// later caller; routing one of the paper's §3.4 transfers shows the path
+// behind them.
 func ExampleSystem_analyze() {
 	sys, fract, err := core.NewFatFractahedron(2)
 	if err != nil {
 		log.Fatal(err)
 	}
+	c, err := sys.Contention()
+	if err != nil {
+		log.Fatal(err)
+	}
+	b, err := sys.Bisection()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("contention: %d:1, bisection: %d links\n", c.Max, b.Cut)
 	r, err := sys.Tables.Route(6, 54)
 	if err != nil {
 		log.Fatal(err)
@@ -41,6 +58,7 @@ func ExampleSystem_analyze() {
 	fmt.Printf("router hops: %d\n", r.RouterHops())
 	fmt.Printf("source digits: level2=%d level1=%d\n", fract.Digit(6, 2), fract.Digit(6, 1))
 	// Output:
+	// contention: 8:1, bisection: 16 links
 	// router hops: 4
 	// source digits: level2=0 level1=6
 }

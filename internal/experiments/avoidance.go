@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/deadlock"
 	"repro/internal/router"
 	"repro/internal/routing"
@@ -34,13 +33,13 @@ type AvoidanceRow struct {
 // in-order delivery the paper's protocol depends on; on this fully
 // symmetric workload every worm times out together, so recovery degrades
 // to retry exhaustion).
-func DeadlockAvoidanceComparison(flits int) ([]AvoidanceRow, error) {
+func (l *Lab) DeadlockAvoidanceComparison(flits int) ([]AvoidanceRow, error) {
 	const depth = 4
 	specs := workload.Transfers(workload.RingDeadlockSet(4), flits)
 	var rows []AvoidanceRow
 
 	// (a) Unprotected clockwise routing.
-	unsafe, _, err := core.NewRing(4, 1, false)
+	unsafe, err := l.System("ring:size=4,unsafe")
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +54,7 @@ func DeadlockAvoidanceComparison(flits int) ([]AvoidanceRow, error) {
 
 	// (b) Routing restriction — the paper's approach, generalized by the
 	// fractahedral family: no added buffering.
-	safe, _, err := core.NewRing(4, 1, true)
+	safe, err := l.System("ring:size=4")
 	if err != nil {
 		return nil, err
 	}

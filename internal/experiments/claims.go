@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/contention"
-	"repro/internal/core"
 	"repro/internal/deadlock"
 	"repro/internal/metrics"
-	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -27,14 +25,14 @@ type Claim struct {
 // Claims evaluates every quantitative claim of the paper against the live
 // implementation and returns the verdict table — the one-stop reproduction
 // scorecard behind EXPERIMENTS.md.
-func Claims() ([]Claim, error) {
+func (l *Lab) Claims() ([]Claim, error) {
 	var cs []Claim
 	add := func(id, text, paper, measured string, match bool, note string) {
 		cs = append(cs, Claim{ID: id, Text: text, Paper: paper, Measured: measured, Match: match, Note: note})
 	}
 
 	// --- Figure 1: wormhole deadlock and its avoidance.
-	f1, err := Figure1()
+	f1, err := l.Figure1()
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +44,7 @@ func Claims() ([]Claim, error) {
 		!f1.RestrictedDeadlocked && f1.RestrictedDelivered == 4, "")
 
 	// --- Figure 2: hypercube path disables.
-	f2, err := Figure2()
+	f2, err := l.Figure2()
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +55,7 @@ func Claims() ([]Claim, error) {
 		f2.UpDownRatio > 2*f2.ECubeRatio, "")
 
 	// --- Figure 3: fully-connected groups.
-	f3, err := Figure3()
+	f3, err := l.Figure3()
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +77,7 @@ func Claims() ([]Claim, error) {
 	add("Fig 3", "group contention is (7-M):1", "5:1..1:1", "identical", contOK, "")
 
 	// --- Table 1.
-	t1, err := Table1(3)
+	t1, err := l.Table1(3)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +103,7 @@ func Claims() ([]Claim, error) {
 		"the scan's '4N' reads as a lost superscript; min-cut confirms 4^N")
 
 	// --- §3.1 mesh.
-	mesh, err := Section31Mesh()
+	mesh, err := l.Section31Mesh()
 	if err != nil {
 		return nil, err
 	}
@@ -125,60 +123,63 @@ func Claims() ([]Claim, error) {
 		topology.HypercubePortsNeeded(6, 1) == 7, "")
 
 	// --- §3.3 / Table 2 fat tree.
-	ftSys, _, err := core.NewFatTree(4, 2, 64)
+	ftSys, err := l.System("fattree:d=4,u=2,nodes=64")
 	if err != nil {
 		return nil, err
 	}
-	ftA, err := ftSys.Analyze(core.AnalyzeOptions{BisectionRestarts: 2})
+	ft, err := table2Row("", ftSys)
 	if err != nil {
 		return nil, err
 	}
 	add("§3.3", "64-node 4-2 fat tree router count", "28",
-		fmt.Sprintf("%d", ftA.Cost.Routers), ftA.Cost.Routers == 28, "")
+		fmt.Sprintf("%d", ft.Routers), ft.Routers == 28, "")
 	add("Table 2", "fat tree average hops", "4.4",
-		fmt.Sprintf("%.2f", ftA.Hops.Mean), ftA.Hops.Mean > 4.35 && ftA.Hops.Mean < 4.45, "")
+		fmt.Sprintf("%.2f", ft.AvgHops), ft.AvgHops > 4.35 && ft.AvgHops < 4.45, "")
 	add("§3.3", "fat tree worst contention (any static partition)", "12:1",
-		fmt.Sprintf("%d:1", ftA.Contention.Max), ftA.Contention.Max == 12, "")
+		fmt.Sprintf("%d:1", ft.MaxContention), ft.MaxContention == 12, "")
 	add("§3.3", "fat tree bisection", "4 links",
-		fmt.Sprintf("%d links", ftA.Bisection.Cut), ftA.Bisection.Cut == 4,
+		fmt.Sprintf("%d links", ft.Bisection), ft.Bisection == 4,
 		"measured 8; no 28-router 4-2 construction yields 4")
 
 	// --- §3.4 3-3 fat tree.
-	ft33 := topology.NewFatTree(3, 3, 64)
-	h33, err := metrics.Hops(routing.FatTree(ft33))
+	ft33, err := l.System("fattree:d=3,u=3,nodes=64")
+	if err != nil {
+		return nil, err
+	}
+	h33, err := metrics.Hops(ft33.Tables)
 	if err != nil {
 		return nil, err
 	}
 	add("§3.4", "3-3 fat tree router count", "100",
-		fmt.Sprintf("%d", ft33.NumRouters()), ft33.NumRouters() == 100, "")
+		fmt.Sprintf("%d", ft33.Net.NumRouters()), ft33.Net.NumRouters() == 100, "")
 	add("§3.4", "3-3 fat tree average hops", "5.9",
 		fmt.Sprintf("%.2f", h33.Mean), h33.Mean > 5.7 && h33.Mean < 6.1, "")
 
 	// --- Figure 7 / Table 2 fractahedron.
-	frSys, fr, err := core.NewFatFractahedron(2)
+	frSys, err := l.System("fat-fract:levels=2")
 	if err != nil {
 		return nil, err
 	}
-	frA, err := frSys.Analyze(core.AnalyzeOptions{BisectionRestarts: 2})
+	fr, err := table2Row("", frSys)
 	if err != nil {
 		return nil, err
 	}
 	add("Table 2", "fat fractahedron router count", "48",
-		fmt.Sprintf("%d", frA.Cost.Routers), frA.Cost.Routers == 48, "")
+		fmt.Sprintf("%d", fr.Routers), fr.Routers == 48, "")
 	add("Table 2", "fat fractahedron average hops", "4.3",
-		fmt.Sprintf("%.2f", frA.Hops.Mean), frA.Hops.Mean > 4.25 && frA.Hops.Mean < 4.35, "")
-	intraL2, err := fractIntraL2Contention(fr, frSys.Tables)
+		fmt.Sprintf("%.2f", fr.AvgHops), fr.AvgHops > 4.25 && fr.AvgHops < 4.35, "")
+	intraL2, err := fractIntraL2Contention(frSys)
 	if err != nil {
 		return nil, err
 	}
 	add("§3.4", "fractahedron contention on intra-level-2 links", "4:1",
 		fmt.Sprintf("%d:1", intraL2), intraL2 == 4, "")
 	add("Table 2", "fractahedron contention over ALL links", "4:1",
-		fmt.Sprintf("%d:1", frA.Contention.Max), frA.Contention.Max == 4,
+		fmt.Sprintf("%d:1", fr.MaxContention), fr.MaxContention == 4,
 		"8:1 on inter-level down links, a class §3.4 does not analyze; still beats the fat tree")
 	add("§3.4", "fractahedron bisection equals the 4-2 fat tree's", "equal",
-		fmt.Sprintf("%d vs %d", frA.Bisection.Cut, ftA.Bisection.Cut),
-		frA.Bisection.Cut == ftA.Bisection.Cut,
+		fmt.Sprintf("%d vs %d", fr.Bisection, ft.Bisection),
+		fr.Bisection == ft.Bisection,
 		"measured 16 vs 8 — the fractahedron is better, not equal")
 	add("§3.4", "transfers 6,7,14,15 -> 54,55,62,63 share one diagonal link", "4 on one link",
 		func() string {
@@ -200,9 +201,7 @@ func Claims() ([]Claim, error) {
 		fmt.Sprintf("CDG acyclic=%v (%d deps)", rep.Free, rep.Deps), rep.Free, "")
 
 	// --- §2.2 fan-out delays.
-	cfg := topology.Tetra(1, false)
-	cfg.Fanout = true
-	fanSys, _, err := core.NewFractahedron(cfg)
+	fanSys, err := l.System("thin-fract:levels=1,fanout")
 	if err != nil {
 		return nil, err
 	}
@@ -223,14 +222,12 @@ func Claims() ([]Claim, error) {
 		fat  bool
 		want int
 	}{{false, 12}, {true, 10}} {
-		cfg := topology.Tetra(3, c.fat)
-		cfg.Fanout = true
-		sys1024, f1024, err := core.NewFractahedron(cfg)
+		sys1024, err := l.System(fractSpec(c.fat, "levels=3,fanout"))
 		if err != nil {
 			return nil, err
 		}
-		if f1024.NumNodes() != 1024 {
-			return nil, fmt.Errorf("experiments: 1024-CPU build has %d nodes", f1024.NumNodes())
+		if n := sys1024.Net.NumNodes(); n != 1024 {
+			return nil, fmt.Errorf("experiments: 1024-CPU build has %d nodes", n)
 		}
 		worstSrc, worstDst := 0, 0
 		for k := 0; k < 3; k++ {

@@ -39,7 +39,7 @@ func TestSimSweepDeterminism(t *testing.T) {
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	var want []SweepRow
 	for _, w := range counts {
-		rows, err := SimSweep(sweepGrid.rates, sweepGrid.cycles, sweepGrid.flits, sweepGrid.seed,
+		rows, err := new(Lab).SimSweep(sweepGrid.rates, sweepGrid.cycles, sweepGrid.flits, sweepGrid.seed,
 			runner.Workers(w))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -59,7 +59,7 @@ func TestSimSweepDeterminism(t *testing.T) {
 func TestSaturationDeterminism(t *testing.T) {
 	var want []SaturationRow
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		rows, err := Saturation(300, 8, 1, runner.Workers(w))
+		rows, err := new(Lab).Saturation(300, 8, 1, runner.Workers(w))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -81,7 +81,7 @@ func TestLargeSimDeterminism(t *testing.T) {
 	}
 	var want []LargeSimRow
 	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-		rows, err := LargeSim([]float64{0.004}, 200, 8, 3, runner.Workers(w))
+		rows, err := new(Lab).LargeSim([]float64{0.004}, 200, 8, 3, runner.Workers(w))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -147,7 +147,7 @@ func TestSimSweepMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SimSweep(sweepGrid.rates, sweepGrid.cycles, sweepGrid.flits, sweepGrid.seed)
+	got, err := new(Lab).SimSweep(sweepGrid.rates, sweepGrid.cycles, sweepGrid.flits, sweepGrid.seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSimSweepMatchesSequential(t *testing.T) {
 // seeding contract cannot drift silently across refactors. Regenerate with
 // `go test ./internal/experiments -run Golden -update` and review the diff.
 func TestSimSweepGolden(t *testing.T) {
-	rows, err := SimSweep(sweepGrid.rates, sweepGrid.cycles, sweepGrid.flits, sweepGrid.seed)
+	rows, err := new(Lab).SimSweep(sweepGrid.rates, sweepGrid.cycles, sweepGrid.flits, sweepGrid.seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestSimSweepGolden(t *testing.T) {
 // cycle counts when a Stats accumulator rides along.
 func TestCampaignStats(t *testing.T) {
 	st := runner.NewStats()
-	rows, err := SimSweep([]float64{0.005}, 200, 8, 1, runner.Workers(2), runner.WithStats(st))
+	rows, err := new(Lab).SimSweep([]float64{0.005}, 200, 8, 1, runner.Workers(2), runner.WithStats(st))
 	if err != nil {
 		t.Fatal(err)
 	}

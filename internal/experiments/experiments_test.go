@@ -6,7 +6,7 @@ import (
 )
 
 func TestFigure1(t *testing.T) {
-	res, err := Figure1()
+	res, err := new(Lab).Figure1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestFigure1(t *testing.T) {
 }
 
 func TestFigure2(t *testing.T) {
-	res, err := Figure2()
+	res, err := new(Lab).Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestFigure2(t *testing.T) {
 }
 
 func TestFigure3(t *testing.T) {
-	rows, err := Figure3()
+	rows, err := new(Lab).Figure3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFigure3(t *testing.T) {
 }
 
 func TestFigure5(t *testing.T) {
-	rows, err := Figure5(2)
+	rows, err := new(Lab).Figure5(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestFigure5(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	rows, err := Table1(2)
+	rows, err := new(Lab).Table1(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	res, err := Table2()
+	res, err := new(Lab).Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestSection31Mesh(t *testing.T) {
-	rows, err := Section31Mesh()
+	rows, err := new(Lab).Section31Mesh()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestSection32Hypercube(t *testing.T) {
 }
 
 func TestSection33FatTree(t *testing.T) {
-	res, err := Section33FatTree()
+	res, err := new(Lab).Section33FatTree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestDeadlockSummary(t *testing.T) {
 }
 
 func TestSimSweepShape(t *testing.T) {
-	rows, err := SimSweep([]float64{0.002, 0.02}, 600, 8, 42)
+	rows, err := new(Lab).SimSweep([]float64{0.002, 0.02}, 600, 8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestSimSweepShape(t *testing.T) {
 }
 
 func TestDatabaseScenario(t *testing.T) {
-	rows, err := DatabaseScenario(4, 8)
+	rows, err := new(Lab).DatabaseScenario(4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestDatabaseScenario(t *testing.T) {
 }
 
 func TestAblationFIFODepth(t *testing.T) {
-	rows, err := AblationFIFODepth([]int{1, 4, 16}, 120, 6, 5)
+	rows, err := new(Lab).AblationFIFODepth([]int{1, 4, 16}, 120, 6, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestAblationFIFODepth(t *testing.T) {
 }
 
 func TestAblationRadix(t *testing.T) {
-	rows, err := AblationRadix([]int{3, 4, 5})
+	rows, err := new(Lab).AblationRadix([]int{3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestAblationFatTreePartitions(t *testing.T) {
 }
 
 func TestDeadlockAvoidanceComparison(t *testing.T) {
-	rows, err := DeadlockAvoidanceComparison(32)
+	rows, err := new(Lab).DeadlockAvoidanceComparison(32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestTableSizes(t *testing.T) {
 }
 
 func TestFractLinkClasses(t *testing.T) {
-	rows, err := FractLinkClasses()
+	rows, err := new(Lab).FractLinkClasses()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestSiliconBudget(t *testing.T) {
 }
 
 func TestLargeSim(t *testing.T) {
-	rows, err := LargeSim([]float64{0.004}, 400, 8, 3)
+	rows, err := new(Lab).LargeSim([]float64{0.004}, 400, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestFailoverSim(t *testing.T) {
 }
 
 func TestSaturation(t *testing.T) {
-	rows, err := Saturation(400, 8, 1)
+	rows, err := new(Lab).Saturation(400, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +520,7 @@ func TestSaturation(t *testing.T) {
 }
 
 func TestPermutationStudy(t *testing.T) {
-	rows, err := PermutationStudy(8)
+	rows, err := new(Lab).PermutationStudy(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +547,7 @@ func TestPermutationStudy(t *testing.T) {
 }
 
 func TestLocalitySweep(t *testing.T) {
-	rows, err := LocalitySweep([]float64{0, 0.9}, 400, 8, 1)
+	rows, err := new(Lab).LocalitySweep([]float64{0, 0.9}, 400, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +585,7 @@ func TestLocalitySweep(t *testing.T) {
 }
 
 func TestCostPerformanceFrontier(t *testing.T) {
-	rows, err := CostPerformanceFrontier()
+	rows, err := new(Lab).CostPerformanceFrontier()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +610,7 @@ func TestCostPerformanceFrontier(t *testing.T) {
 }
 
 func TestAblationCableLength(t *testing.T) {
-	rows, err := AblationCableLength([]int{1, 3}, 150, 8, 2)
+	rows, err := new(Lab).AblationCableLength([]int{1, 3}, 150, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +625,7 @@ func TestAblationCableLength(t *testing.T) {
 }
 
 func TestClaimsScorecard(t *testing.T) {
-	cs, err := Claims()
+	cs, err := new(Lab).Claims()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,6 +652,60 @@ func TestClaimsScorecard(t *testing.T) {
 	for _, want := range []string{"Reproduction scorecard", "PASS", "DIVERGES", "27 of 30"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q", want)
+		}
+	}
+}
+
+// Sharing one Lab across a paper run changes no output: each analytic
+// experiment prints the same text on a shared Lab, twice over, as on a
+// fresh one, so no experiment mutates a System that a later one reads.
+func TestSharedLabMatchesFreshLabs(t *testing.T) {
+	experiments := []struct {
+		name string
+		run  func(*Lab) (string, error)
+	}{
+		{"claims", func(l *Lab) (string, error) {
+			cs, err := l.Claims()
+			return ClaimsMarkdown(cs), err
+		}},
+		{"figure5", func(l *Lab) (string, error) {
+			rows, err := l.Figure5(3)
+			return Figure5String(rows), err
+		}},
+		{"table1", func(l *Lab) (string, error) {
+			rows, err := l.Table1(3)
+			return Table1String(rows), err
+		}},
+		{"fattree", func(l *Lab) (string, error) {
+			r, err := l.Section33FatTree()
+			return r.String(), err
+		}},
+		{"table2", func(l *Lab) (string, error) {
+			r, err := l.Table2()
+			return r.String(), err
+		}},
+		{"frontier", func(l *Lab) (string, error) {
+			rows, err := l.CostPerformanceFrontier()
+			return FrontierString(rows), err
+		}},
+	}
+	want := make([]string, len(experiments))
+	for i, e := range experiments {
+		var err error
+		if want[i], err = e.run(new(Lab)); err != nil {
+			t.Fatalf("%s on a fresh lab: %v", e.name, err)
+		}
+	}
+	var shared Lab
+	for pass := 1; pass <= 2; pass++ {
+		for i, e := range experiments {
+			got, err := e.run(&shared)
+			if err != nil {
+				t.Fatalf("%s, pass %d on the shared lab: %v", e.name, pass, err)
+			}
+			if got != want[i] {
+				t.Errorf("%s, pass %d differs on the shared lab:\n%s\nfresh lab:\n%s", e.name, pass, got, want[i])
+			}
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"repro/internal/contention"
 	"repro/internal/core"
 	"repro/internal/deadlock"
-	"repro/internal/routing"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -31,10 +31,10 @@ type Figure1Result struct {
 }
 
 // Figure1 runs the deadlock demonstration.
-func Figure1() (Figure1Result, error) {
+func (l *Lab) Figure1() (Figure1Result, error) {
 	var res Figure1Result
 
-	unsafe, ring, err := core.NewRing(4, 1, false)
+	unsafe, err := l.System("ring:size=4,unsafe")
 	if err != nil {
 		return res, err
 	}
@@ -46,7 +46,7 @@ func Figure1() (Figure1Result, error) {
 	res.UnrestrictedDeadlocked = simRes.Deadlocked
 	res.WaitCycleLen = len(simRes.WaitCycle)
 	for _, ch := range simRes.WaitCycle {
-		res.WaitCycle = append(res.WaitCycle, ring.ChannelString(ch))
+		res.WaitCycle = append(res.WaitCycle, unsafe.Net.ChannelString(ch))
 	}
 
 	rep, err := deadlock.Analyze(unsafe.Tables)
@@ -55,7 +55,7 @@ func Figure1() (Figure1Result, error) {
 	}
 	res.CDGCyclic = !rep.Free
 
-	safe, _, err := core.NewRing(4, 1, true)
+	safe, err := l.System("ring:size=4")
 	if err != nil {
 		return res, err
 	}
@@ -96,13 +96,13 @@ type Figure2Result struct {
 }
 
 // Figure2 runs the hypercube path-disable analysis on a 3-cube.
-func Figure2() (Figure2Result, error) {
+func (l *Lab) Figure2() (Figure2Result, error) {
 	res := Figure2Result{Dim: 3}
-	ud, _, err := core.NewHypercube(3, 1, true)
+	ud, err := l.System("hypercube:dim=3,updown")
 	if err != nil {
 		return res, err
 	}
-	ec, _, err := core.NewHypercube(3, 1, false)
+	ec, err := l.System("hypercube:dim=3")
 	if err != nil {
 		return res, err
 	}
@@ -153,20 +153,20 @@ type Figure3Row struct {
 
 // Figure3 enumerates the fully-connected groups of Figure 3 (M = 1..6
 // six-port routers) and measures their worst-case link contention.
-func Figure3() ([]Figure3Row, error) {
+func (l *Lab) Figure3() ([]Figure3Row, error) {
 	var rows []Figure3Row
 	for m := 1; m <= 6; m++ {
-		sys, fm, err := core.NewFullMesh(m, 6)
+		sys, err := l.System(fmt.Sprintf("fullmesh:m=%d,ports=6", m))
 		if err != nil {
 			return nil, err
 		}
-		res, err := contention.MaxLinkContention(sys.Tables)
+		res, err := sys.Contention()
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Figure3Row{
 			Routers:       m,
-			NodePorts:     fm.NumNodes(),
+			NodePorts:     sys.Net.NumNodes(),
 			InterLinks:    m * (m - 1) / 2,
 			MaxContention: res.Max,
 		})
@@ -198,14 +198,14 @@ type Figure5Row struct {
 
 // Figure5 builds thin fractahedrons of increasing depth and checks the
 // delay growth against the 4N-2 rule.
-func Figure5(maxLevels int) ([]Figure5Row, error) {
+func (l *Lab) Figure5(maxLevels int) ([]Figure5Row, error) {
 	var rows []Figure5Row
 	for n := 1; n <= maxLevels; n++ {
-		sys, f, err := core.NewThinFractahedron(n)
+		sys, err := l.System(fractSpec(false, fmt.Sprintf("levels=%d", n)))
 		if err != nil {
 			return nil, err
 		}
-		a, err := sys.Analyze(core.AnalyzeOptions{SkipContention: n > 2, SkipBisection: true})
+		hops, err := metrics.Hops(sys.Tables)
 		if err != nil {
 			return nil, err
 		}
@@ -215,11 +215,11 @@ func Figure5(maxLevels int) ([]Figure5Row, error) {
 		}
 		rows = append(rows, Figure5Row{
 			Levels:  n,
-			Nodes:   f.NumNodes(),
-			Routers: f.NumRouters(),
-			MaxHops: a.Hops.Max,
+			Nodes:   sys.Net.NumNodes(),
+			Routers: sys.Net.NumRouters(),
+			MaxHops: hops.Max,
 			Formula: formula,
-			AvgHops: a.Hops.Mean,
+			AvgHops: hops.Mean,
 		})
 	}
 	return rows, nil
@@ -237,10 +237,12 @@ func Figure5String(rows []Figure5Row) string {
 	return sb.String()
 }
 
-// fractIntraL2Contention measures contention restricted to the level-2
-// intra-ensemble links — the exact quantity §3.4 derives as 4:1.
-func fractIntraL2Contention(f *topology.Fractahedron, tb *routing.Tables) (int, error) {
-	res, err := contention.MaxLinkContentionFiltered(tb, func(ch topology.ChannelID) bool {
+// fractIntraL2Contention measures a fractahedral system's contention
+// restricted to the level-2 intra-ensemble links — the exact quantity §3.4
+// derives as 4:1.
+func fractIntraL2Contention(sys *core.System) (int, error) {
+	f := sys.Concrete.(*topology.Fractahedron)
+	res, err := contention.MaxLinkContentionFiltered(sys.Tables, func(ch topology.ChannelID) bool {
 		src := f.Meta(f.ChannelSrc(ch).Device)
 		dst := f.Meta(f.ChannelDst(ch).Device)
 		return src.Level == 2 && dst.Level == 2

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/contention"
-	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/topology"
 )
 
 // FrontierRow is one fractahedral design point on the cost/performance
@@ -26,55 +23,47 @@ type FrontierRow struct {
 // CostPerformanceFrontier enumerates the fractahedron family's design
 // points — thin vs fat, depth, and ensemble radix — and reports the
 // cost/performance menu §4 claims the topology "allows for tradeoffs
-// between cost and performance" across. Bisection is measured (structural
-// seed cut for the larger instances).
-func CostPerformanceFrontier() ([]FrontierRow, error) {
-	configs := []struct {
-		name string
-		cfg  topology.FractConfig
-	}{
-		{"thin N=1 (tetrahedron)", topology.Tetra(1, false)},
-		{"thin N=2", topology.Tetra(2, false)},
-		{"fat N=2", topology.Tetra(2, true)},
-		{"thin N=3", topology.Tetra(3, false)},
-		{"fat N=3", topology.Tetra(3, true)},
-		{"fat N=2, group 3", topology.FractConfig{Group: 3, Down: 2, Levels: 2, Fat: true}},
-		{"fat N=2, group 5", topology.FractConfig{Group: 5, Down: 2, Levels: 2, Fat: true}},
+// between cost and performance" across. Contention is left out (-) above
+// 128 nodes, where the all-pairs matching is the expensive part.
+func (l *Lab) CostPerformanceFrontier() ([]FrontierRow, error) {
+	configs := []namedSpec{
+		{"thin N=1 (tetrahedron)", "thin-fract:levels=1"},
+		{"thin N=2", "thin-fract:levels=2"},
+		{"fat N=2", "fat-fract:levels=2"},
+		{"thin N=3", "thin-fract:levels=3"},
+		{"fat N=3", "fat-fract:levels=3"},
+		{"fat N=2, group 3", "fat-fract:levels=2,group=3"},
+		{"fat N=2, group 5", "fat-fract:levels=2,group=5"},
+	}
+	systems, err := l.systems(configs...)
+	if err != nil {
+		return nil, err
 	}
 	var rows []FrontierRow
-	for _, c := range configs {
-		sys, f, err := core.NewFractahedron(c.cfg)
+	for _, s := range systems {
+		nodes, routers := s.sys.Net.NumNodes(), s.sys.Net.NumRouters()
+		row := FrontierRow{
+			Config:         s.name,
+			Nodes:          nodes,
+			Routers:        routers,
+			RoutersPerNode: float64(routers) / float64(nodes),
+			Contention:     -1,
+		}
+		hops, err := metrics.Hops(s.sys.Tables)
 		if err != nil {
 			return nil, err
 		}
-		row := FrontierRow{
-			Config:         c.name,
-			Nodes:          f.NumNodes(),
-			Routers:        f.NumRouters(),
-			RoutersPerNode: float64(f.NumRouters()) / float64(f.NumNodes()),
+		bis, err := s.sys.Bisection()
+		if err != nil {
+			return nil, err
 		}
-		if f.NumNodes() <= 128 {
-			res, err := contention.MaxLinkContention(sys.Tables)
+		row.MaxHops, row.Bisection = hops.Max, bis.Cut
+		if nodes <= 128 {
+			res, err := s.sys.Contention()
 			if err != nil {
 				return nil, err
 			}
 			row.Contention = res.Max
-			hops, err := metrics.Hops(sys.Tables)
-			if err != nil {
-				return nil, err
-			}
-			row.MaxHops = hops.Max
-			row.Bisection = metrics.Bisection(f.Network, 2, 1).Cut
-		} else {
-			// Large instances: formula-grade values (verified at smaller
-			// depths by the tests).
-			if c.cfg.Fat {
-				row.MaxHops = 3*c.cfg.Levels - 1
-			} else {
-				row.MaxHops = 4*c.cfg.Levels - 2
-			}
-			row.Bisection = metrics.Bisection(f.Network, 0, 1).Cut
-			row.Contention = -1
 		}
 		row.BisectionPerNd = float64(row.Bisection) / float64(row.Nodes)
 		rows = append(rows, row)

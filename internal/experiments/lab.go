@@ -1,0 +1,54 @@
+package experiments
+
+import "repro/internal/core"
+
+// Lab holds the systems of one paper run. Experiments name their systems
+// by core.ParseSystem spec; the Lab builds each spec once, on first use,
+// and hands every later caller the same *core.System, so a system's
+// once-only contention and bisection are shared too. Two spellings of one
+// system are two entries. The zero Lab is ready to use.
+//
+// A Lab is not safe for concurrent use: an experiment takes its systems
+// before it fans work out over runner.Map. A Lab lives as long as its run;
+// there is no process-wide cache.
+type Lab struct {
+	built map[string]*core.System
+}
+
+// System returns the system spec builds, building it on the first call.
+func (l *Lab) System(spec string) (*core.System, error) {
+	if sys, ok := l.built[spec]; ok {
+		return sys, nil
+	}
+	sys, _, err := core.ParseSystem(spec)
+	if err != nil {
+		return nil, err
+	}
+	if l.built == nil {
+		l.built = make(map[string]*core.System)
+	}
+	l.built[spec] = sys
+	return sys, nil
+}
+
+// namedSpec is a system under the display name an experiment prints.
+type namedSpec struct{ name, spec string }
+
+// namedSystem is a built namedSpec.
+type namedSystem struct {
+	name string
+	sys  *core.System
+}
+
+// systems builds each named spec.
+func (l *Lab) systems(specs ...namedSpec) ([]namedSystem, error) {
+	out := make([]namedSystem, len(specs))
+	for i, s := range specs {
+		sys, err := l.System(s.spec)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = namedSystem{s.name, sys}
+	}
+	return out, nil
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -30,23 +29,14 @@ type LargeSimRow struct {
 // slowest points in the suite, so they gain the most from the worker pool;
 // per-rate workload seeds keep both variants under the same packet stream
 // at each rate (the test asserts equal delivery counts).
-func LargeSim(rates []float64, cycles, flits int, seed int64, opts ...runner.Option) ([]LargeSimRow, error) {
+func (l *Lab) LargeSim(rates []float64, cycles, flits int, seed int64, opts ...runner.Option) ([]LargeSimRow, error) {
 	cfg := runner.NewConfig(opts...)
-	fat, fatF, err := core.NewFatFractahedron(3)
+	systems, err := l.systems(
+		namedSpec{"fat fractahedron N=3", "fat-fract:levels=3"},
+		namedSpec{"thin fractahedron N=3", "thin-fract:levels=3"},
+	)
 	if err != nil {
 		return nil, err
-	}
-	thin, thinF, err := core.NewThinFractahedron(3)
-	if err != nil {
-		return nil, err
-	}
-	systems := []struct {
-		name    string
-		sys     *core.System
-		routers int
-	}{
-		{"fat fractahedron N=3", fat, fatF.NumRouters()},
-		{"thin fractahedron N=3", thin, thinF.NumRouters()},
 	}
 
 	return runner.Map(cfg, len(rates)*len(systems), func(i int) (LargeSimRow, error) {
@@ -61,7 +51,7 @@ func LargeSim(rates []float64, cycles, flits int, seed int64, opts ...runner.Opt
 		return LargeSimRow{
 			Topology:   s.name,
 			Nodes:      s.sys.Net.NumNodes(),
-			Routers:    s.routers,
+			Routers:    s.sys.Net.NumRouters(),
 			Rate:       rate,
 			Delivered:  res.Delivered,
 			AvgLatency: res.AvgLatency,

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/contention"
-	"repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -44,16 +43,17 @@ func fractChannelClass(f *topology.Fractahedron, ch topology.ChannelID) string {
 // findings: the paper's 4:1 lives on the intra-level-2 diagonals, while the
 // inter-level down links — which §3.4 does not analyze — are both the most
 // loaded and the most contended (the measured 8:1).
-func FractLinkClasses() ([]LinkClassRow, error) {
-	sys, f, err := core.NewFatFractahedron(2)
+func (l *Lab) FractLinkClasses() ([]LinkClassRow, error) {
+	sys, err := l.System("fat-fract:levels=2")
 	if err != nil {
 		return nil, err
 	}
+	f := sys.Concrete.(*topology.Fractahedron)
 	prof, err := contention.Utilization(sys.Tables)
 	if err != nil {
 		return nil, err
 	}
-	res, err := contention.MaxLinkContention(sys.Tables)
+	res, err := sys.Contention()
 	if err != nil {
 		return nil, err
 	}

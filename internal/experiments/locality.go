@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -28,27 +27,15 @@ type LocalityRow struct {
 // tree, a tetrahedron on the fractahedron). As locality rises, the thinned
 // upper levels matter less and every topology converges; under low
 // locality the bandwidth-rich fractahedron leads.
-func LocalitySweep(fracs []float64, packets, flits int, seed int64, opts ...runner.Option) ([]LocalityRow, error) {
+func (l *Lab) LocalitySweep(fracs []float64, packets, flits int, seed int64, opts ...runner.Option) ([]LocalityRow, error) {
 	cfg := runner.NewConfig(opts...)
-	ftSys, _, err := core.NewFatTree(4, 2, 64)
+	systems, err := l.systems(
+		namedSpec{"4-2 fat tree", "fattree:d=4,u=2,nodes=64"},
+		namedSpec{"3-3 fat tree", "fattree:d=3,u=3,nodes=64"},
+		namedSpec{"fat fractahedron", "fat-fract:levels=2"},
+	)
 	if err != nil {
 		return nil, err
-	}
-	ft33Sys, _, err := core.NewFatTree(3, 3, 64)
-	if err != nil {
-		return nil, err
-	}
-	fatSys, _, err := core.NewFatFractahedron(2)
-	if err != nil {
-		return nil, err
-	}
-	systems := []struct {
-		name string
-		sys  *core.System
-	}{
-		{"4-2 fat tree", ftSys},
-		{"3-3 fat tree", ft33Sys},
-		{"fat fractahedron", fatSys},
 	}
 
 	// Per-fraction workload seeds: every topology sees the same packet

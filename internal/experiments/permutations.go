@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -26,32 +25,16 @@ type PermRow struct {
 // structured analogue of §3.0's load-imbalance scenarios: each node sends
 // one transfer, and the pattern decides how badly the deterministic routes
 // collide.
-func PermutationStudy(flits int, opts ...runner.Option) ([]PermRow, error) {
+func (l *Lab) PermutationStudy(flits int, opts ...runner.Option) ([]PermRow, error) {
 	cfg := runner.NewConfig(opts...)
-	ftSys, _, err := core.NewFatTree(4, 2, 64)
+	systems, err := l.systems(
+		namedSpec{"4-2 fat tree", "fattree:d=4,u=2,nodes=64"},
+		namedSpec{"fat fractahedron", "fat-fract:levels=2"},
+		namedSpec{"thin fractahedron", "thin-fract:levels=2"},
+		namedSpec{"CCC-4 (up*/down*)", "ccc:dim=4"}, // 64 nodes on 4-port routers
+	)
 	if err != nil {
 		return nil, err
-	}
-	fatSys, _, err := core.NewFatFractahedron(2)
-	if err != nil {
-		return nil, err
-	}
-	thinSys, _, err := core.NewThinFractahedron(2)
-	if err != nil {
-		return nil, err
-	}
-	cccSys, _, err := core.NewCCC(4) // 64 nodes on 4-port routers
-	if err != nil {
-		return nil, err
-	}
-	systems := []struct {
-		name string
-		sys  *core.System
-	}{
-		{"4-2 fat tree", ftSys},
-		{"fat fractahedron", fatSys},
-		{"thin fractahedron", thinSys},
-		{"CCC-4 (up*/down*)", cccSys},
 	}
 	patterns := []struct {
 		name string

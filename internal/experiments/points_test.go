@@ -118,7 +118,7 @@ func TestStatsNeverReachesRows(t *testing.T) {
 	// Behavioral half: identical row JSON with and without stats attached,
 	// across two runs whose wall-clock costs necessarily differ.
 	run := func(opts ...runner.Option) []byte {
-		rows, err := SimSweep([]float64{0.01}, 200, 4, 1, opts...)
+		rows, err := new(Lab).SimSweep([]float64{0.01}, 200, 4, 1, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -35,32 +34,16 @@ const LatencyFactor = 4.0
 // of the geometric ladder seeds its workload from (seed, rung index), the
 // same for every topology, so the knees stay comparable and the rows are
 // identical for any worker count.
-func Saturation(cycles, flits int, seed int64, opts ...runner.Option) ([]SaturationRow, error) {
+func (l *Lab) Saturation(cycles, flits int, seed int64, opts ...runner.Option) ([]SaturationRow, error) {
 	cfg := runner.NewConfig(opts...)
-	ftSys, _, err := core.NewFatTree(4, 2, 64)
+	systems, err := l.systems(
+		namedSpec{"4-2 fat tree", "fattree:d=4,u=2,nodes=64"},
+		namedSpec{"fat fractahedron", "fat-fract:levels=2"},
+		namedSpec{"thin fractahedron", "thin-fract:levels=2"},
+		namedSpec{"6x6 mesh", "mesh:cols=6,rows=6,nodes=2"},
+	)
 	if err != nil {
 		return nil, err
-	}
-	fatSys, _, err := core.NewFatFractahedron(2)
-	if err != nil {
-		return nil, err
-	}
-	thinSys, _, err := core.NewThinFractahedron(2)
-	if err != nil {
-		return nil, err
-	}
-	meshSys, _, err := core.NewMesh(6, 6, 2)
-	if err != nil {
-		return nil, err
-	}
-	systems := []struct {
-		name string
-		sys  *core.System
-	}{
-		{"4-2 fat tree", ftSys},
-		{"fat fractahedron", fatSys},
-		{"thin fractahedron", thinSys},
-		{"6x6 mesh", meshSys},
 	}
 
 	return runner.Map(cfg, len(systems), func(i int) (SaturationRow, error) {

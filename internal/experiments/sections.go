@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/contention"
-	"repro/internal/core"
 	"repro/internal/deadlock"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -25,7 +24,7 @@ type MeshRow struct {
 // for 64+ nodes with 11 max hops and 10:1 contention, 8x8 with 15 hops,
 // 23x23 with 45 hops. Contention is computed exactly for the 6x6 case and
 // skipped (0) for the larger meshes.
-func Section31Mesh() ([]MeshRow, error) {
+func (l *Lab) Section31Mesh() ([]MeshRow, error) {
 	cases := []struct {
 		cols, rows, paperHops int
 		withContention        bool
@@ -36,22 +35,24 @@ func Section31Mesh() ([]MeshRow, error) {
 	}
 	var rows []MeshRow
 	for _, c := range cases {
-		m := topology.NewMesh(c.cols, c.rows, 2)
-		tb := routing.MeshDimOrder(m, true)
+		sys, err := l.System(fmt.Sprintf("mesh:cols=%d,rows=%d,nodes=2", c.cols, c.rows))
+		if err != nil {
+			return nil, err
+		}
 		row := MeshRow{
 			Cols: c.cols, Rows: c.rows,
-			Nodes:        m.NumNodes(),
-			Routers:      m.NumRouters(),
+			Nodes:        sys.Net.NumNodes(),
+			Routers:      sys.Net.NumRouters(),
 			PaperMaxHops: c.paperHops,
 		}
 		// Max hops occur corner to corner; route one such pair.
-		r, err := tb.Route(0, m.NumNodes()-1)
+		r, err := sys.Tables.Route(0, row.Nodes-1)
 		if err != nil {
 			return nil, err
 		}
 		row.MaxHops = r.RouterHops()
 		if c.withContention {
-			res, err := contention.MaxLinkContention(tb)
+			res, err := sys.Contention()
 			if err != nil {
 				return nil, err
 			}
@@ -140,22 +141,22 @@ type FatTreeResult struct {
 }
 
 // Section33FatTree regenerates §3.3.
-func Section33FatTree() (FatTreeResult, error) {
+func (l *Lab) Section33FatTree() (FatTreeResult, error) {
 	var out FatTreeResult
-	sys, ft, err := core.NewFatTree(4, 2, 64)
+	sys, err := l.System("fattree:d=4,u=2,nodes=64")
 	if err != nil {
 		return out, err
 	}
-	a, err := sys.Analyze(core.AnalyzeOptions{BisectionRestarts: 2})
+	row, err := table2Row("", sys)
 	if err != nil {
 		return out, err
 	}
-	out.Routers = a.Cost.Routers
-	out.Levels = ft.Levels
-	out.AvgHops = a.Hops.Mean
-	out.MaxContention = a.Contention.Max
-	out.Bisection = a.Bisection.Cut
-	out.DeadlockFree = a.Deadlock.Free
+	out.Routers = row.Routers
+	out.Levels = sys.Concrete.(*topology.FatTree).Levels
+	out.AvgHops = row.AvgHops
+	out.MaxContention = row.MaxContention
+	out.Bisection = row.Bisection
+	out.DeadlockFree = row.DeadlockFree
 
 	var set []contention.Transfer
 	for i := 0; i < 12; i++ {
@@ -165,7 +166,11 @@ func Section33FatTree() (FatTreeResult, error) {
 	if err != nil {
 		return out, err
 	}
-	out.WitnessSet, _, err = contention.ContentionOfSet(sys.Tables, a.Contention.Witness)
+	worst, err := sys.Contention()
+	if err != nil {
+		return out, err
+	}
+	out.WitnessSet, _, err = contention.ContentionOfSet(sys.Tables, worst.Witness)
 	if err != nil {
 		return out, err
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/contention"
-	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -30,25 +28,16 @@ type SweepRow struct {
 // (seed, rate index), so all topologies face the same packet stream at a
 // given rate — keeping the curves comparable — while distinct rates draw
 // independent streams, and the rows are bit-identical for any worker count.
-func SimSweep(rates []float64, warmCycles, flits int, seed int64, opts ...runner.Option) ([]SweepRow, error) {
+func (l *Lab) SimSweep(rates []float64, warmCycles, flits int, seed int64, opts ...runner.Option) ([]SweepRow, error) {
 	cfg := runner.NewConfig(opts...)
-	type system struct {
-		name string
-		sys  *core.System
-	}
-	ftSys, _, err := core.NewFatTree(4, 2, 64)
+	systems, err := l.systems(
+		namedSpec{"4-2 fat tree", "fattree:d=4,u=2,nodes=64"},
+		namedSpec{"fat fractahedron", "fat-fract:levels=2"},
+		namedSpec{"thin fractahedron", "thin-fract:levels=2"},
+	)
 	if err != nil {
 		return nil, err
 	}
-	frSys, _, err := core.NewFatFractahedron(2)
-	if err != nil {
-		return nil, err
-	}
-	thinSys, _, err := core.NewThinFractahedron(2)
-	if err != nil {
-		return nil, err
-	}
-	systems := []system{{"4-2 fat tree", ftSys}, {"fat fractahedron", frSys}, {"thin fractahedron", thinSys}}
 
 	return runner.Map(cfg, len(rates)*len(systems), func(i int) (SweepRow, error) {
 		rate, s := rates[i/len(systems)], systems[i%len(systems)]
@@ -104,25 +93,19 @@ type DBScenarioRow struct {
 // (the contention matching's witness). The per-stream bandwidth then shows
 // the contention ratio operating: ~1/12 flit/cycle on the fat tree versus
 // ~1/8 on the fat fractahedron.
-func DatabaseScenario(transfersEach, flits int, opts ...runner.Option) ([]DBScenarioRow, error) {
+func (l *Lab) DatabaseScenario(transfersEach, flits int, opts ...runner.Option) ([]DBScenarioRow, error) {
 	cfg := runner.NewConfig(opts...)
-	type system struct {
-		name string
-		sys  *core.System
-	}
-	ftSys, _, err := core.NewFatTree(4, 2, 64)
+	systems, err := l.systems(
+		namedSpec{"4-2 fat tree", "fattree:d=4,u=2,nodes=64"},
+		namedSpec{"fat fractahedron", "fat-fract:levels=2"},
+	)
 	if err != nil {
 		return nil, err
 	}
-	frSys, _, err := core.NewFatFractahedron(2)
-	if err != nil {
-		return nil, err
-	}
-	systems := []system{{"4-2 fat tree", ftSys}, {"fat fractahedron", frSys}}
 
 	return runner.Map(cfg, len(systems), func(i int) (DBScenarioRow, error) {
 		s := systems[i]
-		worst, err := contention.MaxLinkContention(s.sys.Tables)
+		worst, err := s.sys.Contention()
 		if err != nil {
 			return DBScenarioRow{}, err
 		}

@@ -5,8 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/deadlock"
 	"repro/internal/metrics"
-	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -31,14 +31,12 @@ type Table1Row struct {
 // Table1 regenerates Table 1 for N = 1..maxLevels. Delay is measured on the
 // core network (no fan-out stage, matching the table's note that delay
 // equations exclude the end-node stage); node capacity uses the fan-out
-// configuration that yields 2*8^N. For N >= 3 the all-pairs hop scan is
-// sampled and the bisection uses the structural seed cut only.
-func Table1(maxLevels int) ([]Table1Row, error) {
+// configuration that yields 2*8^N.
+func (l *Lab) Table1(maxLevels int) ([]Table1Row, error) {
 	var rows []Table1Row
 	for n := 1; n <= maxLevels; n++ {
 		for _, fat := range []bool{false, true} {
-			cfg := topology.Tetra(n, fat)
-			fanCfg := cfg
+			fanCfg := topology.Tetra(n, fat)
 			fanCfg.Fanout = true
 
 			row := Table1Row{
@@ -58,28 +56,31 @@ func Table1(maxLevels int) ([]Table1Row, error) {
 				row.MaxDelayFormula = 2
 			}
 
-			sys, f, err := core.NewFractahedron(cfg)
+			sys, err := l.System(fractSpec(fat, fmt.Sprintf("levels=%d", n)))
 			if err != nil {
 				return nil, err
 			}
-			if n <= 2 {
-				a, err := sys.Analyze(core.AnalyzeOptions{SkipContention: true, BisectionRestarts: 2})
-				if err != nil {
-					return nil, err
-				}
-				row.MaxDelay = a.Hops.Max
-				row.Bisection = a.Bisection.Cut
-			} else {
-				row.MaxDelay, err = sampledMaxHops(sys.Tables, f.NumNodes())
-				if err != nil {
-					return nil, err
-				}
-				row.Bisection = metrics.Bisection(f.Network, 0, 1).Cut
+			hops, err := metrics.Hops(sys.Tables)
+			if err != nil {
+				return nil, err
 			}
+			bis, err := sys.Bisection()
+			if err != nil {
+				return nil, err
+			}
+			row.MaxDelay, row.Bisection = hops.Max, bis.Cut
 			rows = append(rows, row)
 		}
 	}
 	return rows, nil
+}
+
+// fractSpec spells a fat or thin fractahedron spec with the given options.
+func fractSpec(fat bool, opts string) string {
+	if fat {
+		return "fat-fract:" + opts
+	}
+	return "thin-fract:" + opts
 }
 
 // Table1String renders the Table 1 comparison.
@@ -128,72 +129,64 @@ type Table2Result struct {
 }
 
 // Table2 regenerates the 64-node comparison.
-func Table2() (Table2Result, error) {
+func (l *Lab) Table2() (Table2Result, error) {
 	var out Table2Result
-
-	add := func(name string, sys *core.System, paperContention int) error {
-		a, err := sys.Analyze(core.AnalyzeOptions{BisectionRestarts: 2})
+	for _, e := range []struct {
+		namedSpec
+		paperContention int
+	}{
+		{namedSpec{"4-2 fat tree", "fattree:d=4,u=2,nodes=64"}, 12},
+		{namedSpec{"fat fractahedron", "fat-fract:levels=2"}, 4},
+		{namedSpec{"thin fractahedron", "thin-fract:levels=2"}, -1},
+		{namedSpec{"6x6 mesh (72 ports)", "mesh:cols=6,rows=6,nodes=2"}, 10},
+		{namedSpec{"3-3 fat tree", "fattree:d=3,u=3,nodes=64"}, -1},
+	} {
+		sys, err := l.System(e.spec)
 		if err != nil {
-			return err
+			return out, err
 		}
-		out.Rows = append(out.Rows, Table2Row{
-			Name:            name,
-			Routers:         a.Cost.Routers,
-			AvgHops:         a.Hops.Mean,
-			MaxHops:         a.Hops.Max,
-			MaxContention:   a.Contention.Max,
-			PaperContention: paperContention,
-			Bisection:       a.Bisection.Cut,
-			DeadlockFree:    a.Deadlock.Free,
-		})
-		return nil
+		row, err := table2Row(e.name, sys)
+		if err != nil {
+			return out, err
+		}
+		row.PaperContention = e.paperContention
+		out.Rows = append(out.Rows, row)
 	}
-
-	ftSys, _, err := core.NewFatTree(4, 2, 64)
+	fr, err := l.System("fat-fract:levels=2")
 	if err != nil {
 		return out, err
 	}
-	if err := add("4-2 fat tree", ftSys, 12); err != nil {
-		return out, err
-	}
+	out.FractIntraL2, err = fractIntraL2Contention(fr)
+	return out, err
+}
 
-	frSys, fr, err := core.NewFatFractahedron(2)
+// table2Row measures every Table 2 figure of merit of one system.
+func table2Row(name string, sys *core.System) (Table2Row, error) {
+	hops, err := metrics.Hops(sys.Tables)
 	if err != nil {
-		return out, err
+		return Table2Row{}, err
 	}
-	if err := add("fat fractahedron", frSys, 4); err != nil {
-		return out, err
-	}
-	out.FractIntraL2, err = fractIntraL2Contention(fr, frSys.Tables)
+	cont, err := sys.Contention()
 	if err != nil {
-		return out, err
+		return Table2Row{}, err
 	}
-
-	thinSys, _, err := core.NewThinFractahedron(2)
+	bis, err := sys.Bisection()
 	if err != nil {
-		return out, err
+		return Table2Row{}, err
 	}
-	if err := add("thin fractahedron", thinSys, -1); err != nil {
-		return out, err
-	}
-
-	meshSys, _, err := core.NewMesh(6, 6, 2)
+	rep, err := deadlock.Analyze(sys.Tables)
 	if err != nil {
-		return out, err
+		return Table2Row{}, err
 	}
-	if err := add("6x6 mesh (72 ports)", meshSys, 10); err != nil {
-		return out, err
-	}
-
-	ft33Sys, _, err := core.NewFatTree(3, 3, 64)
-	if err != nil {
-		return out, err
-	}
-	if err := add("3-3 fat tree", ft33Sys, -1); err != nil {
-		return out, err
-	}
-
-	return out, nil
+	return Table2Row{
+		Name:          name,
+		Routers:       sys.Net.NumRouters(),
+		AvgHops:       hops.Mean,
+		MaxHops:       hops.Max,
+		MaxContention: cont.Max,
+		Bisection:     bis.Cut,
+		DeadlockFree:  rep.Free,
+	}, nil
 }
 
 // String renders the Table 2 comparison.
@@ -211,25 +204,6 @@ func (t Table2Result) String() string {
 	}
 	fmt.Fprintf(&sb, "  fat fractahedron contention on the paper's link class (intra-level-2): %d:1\n", t.FractIntraL2)
 	return sb.String()
-}
-
-func sampledMaxHops(tb *routing.Tables, nodes int) (int, error) {
-	max := 0
-	for s := 0; s < nodes; s += 7 {
-		for d := 0; d < nodes; d += 3 {
-			if s == d {
-				continue
-			}
-			r, err := tb.Route(s, d)
-			if err != nil {
-				return 0, err
-			}
-			if r.RouterHops() > max {
-				max = r.RouterHops()
-			}
-		}
-	}
-	return max, nil
 }
 
 func pow(b, e int) int {
