@@ -172,7 +172,7 @@ func Verify(sys *core.System, spec string, opt Options) Certificate {
 		Links:     net.NumLinks(),
 		Channels:  net.NumChannels(),
 	}
-	cert.RouterDiameter = routerDiameter(net)
+	cert.RouterDiameter = newRouterGraph(net).diameter()
 	cert.HopBound, cert.HopBoundRule = hopBound(sys.Tables.Algorithm, cert.RouterDiameter)
 
 	violate := func(check, format string, args ...any) {

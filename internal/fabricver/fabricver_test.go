@@ -232,7 +232,7 @@ func isRouter(net *topology.Network, id topology.DeviceID) bool {
 	return net.Device(id).Kind == topology.Router
 }
 
-func firstRouter(t *testing.T, sys *core.System) topology.DeviceID {
+func firstRouter(t testing.TB, sys *core.System) topology.DeviceID {
 	t.Helper()
 	for _, d := range sys.Net.Devices() {
 		if isRouter(sys.Net, d.ID) {
@@ -258,4 +258,38 @@ func firstRouterPort(t *testing.T, sys *core.System, r topology.DeviceID) int {
 	}
 	t.Fatalf("router %d has no router-to-router port", r)
 	return -1
+}
+
+// BenchmarkCheckFault measures one single-fault re-proof of the two-level
+// fat fractahedron — the degraded fabric rebuilt, re-routed up*/down*,
+// swept and checked — for an inter-router link fault and for a fault of
+// the lowest-numbered router (the up*/down* root of the intact fabric).
+func BenchmarkCheckFault(b *testing.B) {
+	sys, _, err := core.ParseSystem("fat-fract:levels=2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := sys.Net
+	var link topology.LinkID = -1
+	for _, l := range net.Links() {
+		if isRouter(net, l.A.Device) && isRouter(net, l.B.Device) {
+			link = l.ID
+			break
+		}
+	}
+	router := firstRouter(b, sys)
+	for _, f := range []struct {
+		name string
+		link topology.LinkID
+		dev  topology.DeviceID
+	}{{"link", link, -1}, {"router", -1, router}} {
+		b.Run(f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if ok, _, v := checkFault(net, f.link, f.dev, f.name+" down"); !ok {
+					b.Fatal(v)
+				}
+			}
+		})
+	}
 }

@@ -213,11 +213,8 @@ func verifyComponent(net *topology.Network, c component, skipLink topology.LinkI
 	}
 
 	sub, newID := rebuild(net, c, skipLink)
-	tb := routing.UpDownGeneric(sub, newID[c.routers[0]])
-
-	// The degraded fabric is routed up*/down*, so its analytical bound is
-	// 2*diameter+1 over the degraded router graph.
-	bound, _ := hopBound(tb.Algorithm, routerDiameter(sub))
+	root := newID[c.routers[0]]
+	tb := routing.UpDownGeneric(sub, root)
 
 	sw := tb.Sweep()
 	for _, f := range failureLines(sw) {
@@ -226,9 +223,12 @@ func verifyComponent(net *topology.Network, c component, skipLink topology.LinkI
 	if len(sw.Failures) > maxDetail {
 		out = append(out, fmt.Sprintf("%s: degraded fabric unreachable pairs:%s", desc, capNote(len(sw.Failures))))
 	}
-	if maxHops, _, _ := sw.MaxHops(); maxHops > bound {
-		out = append(out, fmt.Sprintf("%s: degraded route takes %d router hops, exceeding the up*/down* bound %d",
-			desc, maxHops, bound))
+	// The degraded fabric is routed up*/down*, so its analytical bound is
+	// 2*diameter+1 over the degraded router graph.
+	g := newRouterGraph(sub)
+	maxHops, _, _ := sw.MaxHops()
+	if v := degradedHopViolation(desc, tb.Algorithm, g, g.index[root], maxHops); v != "" {
+		out = append(out, v)
 	}
 	if cycle, cyclic := sw.CDG().ShortestCycle(); cyclic {
 		lines := make([]string, len(cycle))
@@ -254,10 +254,14 @@ func verifyComponent(net *topology.Network, c component, skipLink topology.LinkI
 // rebuild copies a component into a fresh Network. Devices keep their
 // names, port counts and relative order (so node addresses are ascending
 // in the original addresses), and links keep their port numbers; only the
-// dense IDs change. The returned map translates original device IDs.
-func rebuild(net *topology.Network, c component, skipLink topology.LinkID) (*topology.Network, map[topology.DeviceID]topology.DeviceID) {
+// dense IDs change. The returned slice translates original device IDs
+// (-1 for devices outside the component).
+func rebuild(net *topology.Network, c component, skipLink topology.LinkID) (*topology.Network, []topology.DeviceID) {
 	sub := topology.New(net.Name + " (degraded)")
-	newID := make(map[topology.DeviceID]topology.DeviceID, len(c.devices))
+	newID := make([]topology.DeviceID, net.NumDevices())
+	for i := range newID {
+		newID[i] = -1
+	}
 	for _, id := range c.devices {
 		d := net.Device(id)
 		if d.Kind == topology.Router {
@@ -270,9 +274,8 @@ func rebuild(net *topology.Network, c component, skipLink topology.LinkID) (*top
 		if l.ID == skipLink {
 			continue // the faulted link stays down even if both ends survive
 		}
-		na, aOK := newID[l.A.Device]
-		nb, bOK := newID[l.B.Device]
-		if !aOK || !bOK {
+		na, nb := newID[l.A.Device], newID[l.B.Device]
+		if na < 0 || nb < 0 {
 			continue
 		}
 		sub.Connect(na, l.A.Port, nb, l.B.Port)

@@ -35,6 +35,7 @@ func FuzzMutatedTetra(f *testing.F) {
 		dst := int(dstSel) % net.NumNodes()
 		sys.Tables.SetOutPort(r, dst, int(port))
 
+		checkTablesAgree(t, "fuzz", sys.Tables, 1+int(port)&7)
 		cert := Verify(sys, "fuzz", Options{Workers: 1})
 		if cert.OK != (len(cert.Violations) == 0) {
 			t.Fatalf("OK=%v but %d violations", cert.OK, len(cert.Violations))

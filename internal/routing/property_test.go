@@ -106,35 +106,12 @@ func TestFatTreeRoutingProperties(t *testing.T) {
 func TestUpDownGenericOnRandomTopologies(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		nr := 3 + rng.Intn(10)
-		net := topology.New("random")
-		routers := make([]topology.DeviceID, nr)
-		for i := range routers {
-			routers[i] = net.AddRouter("r", 8)
-		}
-		// Random spanning tree plus extra chords.
-		for i := 1; i < nr; i++ {
-			net.ConnectNext(routers[i], routers[rng.Intn(i)])
-		}
-		for k := 0; k < rng.Intn(nr); k++ {
-			a, b := rng.Intn(nr), rng.Intn(nr)
-			if a == b || net.UsedPorts(routers[a]) >= 6 || net.UsedPorts(routers[b]) >= 6 {
-				continue
-			}
-			net.ConnectNext(routers[a], routers[b])
-		}
-		// One or two nodes per router, within port budget.
-		for i := range routers {
-			for j := 0; j < 1+rng.Intn(2) && net.UsedPorts(routers[i]) < 8; j++ {
-				nd := net.AddNode("n")
-				net.ConnectNext(routers[i], nd)
-			}
-		}
-		if err := net.Validate(); err != nil {
+		net, routers, err := randomRouterNet(rng)
+		if err != nil {
 			t.Logf("builder bug: %v", err)
 			return false
 		}
-		tb := UpDownGeneric(net, routers[rng.Intn(nr)])
+		tb := UpDownGeneric(net, routers[rng.Intn(len(routers))])
 		n := net.NumNodes()
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
@@ -157,6 +134,35 @@ func TestUpDownGenericOnRandomTopologies(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// randomRouterNet builds a random connected multi-router topology: a
+// random spanning tree plus extra chords over 3..12 eight-port routers,
+// with one or two nodes per router within the port budget.
+func randomRouterNet(rng *rand.Rand) (*topology.Network, []topology.DeviceID, error) {
+	nr := 3 + rng.Intn(10)
+	net := topology.New("random")
+	routers := make([]topology.DeviceID, nr)
+	for i := range routers {
+		routers[i] = net.AddRouter("r", 8)
+	}
+	for i := 1; i < nr; i++ {
+		net.ConnectNext(routers[i], routers[rng.Intn(i)])
+	}
+	for k := 0; k < rng.Intn(nr); k++ {
+		a, b := rng.Intn(nr), rng.Intn(nr)
+		if a == b || net.UsedPorts(routers[a]) >= 6 || net.UsedPorts(routers[b]) >= 6 {
+			continue
+		}
+		net.ConnectNext(routers[a], routers[b])
+	}
+	for i := range routers {
+		for j := 0; j < 1+rng.Intn(2) && net.UsedPorts(routers[i]) < 8; j++ {
+			nd := net.AddNode("n")
+			net.ConnectNext(routers[i], nd)
+		}
+	}
+	return net, routers, net.Validate()
 }
 
 // simplePath reports whether a route visits no device twice.

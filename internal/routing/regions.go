@@ -1,11 +1,5 @@
 package routing
 
-import (
-	"sort"
-
-	"repro/internal/topology"
-)
-
 // Region-table accounting. ServerNet routers route "by looking up entries
 // in the routing table inside each router" (§2.3), and real tables hold
 // address REGIONS — contiguous destination ranges sharing an output port —
@@ -17,20 +11,19 @@ import (
 // machine, while topologies whose output port varies irregularly with the
 // address need many.
 
-// Regions reports, for one router, the minimal number of contiguous
+// regions reports, for one router's row, the minimal number of contiguous
 // destination-address ranges with a constant output port.
-func (t *Tables) Regions(router topology.DeviceID) int {
-	row := t.out[router]
+func regions(row []int) int {
 	if len(row) == 0 {
 		return 0
 	}
-	regions := 1
+	n := 1
 	for i := 1; i < len(row); i++ {
 		if row[i] != row[i-1] {
-			regions++
+			n++
 		}
 	}
-	return regions
+	return n
 }
 
 // RegionStats summarizes region-table sizes across all routers.
@@ -45,13 +38,11 @@ type RegionStats struct {
 func (t *Tables) RegionSizes() RegionStats {
 	var st RegionStats
 	st.Min = -1
-	var all []int
-	for dev := range t.out {
-		all = append(all, int(dev))
-	}
-	sort.Ints(all)
-	for _, dev := range all {
-		r := t.Regions(topology.DeviceID(dev))
+	for _, row := range t.out {
+		if row == nil {
+			continue
+		}
+		r := regions(row)
 		st.Total += r
 		st.Routers++
 		if st.Min < 0 || r < st.Min {

@@ -47,7 +47,7 @@ func (r Route) RouterHops() int { return len(r.Devices) - 2 }
 type Tables struct {
 	Net       *topology.Network
 	Algorithm string
-	out       map[topology.DeviceID][]int
+	out       [][]int // per device: the router's row over destinations; nil for end nodes
 
 	// Virtual-channel assignment (see vc.go); zero-valued for single-VC
 	// routings.
@@ -63,27 +63,32 @@ type NextPortFunc func(router topology.DeviceID, dst int) int
 // Build compiles a next-port function into concrete tables for every router
 // of the network.
 func Build(net *topology.Network, algorithm string, next NextPortFunc) *Tables {
-	t := &Tables{Net: net, Algorithm: algorithm, out: make(map[topology.DeviceID][]int)}
-	for _, d := range net.Devices() {
-		if d.Kind != topology.Router {
-			continue
-		}
-		row := make([]int, net.NumNodes())
+	t := newTables(net, algorithm)
+	for dev, row := range t.out {
 		for dst := range row {
-			row[dst] = next(d.ID, dst)
+			row[dst] = next(topology.DeviceID(dev), dst)
 		}
-		t.out[d.ID] = row
+	}
+	return t
+}
+
+// newTables allocates one zeroed row per router.
+func newTables(net *topology.Network, algorithm string) *Tables {
+	t := &Tables{Net: net, Algorithm: algorithm, out: make([][]int, net.NumDevices())}
+	for _, d := range net.Devices() {
+		if d.Kind == topology.Router {
+			t.out[d.ID] = make([]int, net.NumNodes())
+		}
 	}
 	return t
 }
 
 // OutPort returns the table entry of a router for a destination address.
 func (t *Tables) OutPort(router topology.DeviceID, dst int) int {
-	row, ok := t.out[router]
-	if !ok {
+	if router < 0 || int(router) >= len(t.out) || t.out[router] == nil {
 		panic(fmt.Sprintf("routing: device %d has no table", router))
 	}
-	return row[dst]
+	return t.out[router][dst]
 }
 
 // SetOutPort overrides one table entry. The fault-injection experiments use

@@ -3,6 +3,7 @@ package routing
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -304,26 +305,35 @@ func (sw *PairSweep) Turns() map[topology.DeviceID]map[Turn]bool {
 // Deps returns the distinct channel dependencies of the routed pairs as
 // (from, to) edges over (channel, VC) vertices (vertex = channel*NumVC +
 // vc), sorted ascending so a graph built from them, and any cycle taken
-// from it, is reproducible.
+// from it, is reproducible. Each (in-channel, VC) vertex is one row of the
+// bitmap of the router the channel enters, so walking in-channels in
+// ascending order emits the edges grouped by ascending from, and only each
+// short row needs sorting.
 func (sw *PairSweep) Deps() [][2]int {
 	net := sw.tables.Net
 	v := sw.tables.NumVC()
-	var deps [][2]int
-	for _, d := range net.Devices() {
-		base, stride := sw.turnBase[d.ID], sw.stride[d.ID]
-		for i := 0; i < stride*stride; i++ {
-			if !sw.bit(base + i) {
-				continue
+	n := 0
+	for _, w := range sw.bits {
+		n += bits.OnesCount64(w)
+	}
+	deps := make([][2]int, 0, n)
+	for in := 0; in < net.NumChannels(); in++ {
+		at := net.ChannelDst(topology.ChannelID(in))
+		base, stride := sw.turnBase[at.Device], sw.stride[at.Device]
+		if base < 0 {
+			continue // ejection into an end node: no turn follows
+		}
+		for vi := 0; vi < v; vi++ {
+			row, start := base+(at.Port*v+vi)*stride, len(deps)
+			for col := 0; col < stride; col++ {
+				if sw.bit(row + col) {
+					outCh, _ := net.ChannelFromPort(at.Device, col/v)
+					deps = append(deps, [2]int{in*v + vi, int(outCh)*v + col%v})
+				}
 			}
-			row, col := i/stride, i%stride
-			// The in-channel arrives on port row/v: the reverse of the
-			// channel leaving through it.
-			inCh, _ := net.ChannelFromPort(d.ID, row/v)
-			outCh, _ := net.ChannelFromPort(d.ID, col/v)
-			deps = append(deps, [2]int{int(net.Reverse(inCh))*v + row%v, int(outCh)*v + col%v})
+			slices.SortFunc(deps[start:], CompareEdges)
 		}
 	}
-	slices.SortFunc(deps, CompareEdges)
 	return deps
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/contention"
@@ -139,6 +140,10 @@ func sweepSystems(t testing.TB) map[string]*routing.Tables {
 // otherwise exactly Tables.Verify's error.
 func checkAgainstReference(t *testing.T, name string, tb *routing.Tables) {
 	t.Helper()
+	if deps := tb.Sweep().Deps(); !slices.IsSortedFunc(deps, routing.CompareEdges) ||
+		len(slices.Compact(slices.Clone(deps))) != len(deps) {
+		t.Errorf("%s: Sweep.Deps is not strictly ascending", name)
+	}
 	verr := tb.Verify()
 	sameErr := func(what string, err error) {
 		t.Helper()
@@ -185,6 +190,39 @@ func checkAgainstReference(t *testing.T, name string, tb *routing.Tables) {
 			r, _ := tb.Route(s, d)
 			if got := sw.Hops(s, d); got != r.RouterHops() {
 				t.Fatalf("%s: Sweep.Hops(%d, %d) = %d, Route takes %d", name, s, d, got, r.RouterHops())
+			}
+		}
+	}
+}
+
+// UpDownGeneric matches its per-destination reference entry for entry on
+// every built-in network below level 3, rooted at the lowest-numbered
+// router (as the fabric verifier roots degraded fabrics) and at the
+// highest.
+func TestUpDownGenericMatchesReferenceOnBuiltins(t *testing.T) {
+	for _, spec := range core.BuiltinSpecs() {
+		if strings.Contains(spec, "levels=3") {
+			continue
+		}
+		sys, _, err := core.ParseSystem(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		net := sys.Net
+		var routers []topology.DeviceID
+		for _, d := range net.Devices() {
+			if d.Kind == topology.Router {
+				routers = append(routers, d.ID)
+			}
+		}
+		for _, root := range []topology.DeviceID{routers[0], routers[len(routers)-1]} {
+			got, want := routing.UpDownGeneric(net, root), routing.RefUpDownGeneric(net, root)
+			for _, r := range routers {
+				for dst := 0; dst < net.NumNodes(); dst++ {
+					if g, w := got.OutPort(r, dst), want.OutPort(r, dst); g != w {
+						t.Fatalf("%s rooted at %d: entry (%d, %d) = %d, reference %d", spec, root, r, dst, g, w)
+					}
+				}
 			}
 		}
 	}

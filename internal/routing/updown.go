@@ -55,14 +55,21 @@ func UpDownDegraded(net *topology.Network, root topology.DeviceID,
 // upDown is the shared up*/down* table builder. strict mode panics when any
 // reached router cannot reach a destination (UpDownGeneric's historical
 // contract, which the fabric verifier traps); degraded mode records holes.
+//
+// The fabric verifier rebuilds these tables once per fault inside its
+// single-fault enumeration, so the work is arranged around the observation
+// that every node hanging off one router yields the same distances: the
+// down and up passes run once per destination router, over neighbour lists
+// precomputed in port order, and only that router's own entry (the node's
+// port) differs between its nodes.
 func upDown(net *topology.Network, root topology.DeviceID, algorithm string,
 	linkDead func(topology.LinkID) bool,
 	routerDead func(topology.DeviceID) bool, strict bool) *Tables {
 
-	// Breadth-first levels over routers only. Dense device-indexed slices
-	// throughout: the fabric verifier rebuilds these tables once per fault
-	// inside its single-fault enumeration, so the per-destination loops are
-	// hot. level < 0 marks "not a (reached, live) router".
+	live := func(l topology.LinkID) bool { return linkDead == nil || !linkDead(l) }
+
+	// Breadth-first levels over routers only. level < 0 marks "not a
+	// (reached, live) router".
 	nDev := net.NumDevices()
 	level := make([]int, nDev)
 	for i := range level {
@@ -75,7 +82,7 @@ func upDown(net *topology.Network, root topology.DeviceID, algorithm string,
 		queue = queue[1:]
 		for p := 0; p < net.Device(u).Ports; p++ {
 			l, ok := net.LinkAt(u, p)
-			if !ok || (linkDead != nil && linkDead(l)) {
+			if !ok || !live(l) {
 				continue
 			}
 			v := net.OtherEnd(l, u).Device
@@ -107,126 +114,175 @@ func upDown(net *topology.Network, root topology.DeviceID, algorithm string,
 			routers = append(routers, d)
 		}
 	}
-	// Order from the root outward (the order down-distances propagate in,
-	// and the reverse order for up-distances).
+	// Order from the root outward: the order up-distances propagate in, and
+	// the reverse of the order down-distances propagate in. Everything below
+	// indexes routers by their position in this order.
 	sort.Slice(routers, func(i, j int) bool { return higher(routers[i], routers[j]) })
-
-	type hop struct {
-		dist int
-		port int
+	pos := make([]int32, nDev)
+	for i, r := range routers {
+		pos[r] = int32(i)
 	}
 
-	// Per destination node, compute for every router the best pure-down
-	// distance and the best up*/down* distance with consistent next hops.
-	// hop.dist == 0 marks "no such path yet" (real distances start at 1).
-	nNodes := net.NumNodes()
-	downPort := make([][]int, nDev)
-	upPort := make([][]int, nDev)
-	for _, r := range routers {
-		downPort[r] = make([]int, nNodes)
-		upPort[r] = make([]int, nNodes)
-	}
-
-	down := make([]hop, nDev)
-	up := make([]hop, nDev)
-	for dst := 0; dst < nNodes; dst++ {
-		for _, r := range routers {
-			down[r] = hop{}
-			up[r] = hop{}
+	// Each router's down and up steps to live routers, in port order so
+	// that the first port reaching the best distance wins ties. A down
+	// neighbour always sits later in the order, an up neighbour earlier.
+	type step struct{ at, port int32 }
+	var downs, ups []step
+	downOff := make([]int, len(routers)+1)
+	upOff := make([]int, len(routers)+1)
+	for i, u := range routers {
+		for p := 0; p < net.Device(u).Ports; p++ {
+			l, wired := net.LinkAt(u, p)
+			if !wired || !live(l) {
+				continue
+			}
+			v := net.OtherEnd(l, u).Device
+			if net.Device(v).Kind != topology.Router || level[v] < 0 {
+				continue
+			}
+			if higher(v, u) {
+				ups = append(ups, step{pos[v], int32(p)})
+			} else {
+				downs = append(downs, step{pos[v], int32(p)})
+			}
 		}
+		downOff[i+1], upOff[i+1] = len(downs), len(ups)
+	}
+
+	// Destination groups: the reached routers that hold nodes, each
+	// numbered in the order its first node appears. home and group give
+	// each destination node its router and that router's group, or -1 when
+	// the node is severed (its link is down or its router is outside the
+	// surviving component).
+	nNodes := net.NumNodes()
+	home := make([]topology.PortRef, nNodes)
+	group := make([]int32, nNodes)
+	groupOf := make([]int32, len(routers))
+	for i := range groupOf {
+		groupOf[i] = -1
+	}
+	groups := 0
+	for dst := range home {
+		group[dst] = -1
 		dstDev := net.NodeByIndex(dst)
 		l, wired := net.LinkAt(dstDev, 0)
-		if !wired {
-			panic(fmt.Sprintf("routing: node %d unwired", dst))
+		if !wired || !live(l) {
+			continue
 		}
-		// The router holding the destination node "reaches it downward"
-		// through the node port — unless the node's own link is down or its
-		// router is outside the surviving component, which severs the node
-		// entirely (every router gets a hole for it).
-		far := net.OtherEnd(l, dstDev)
-		if (linkDead == nil || !linkDead(l)) && level[far.Device] >= 0 {
-			down[far.Device] = hop{dist: 1, port: far.Port}
+		home[dst] = net.OtherEnd(l, dstDev)
+		if level[home[dst].Device] < 0 {
+			continue
 		}
+		at := pos[home[dst].Device]
+		if groupOf[at] < 0 {
+			groupOf[at] = int32(groups)
+			groups++
+		}
+		group[dst] = groupOf[at]
+	}
 
-		// Pure-down distances propagate from routers above to routers
-		// below... a down step at u goes to a LOWER router v (higher(u, v)
-		// false... v below u) with down[v] known. Process routers from the
-		// bottom up? A down path u -> v -> ... descends, so down[u] depends
-		// on down[v] for v BELOW u: iterate routers in reverse root-outward
-		// order (deepest first).
+	// column computes, for the destination router at position at, every
+	// router's best pure-down distance and best up*/down* distance with
+	// consistent next hops, and stores each router's table entry in cols
+	// (router-major, one column per group): the down port when a pure-down
+	// path exists (the walk stays in the down phase), else the up port,
+	// else -1. Distance 0 marks "no such path" (real distances start at 1).
+	// dst only names the destination in the strict-mode panic.
+	downDist := make([]int32, len(routers))
+	downPort := make([]int32, len(routers))
+	upDist := make([]int32, len(routers))
+	cols := make([]int32, len(routers)*groups)
+	column := func(at int32, dst int) {
+		// A down path descends, so a router's down distance depends on
+		// routers below it: deepest first. The destination router reaches
+		// its node downward in one hop, which no neighbour can beat.
 		for i := len(routers) - 1; i >= 0; i-- {
-			u := routers[i]
-			best := down[u]
-			for p := 0; p < net.Device(u).Ports; p++ {
-				l, wired := net.LinkAt(u, p)
-				if !wired || (linkDead != nil && linkDead(l)) {
-					continue
-				}
-				v := net.OtherEnd(l, u).Device
-				if net.Device(v).Kind != topology.Router || level[v] < 0 || higher(v, u) {
-					continue // only true down steps to live routers
-				}
-				if hv := down[v]; hv.dist > 0 {
-					if best.dist == 0 || hv.dist+1 < best.dist {
-						best = hop{dist: hv.dist + 1, port: p}
-					}
+			var bd, bp int32
+			if int32(i) == at {
+				bd = 1
+			}
+			for _, s := range downs[downOff[i]:downOff[i+1]] {
+				if hd := downDist[s.at]; hd > 0 && (bd == 0 || hd+1 < bd) {
+					bd, bp = hd+1, s.port
 				}
 			}
-			if best.dist > 0 {
-				down[u] = best
-			}
+			downDist[i], downPort[i] = bd, bp
 		}
 		// Up-capable distance: either pure down, or one up step then the
-		// neighbor's best. Process from the root outward so up[parent] is
-		// final before children consult it.
-		for _, u := range routers {
-			best := down[u]
-			for p := 0; p < net.Device(u).Ports; p++ {
-				l, wired := net.LinkAt(u, p)
-				if !wired || (linkDead != nil && linkDead(l)) {
-					continue
-				}
-				v := net.OtherEnd(l, u).Device
-				if net.Device(v).Kind != topology.Router || level[v] < 0 || !higher(v, u) {
-					continue // only true up steps within the live component
-				}
-				if hv := up[v]; hv.dist > 0 {
-					if best.dist == 0 || hv.dist+1 < best.dist {
-						best = hop{dist: hv.dist + 1, port: p}
-					}
+		// neighbour's best. Root outward, so a router's up neighbours are
+		// final before it consults them.
+		c := groupOf[at]
+		for i := range routers {
+			bd, bp := downDist[i], downPort[i]
+			for _, s := range ups[upOff[i]:upOff[i+1]] {
+				if hd := upDist[s.at]; hd > 0 && (bd == 0 || hd+1 < bd) {
+					bd, bp = hd+1, s.port
 				}
 			}
-			if best.dist == 0 && strict {
-				panic(fmt.Sprintf("routing: up*/down* cannot reach node %d from router %d (disconnected?)", dst, u))
+			if bd == 0 && strict {
+				panic(fmt.Sprintf("routing: up*/down* cannot reach node %d from router %d (disconnected?)", dst, routers[i]))
 			}
-			up[u] = best
-		}
-		for _, u := range routers {
-			if h := down[u]; h.dist > 0 {
-				downPort[u][dst] = h.port
-			} else {
-				downPort[u][dst] = -1
-			}
-			if h := up[u]; h.dist > 0 {
-				upPort[u][dst] = h.port
-			} else {
-				upPort[u][dst] = -1 // degraded: dst severed from this component
+			upDist[i] = bd
+			entry := &cols[i*groups+int(c)]
+			switch {
+			case downDist[i] > 0:
+				*entry = downPort[i]
+			case bd > 0:
+				*entry = bp
+			default:
+				*entry = -1 // degraded: dst severed from this component
 			}
 		}
 	}
 
-	return Build(net, algorithm, func(r topology.DeviceID, dst int) int {
-		if downPort[r] == nil {
-			// The router is dead or outside the root component; its table
-			// cannot say anything useful.
+	// Destinations in ascending order, so strict mode panics on the first
+	// one that fails; each group's column is computed at its first node.
+	done := make([]bool, groups)
+	for dst := range nNodes {
+		if _, wired := net.LinkAt(net.NodeByIndex(dst), 0); !wired {
+			panic(fmt.Sprintf("routing: node %d unwired", dst))
+		}
+		switch c := group[dst]; {
+		case c < 0:
+			// Severed: no router can reach it, starting with the root.
 			if strict {
-				panic(fmt.Sprintf("routing: up*/down* router %d unreachable from root %d", r, root))
+				panic(fmt.Sprintf("routing: up*/down* cannot reach node %d from router %d (disconnected?)", dst, root))
 			}
-			return -1
+		case !done[c]:
+			done[c] = true
+			column(pos[home[dst].Device], dst)
 		}
-		if p := downPort[r][dst]; p >= 0 {
-			return p // pure-down reachable: stay in the down phase
+	}
+
+	t := newTables(net, algorithm)
+	for i, u := range routers {
+		row := t.out[u]
+		for dst, c := range group {
+			row[dst] = -1
+			if c >= 0 {
+				row[dst] = int(cols[i*groups+int(c)])
+			}
 		}
-		return upPort[r][dst]
-	})
+	}
+	// The destination router delivers through the node's own port.
+	for dst, c := range group {
+		if c >= 0 {
+			t.out[home[dst].Device][dst] = home[dst].Port
+		}
+	}
+
+	// A router that is dead or outside the root component cannot say
+	// anything useful about any destination.
+	for _, d := range net.Devices() {
+		if d.Kind != topology.Router || level[d.ID] >= 0 {
+			continue
+		}
+		if strict {
+			panic(fmt.Sprintf("routing: up*/down* router %d unreachable from root %d", d.ID, root))
+		}
+		for dst := range t.out[d.ID] {
+			t.out[d.ID][dst] = -1
+		}
+	}
+	return t
 }

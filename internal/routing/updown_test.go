@@ -1,7 +1,12 @@
 package routing
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/topology"
 )
@@ -161,5 +166,337 @@ func TestBackgroundTopologyHops(t *testing.T) {
 	avg := float64(total) / float64(pairs)
 	if avg < 3 || avg > 9 {
 		t.Errorf("CCC-3 avg hops = %.2f out of plausible range", avg)
+	}
+}
+
+// refUpDown is the per-destination up*/down* builder upDown replaced, kept
+// verbatim as its oracle: it runs the down and up passes once per
+// destination node and compiles the result through Build. upDown must
+// produce the same table entry for entry, and the same panic text in
+// strict mode.
+func refUpDown(net *topology.Network, root topology.DeviceID, algorithm string,
+	linkDead func(topology.LinkID) bool,
+	routerDead func(topology.DeviceID) bool, strict bool) *Tables {
+
+	// Breadth-first levels over routers only. Dense device-indexed slices
+	// throughout: the fabric verifier rebuilds these tables once per fault
+	// inside its single-fault enumeration, so the per-destination loops are
+	// hot. level < 0 marks "not a (reached, live) router".
+	nDev := net.NumDevices()
+	level := make([]int, nDev)
+	for i := range level {
+		level[i] = -1
+	}
+	level[root] = 0
+	queue := []topology.DeviceID{root}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for p := 0; p < net.Device(u).Ports; p++ {
+			l, ok := net.LinkAt(u, p)
+			if !ok || (linkDead != nil && linkDead(l)) {
+				continue
+			}
+			v := net.OtherEnd(l, u).Device
+			if net.Device(v).Kind != topology.Router {
+				continue
+			}
+			if routerDead != nil && routerDead(v) {
+				continue
+			}
+			if level[v] < 0 {
+				level[v] = level[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+
+	// higher reports whether v is "above" u (closer to the root).
+	higher := func(v, u topology.DeviceID) bool {
+		lv, lu := level[v], level[u]
+		if lv != lu {
+			return lv < lu
+		}
+		return v < u
+	}
+
+	var routers []topology.DeviceID
+	for d := topology.DeviceID(0); int(d) < nDev; d++ {
+		if level[d] >= 0 {
+			routers = append(routers, d)
+		}
+	}
+	// Order from the root outward (the order down-distances propagate in,
+	// and the reverse order for up-distances).
+	sort.Slice(routers, func(i, j int) bool { return higher(routers[i], routers[j]) })
+
+	type hop struct {
+		dist int
+		port int
+	}
+
+	// Per destination node, compute for every router the best pure-down
+	// distance and the best up*/down* distance with consistent next hops.
+	// hop.dist == 0 marks "no such path yet" (real distances start at 1).
+	nNodes := net.NumNodes()
+	downPort := make([][]int, nDev)
+	upPort := make([][]int, nDev)
+	for _, r := range routers {
+		downPort[r] = make([]int, nNodes)
+		upPort[r] = make([]int, nNodes)
+	}
+
+	down := make([]hop, nDev)
+	up := make([]hop, nDev)
+	for dst := 0; dst < nNodes; dst++ {
+		for _, r := range routers {
+			down[r] = hop{}
+			up[r] = hop{}
+		}
+		dstDev := net.NodeByIndex(dst)
+		l, wired := net.LinkAt(dstDev, 0)
+		if !wired {
+			panic(fmt.Sprintf("routing: node %d unwired", dst))
+		}
+		// The router holding the destination node "reaches it downward"
+		// through the node port — unless the node's own link is down or its
+		// router is outside the surviving component, which severs the node
+		// entirely (every router gets a hole for it).
+		far := net.OtherEnd(l, dstDev)
+		if (linkDead == nil || !linkDead(l)) && level[far.Device] >= 0 {
+			down[far.Device] = hop{dist: 1, port: far.Port}
+		}
+
+		// Pure-down distances propagate from routers above to routers
+		// below... a down step at u goes to a LOWER router v (higher(u, v)
+		// false... v below u) with down[v] known. Process routers from the
+		// bottom up? A down path u -> v -> ... descends, so down[u] depends
+		// on down[v] for v BELOW u: iterate routers in reverse root-outward
+		// order (deepest first).
+		for i := len(routers) - 1; i >= 0; i-- {
+			u := routers[i]
+			best := down[u]
+			for p := 0; p < net.Device(u).Ports; p++ {
+				l, wired := net.LinkAt(u, p)
+				if !wired || (linkDead != nil && linkDead(l)) {
+					continue
+				}
+				v := net.OtherEnd(l, u).Device
+				if net.Device(v).Kind != topology.Router || level[v] < 0 || higher(v, u) {
+					continue // only true down steps to live routers
+				}
+				if hv := down[v]; hv.dist > 0 {
+					if best.dist == 0 || hv.dist+1 < best.dist {
+						best = hop{dist: hv.dist + 1, port: p}
+					}
+				}
+			}
+			if best.dist > 0 {
+				down[u] = best
+			}
+		}
+		// Up-capable distance: either pure down, or one up step then the
+		// neighbor's best. Process from the root outward so up[parent] is
+		// final before children consult it.
+		for _, u := range routers {
+			best := down[u]
+			for p := 0; p < net.Device(u).Ports; p++ {
+				l, wired := net.LinkAt(u, p)
+				if !wired || (linkDead != nil && linkDead(l)) {
+					continue
+				}
+				v := net.OtherEnd(l, u).Device
+				if net.Device(v).Kind != topology.Router || level[v] < 0 || !higher(v, u) {
+					continue // only true up steps within the live component
+				}
+				if hv := up[v]; hv.dist > 0 {
+					if best.dist == 0 || hv.dist+1 < best.dist {
+						best = hop{dist: hv.dist + 1, port: p}
+					}
+				}
+			}
+			if best.dist == 0 && strict {
+				panic(fmt.Sprintf("routing: up*/down* cannot reach node %d from router %d (disconnected?)", dst, u))
+			}
+			up[u] = best
+		}
+		for _, u := range routers {
+			if h := down[u]; h.dist > 0 {
+				downPort[u][dst] = h.port
+			} else {
+				downPort[u][dst] = -1
+			}
+			if h := up[u]; h.dist > 0 {
+				upPort[u][dst] = h.port
+			} else {
+				upPort[u][dst] = -1 // degraded: dst severed from this component
+			}
+		}
+	}
+
+	return Build(net, algorithm, func(r topology.DeviceID, dst int) int {
+		if downPort[r] == nil {
+			// The router is dead or outside the root component; its table
+			// cannot say anything useful.
+			if strict {
+				panic(fmt.Sprintf("routing: up*/down* router %d unreachable from root %d", r, root))
+			}
+			return -1
+		}
+		if p := downPort[r][dst]; p >= 0 {
+			return p // pure-down reachable: stay in the down phase
+		}
+		return upPort[r][dst]
+	})
+}
+
+// RefUpDownGeneric is the reference for UpDownGeneric, exported to the
+// external test package, which alone may import core's built-in specs.
+func RefUpDownGeneric(net *topology.Network, root topology.DeviceID) *Tables {
+	return refUpDown(net, root, "updown-generic", nil, nil, true)
+}
+
+// sameTables reports the first entry where two tables differ.
+func sameTables(got, want *Tables) error {
+	if got.Algorithm != want.Algorithm || len(got.out) != len(want.out) {
+		return fmt.Errorf("algorithm %q over %d devices, want %q over %d",
+			got.Algorithm, len(got.out), want.Algorithm, len(want.out))
+	}
+	for dev := range got.out {
+		if !slices.Equal(got.out[dev], want.out[dev]) {
+			return fmt.Errorf("device %d row %v, want %v", dev, got.out[dev], want.out[dev])
+		}
+	}
+	return nil
+}
+
+func TestUpDownGenericMatchesReference(t *testing.T) {
+	for _, tc := range upDownTargets() {
+		if err := sameTables(UpDownGeneric(tc.net, tc.root), RefUpDownGeneric(tc.net, tc.root)); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		net, routers, err := randomRouterNet(rng)
+		if err != nil {
+			t.Logf("builder bug: %v", err)
+			return false
+		}
+		root := routers[rng.Intn(len(routers))]
+		if err := sameTables(UpDownGeneric(net, root), RefUpDownGeneric(net, root)); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Degraded tables match the reference under random dead links and routers,
+// always including one dead node link, so severed nodes and routers cut
+// off from the root both get their holes.
+func TestUpDownDegradedMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		net, routers, err := randomRouterNet(rng)
+		if err != nil {
+			t.Logf("builder bug: %v", err)
+			return false
+		}
+		root := routers[rng.Intn(len(routers))]
+		deadLink := map[topology.LinkID]bool{}
+		for range 1 + rng.Intn(3) {
+			deadLink[topology.LinkID(rng.Intn(net.NumLinks()))] = true
+		}
+		nodeLink, _ := net.LinkAt(net.NodeByIndex(rng.Intn(net.NumNodes())), 0)
+		deadLink[nodeLink] = true
+		deadRouter := map[topology.DeviceID]bool{}
+		for range rng.Intn(3) {
+			if r := routers[rng.Intn(len(routers))]; r != root {
+				deadRouter[r] = true
+			}
+		}
+		linkDead := func(l topology.LinkID) bool { return deadLink[l] }
+		routerDead := func(d topology.DeviceID) bool { return deadRouter[d] }
+		got, err := UpDownDegraded(net, root, linkDead, routerDead)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		want := refUpDown(net, root, "updown-degraded", linkDead, routerDead, false)
+		if err := sameTables(got, want); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// On a disconnected network strict mode panics with the reference's text:
+// the first destination some reached router cannot reach, named with that
+// router, and otherwise the first router outside the root's component.
+func TestUpDownGenericPanicMatchesReference(t *testing.T) {
+	panicText := func(build func() *Tables) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		build()
+		return "no panic"
+	}
+	// island builds two router islands; the second holds nodes only when
+	// withNodes is set.
+	island := func(withNodes bool) (*topology.Network, topology.DeviceID) {
+		net := topology.New("islands")
+		a0, a1 := net.AddRouter("a0", 4), net.AddRouter("a1", 4)
+		b0, b1 := net.AddRouter("b0", 4), net.AddRouter("b1", 4)
+		net.ConnectNext(a0, a1)
+		net.ConnectNext(b0, b1)
+		for _, r := range []topology.DeviceID{a0, b1, a1, b0} {
+			if withNodes || r == a0 || r == a1 {
+				net.ConnectNext(r, net.AddNode("n"))
+			}
+		}
+		return net, a1
+	}
+	for _, withNodes := range []bool{true, false} {
+		net, root := island(withNodes)
+		got := panicText(func() *Tables { return UpDownGeneric(net, root) })
+		want := panicText(func() *Tables { return RefUpDownGeneric(net, root) })
+		if got != want || got == "no panic" {
+			t.Errorf("nodes on the far island %v: panic %q, want %q", withNodes, got, want)
+		}
+	}
+}
+
+// benchTables keeps benchmarked tables live so the builds are not elided.
+var benchTables *Tables
+
+// BenchmarkUpDownGeneric measures up*/down* table construction on the
+// two- and three-level fat fractahedra, rooted at the lowest-numbered
+// router as the fabric verifier roots each degraded fabric it re-routes.
+func BenchmarkUpDownGeneric(b *testing.B) {
+	for _, levels := range []int{2, 3} {
+		net := topology.NewFractahedron(topology.Tetra(levels, true)).Network
+		root := topology.DeviceID(-1)
+		for _, d := range net.Devices() {
+			if d.Kind == topology.Router {
+				root = d.ID
+				break
+			}
+		}
+		b.Run(fmt.Sprintf("fat-fract-%d", levels), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				benchTables = UpDownGeneric(net, root)
+			}
+		})
 	}
 }
