@@ -13,18 +13,18 @@ package sim
 //
 // Continuing worms outrank new headers so body flits are not starved
 // mid-worm, and the grant updates the port's round-robin pointer exactly as
-// before. Ports are identified by a global (device, port)-ordered index, so
-// sorting the touched ports reproduces the old sorted-physKey grant
-// emission order byte for byte.
+// before. Ports are identified by a global (device, port)-ordered index and
+// requested ports are marked in a bitset over that index, so scanning the
+// bitset word by word reproduces the old sorted-physKey grant emission
+// order byte for byte.
 
-import "slices"
+import "math/bits"
 
 type arbSlot struct{ from, to int32 }
 
-// arbPort is one output port's per-cycle request state. stamp lazily
-// resets the slots: a port whose stamp is stale has no requests this cycle.
+// arbPort is one output port's per-cycle request state. Its slots are
+// reset when the port's bit in Simulator.arbBits is first set in a cycle.
 type arbPort struct {
-	stamp    int64
 	contMin  arbSlot
 	contNext arbSlot
 	hdrMin   arbSlot
@@ -48,76 +48,72 @@ func (s *Simulator) planMoves(now int) []move {
 	moves := s.moves[:0]
 	v := s.cfg.VirtualChannels
 
-	slices.Sort(s.activeBufs)
-	for i, k := range s.activeBufs {
-		s.activePos[k] = int32(i)
-	}
-
-	s.arbStamp++
-	s.arbTouched = s.arbTouched[:0]
-	for _, k32 := range s.activeBufs {
-		key := int(k32)
-		f := &s.bufFlits[key*s.depth+int(s.bufHead[key])]
-		p := f.pkt
-		if p.dropped {
-			continue // reaped separately
-		}
-		next := p.route[f.hop+1]
-		nextVC := 0
-		if p.vcs != nil {
-			nextVC = p.vcs[f.hop+1]
-		}
-		if f.idx == 0 && !s.chAllowed[key/v][s.chSrcPort[next]] {
-			// Path-disable logic rejects the turn: the packet is
-			// discarded (ServerNet raises a transmission error).
-			p.dropped = true
-			s.markDropped(p)
-			continue
-		}
-		if s.deadCount[s.chLink[next]] > 0 {
-			// The worm is aimed at a failed link: the hardware kills it.
-			p.dropped = true
-			s.markDropped(p)
-			continue
-		}
-		nextKey := int(next)*v + nextVC
-		if !s.space(nextKey) {
-			continue
-		}
-		// Ownership of the output VC — which is the destination buffer key
-		// itself, every wired port driving exactly one outgoing channel —
-		// decides whether this is a continuing worm or a new header.
-		var continuing bool
-		switch own := s.owner[nextKey]; {
-		case own == int32(p.id):
-			continuing = true
-		case own < 0 && f.idx == 0:
-			continuing = false
-		default:
-			continue
-		}
-		port := s.chOutPort[next]
-		a := &s.arb[port]
-		if a.stamp != s.arbStamp {
-			a.stamp = s.arbStamp
-			a.contMin.from, a.contNext.from = -1, -1
-			a.hdrMin.from, a.hdrNext.from = -1, -1
-			s.arbTouched = append(s.arbTouched, port)
-		}
-		slot := arbSlot{from: k32, to: int32(nextKey)}
-		if continuing {
-			if a.contMin.from < 0 {
-				a.contMin = slot
+	for w, word := range s.activeBits {
+		for ; word != 0; word &= word - 1 {
+			key := w<<6 | bits.TrailingZeros64(word)
+			f := &s.bufFlits[key*s.depth+int(s.bufHead[key])]
+			p := f.pkt
+			if p.dropped {
+				continue // reaped separately
 			}
-			if a.contNext.from < 0 && k32 > s.arbLast[port] {
-				a.contNext = slot
+			next := p.route[f.hop+1]
+			nextVC := 0
+			if p.vcs != nil {
+				nextVC = p.vcs[f.hop+1]
 			}
-		} else {
-			if a.hdrMin.from < 0 {
-				a.hdrMin = slot
+			if f.idx == 0 && !s.chAllowed[key/v][s.chSrcPort[next]] {
+				// Path-disable logic rejects the turn: the packet is
+				// discarded (ServerNet raises a transmission error).
+				p.dropped = true
+				s.markDropped(p)
+				continue
 			}
-			if a.hdrNext.from < 0 && k32 > s.arbLast[port] {
-				a.hdrNext = slot
+			if s.deadCount[s.chLink[next]] > 0 {
+				// The worm is aimed at a failed link: the hardware kills it.
+				p.dropped = true
+				s.markDropped(p)
+				continue
+			}
+			nextKey := int(next)*v + nextVC
+			if !s.space(nextKey) {
+				continue
+			}
+			// Ownership of the output VC — which is the destination buffer
+			// key itself, every wired port driving exactly one outgoing
+			// channel — decides whether this is a continuing worm or a new
+			// header.
+			var continuing bool
+			switch own := s.owner[nextKey]; {
+			case own == int32(p.id):
+				continuing = true
+			case own < 0 && f.idx == 0:
+				continuing = false
+			default:
+				continue
+			}
+			port := s.chOutPort[next]
+			a := &s.arb[port]
+			if bit := uint64(1) << (port & 63); s.arbBits[port>>6]&bit == 0 {
+				s.arbBits[port>>6] |= bit
+				a.contMin.from, a.contNext.from = -1, -1
+				a.hdrMin.from, a.hdrNext.from = -1, -1
+			}
+			k32 := int32(key)
+			slot := arbSlot{from: k32, to: int32(nextKey)}
+			if continuing {
+				if a.contMin.from < 0 {
+					a.contMin = slot
+				}
+				if a.contNext.from < 0 && k32 > s.arbLast[port] {
+					a.contNext = slot
+				}
+			} else {
+				if a.hdrMin.from < 0 {
+					a.hdrMin = slot
+				}
+				if a.hdrNext.from < 0 && k32 > s.arbLast[port] {
+					a.hdrNext = slot
+				}
 			}
 		}
 	}
@@ -156,29 +152,36 @@ func (s *Simulator) planMoves(now int) []move {
 }
 
 // emitGrants resolves the filled arbitration slots into at most one granted
-// move per touched output port, visiting ports in ascending global index so
-// grant emission order is canonical, and advances each port's round-robin
-// pointer.
+// move per requested output port, visiting ports in ascending global index
+// so grant emission order is canonical, and advances each port's
+// round-robin pointer. It zeroes arbBits word by word as it scans, leaving
+// the bitset clear for the next cycle.
 //
 //simlint:hotpath
 func (s *Simulator) emitGrants(moves []move) []move {
-	slices.Sort(s.arbTouched)
-	for _, port := range s.arbTouched {
-		a := &s.arb[port]
-		var g arbSlot
-		if a.contMin.from >= 0 {
-			g = a.contMin
-			if a.contNext.from >= 0 {
-				g = a.contNext
-			}
-		} else {
-			g = a.hdrMin
-			if a.hdrNext.from >= 0 {
-				g = a.hdrNext
-			}
+	for w, word := range s.arbBits {
+		if word == 0 {
+			continue
 		}
-		s.arbLast[port] = g.from
-		moves = append(moves, move{from: int(g.from), to: int(g.to)})
+		s.arbBits[w] = 0
+		for ; word != 0; word &= word - 1 {
+			port := w<<6 | bits.TrailingZeros64(word)
+			a := &s.arb[port]
+			var g arbSlot
+			if a.contMin.from >= 0 {
+				g = a.contMin
+				if a.contNext.from >= 0 {
+					g = a.contNext
+				}
+			} else {
+				g = a.hdrMin
+				if a.hdrNext.from >= 0 {
+					g = a.hdrNext
+				}
+			}
+			s.arbLast[port] = g.from
+			moves = append(moves, move{from: int(g.from), to: int(g.to)})
+		}
 	}
 	return moves
 }

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/router"
@@ -166,19 +169,120 @@ func TestApplyTimeoutsTicksUnlessHeaderMoved(t *testing.T) {
 	}
 }
 
+// AddPacket rejects malformed specs and every route that is not a walk
+// from the source's injection channel through routers to the destination's
+// ejection channel. Unchecked, an empty route panicked in planMoves, a
+// route cut short before its ejection channel panicked at route[hop+1], and
+// a route copied from another node pair was delivered to the wrong node and
+// counted.
 func TestAddPacketValidation(t *testing.T) {
-	fm := topology.NewFullMesh(2, 6)
+	fm := topology.NewFullMesh(3, 6)
 	tb := routing.FullMesh(fm)
+	route := func(src, dst int) []topology.ChannelID {
+		t.Helper()
+		r, err := tb.Route(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Channels
+	}
+	// 0 -> 8 crosses R0 -> R2: injection, one inter-router hop, ejection.
+	good := route(0, 8)
+	if len(good) != 3 {
+		t.Fatalf("0->8 has %d channels, want 3", len(good))
+	}
+	inj, hop, ej := good[0], good[1], good[2]
+	other := route(1, 5) // starts at node 1, R0 -> R1
+	same := route(0, 5)  // same source, ejects at node 5
+	via5 := route(5, 8)  // node 5 -> R1 -> R2 -> node 8
+	spec := PacketSpec{Src: 0, Dst: 8, Flits: 2}
+	with := func(chs ...topology.ChannelID) routing.Route {
+		return routing.Route{Src: 0, Dst: 8, Channels: chs}
+	}
+
+	cases := []struct {
+		name, want string
+		spec       PacketSpec
+		route      routing.Route
+	}{
+		{"zero flits", "at least 1 flit", PacketSpec{Src: 0, Dst: 8}, with(good...)},
+		{"route for another pair", "does not match", PacketSpec{Src: 1, Dst: 8, Flits: 2}, with(good...)},
+		{"destination out of range", "not a node address",
+			PacketSpec{Src: 0, Dst: fm.NumNodes(), Flits: 2},
+			routing.Route{Src: 0, Dst: fm.NumNodes(), Channels: good}},
+		{"empty", "has no channels", spec, with()},
+		{"channel out of range", "network has", spec, with(inj, hop, topology.ChannelID(fm.NumChannels()))},
+		{"negative channel", "network has", spec, with(-1, hop, ej)},
+		{"starts off the source", "injection channel", spec, with(other...)},
+		{"cut short before ejection", "ejection channel", spec, with(inj, hop)},
+		{"injection channel only", "ejection channel", spec, with(inj)},
+		{"disconnected", "is broken", spec, with(inj, other[2])},
+		{"copied from another pair", "ejection channel", spec, with(same...)},
+		{"passes through an end node", "before the last hop", spec, with(slices.Concat(same, via5)...)},
+		{"ends past the destination", "before the last hop", spec, with(inj, hop, ej, route(8, 0)[0])},
+		{"short VC list", "VCs for", spec, routing.Route{Src: 0, Dst: 8, Channels: good, VCs: []int{0}}},
+	}
+	for _, c := range cases {
+		s := New(fm.Network, router.AllowAll(fm.Network), Config{})
+		err := s.AddPacket(c.spec, c.route)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: route %v: err = %v, want one mentioning %q", c.name, c.route.Channels, err, c.want)
+		}
+		if len(s.packets) != 0 {
+			t.Errorf("%s: rejected packet was queued", c.name)
+		}
+	}
+
 	s := New(fm.Network, router.AllowAll(fm.Network), Config{})
-	r, err := tb.Route(0, 5)
-	if err != nil {
-		t.Fatal(err)
+	if err := s.AddPacket(spec, with(good...)); err != nil {
+		t.Fatalf("table route rejected: %v", err)
 	}
-	if err := s.AddPacket(PacketSpec{Src: 0, Dst: 5, Flits: 0}, r); err == nil {
-		t.Error("zero-flit packet accepted")
+	if res := s.Run(); res.Delivered != 1 {
+		t.Fatalf("table route: delivered=%d, want 1", res.Delivered)
 	}
-	if err := s.AddPacket(PacketSpec{Src: 1, Dst: 5, Flits: 2}, r); err == nil {
-		t.Error("mismatched route accepted")
+}
+
+// planMoves allocates nothing once its scratch has grown: on a loaded
+// mid-run state, with requests straddling several bitset words and many
+// output ports contending at once, a planning pass costs 0 allocations.
+func TestPlanMovesAllocatesNothing(t *testing.T) {
+	fm := topology.NewFullMesh(6, 8)
+	tb := routing.FullMesh(fm)
+	s := New(fm.Network, router.AllowAll(fm.Network), Config{FIFODepth: 2, VirtualChannels: 3})
+	if len(s.activeBits) < 3 {
+		t.Fatalf("%d buffer keys fit in %d words; the test needs several", fm.NumChannels()*3, len(s.activeBits))
+	}
+	rng := rand.New(rand.NewSource(3))
+	n := fm.NumNodes()
+	for cyc := 0; cyc < 400; cyc++ {
+		for src := 0; src < n; src++ {
+			if rng.Intn(4) != 0 {
+				continue
+			}
+			dst := rng.Intn(n - 1)
+			if dst >= src {
+				dst++
+			}
+			if err := s.AddBatch(tb, []PacketSpec{{Src: src, Dst: dst, Flits: 8, InjectCycle: cyc}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.StepTo(200)
+	if !s.Running() {
+		t.Fatal("run ended before the mid-run cycle")
+	}
+	words := 0
+	for _, w := range s.activeBits {
+		if w != 0 {
+			words++
+		}
+	}
+	if words < 2 || len(s.planMoves(s.Now())) < 2 {
+		t.Fatalf("mid-run state too idle: %d active words", words)
+	}
+	if a := testing.AllocsPerRun(100, func() { s.planMoves(s.Now()) }); a != 0 {
+		t.Fatalf("planMoves allocates %v times per call, want 0", a)
 	}
 }
 

@@ -21,18 +21,23 @@
 // avoidance, plus the timeout/discard/retry recovery that section also
 // discusses.
 //
-// The per-cycle engine runs on dense, incrementally-maintained state —
-// slice-indexed ring-buffer FIFOs, precomputed per-channel tables, an
-// active-buffer worklist, per-packet flit-location counters, and reusable
-// arbitration scratch (state.go, arbiter.go) — and fast-forwards across
-// cycles in which no switching decision is possible. internal/sim/simref
-// preserves the previous scan-based implementation; the equivalence tests
-// pin this engine to it field-for-field over every built-in topology.
+// The per-cycle engine runs on dense, incrementally-maintained state
+// (state.go, arbiter.go): slice-indexed ring-buffer FIFOs, precomputed
+// per-channel tables, per-packet flit-location counters, reusable
+// arbitration scratch, and two bitsets, one over buffer keys marking the
+// non-empty buffers and one over global output-port indices marking the
+// ports requested this cycle. Scanning a bitset word by word yields the
+// ascending order arbitration depends on, so no cycle sorts anything. The
+// engine fast-forwards across cycles in which no switching decision is
+// possible. internal/sim/simref preserves the previous scan-based
+// implementation; the equivalence tests pin this engine to it
+// field-for-field over every built-in topology.
 package sim
 
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -554,14 +559,15 @@ func (s *Simulator) applyTimeouts() {
 // packets permanently retired this cycle. Only called while the dirty list
 // is non-empty — a quiescent network reaps nothing.
 func (s *Simulator) reapDropped(res *Result, now int) int {
-	// Drain dropped worms' flits at buffer heads. Iterating the active
-	// worklist back to front keeps the swap-removal of emptied buffers
-	// safe: the element swapped in always comes from an index already
-	// visited.
-	for i := len(s.activeBufs) - 1; i >= 0; i-- {
-		key := int(s.activeBufs[i])
-		for s.bufLen[key] > 0 && s.bufFlits[key*s.depth+int(s.bufHead[key])].pkt.dropped {
-			s.bufPop(key)
+	// Drain dropped worms' flits at buffer heads. Each word is scanned
+	// from a copy, so a buffer emptied here clears only its own, already
+	// visited, bit.
+	for w, word := range s.activeBits {
+		for ; word != 0; word &= word - 1 {
+			key := w<<6 | bits.TrailingZeros64(word)
+			for s.bufLen[key] > 0 && s.bufFlits[key*s.depth+int(s.bufHead[key])].pkt.dropped {
+				s.bufPop(key)
+			}
 		}
 	}
 	// Cut dropped packets off at the source.
@@ -586,7 +592,7 @@ func (s *Simulator) reapDropped(res *Result, now int) int {
 				s.owner[k] = -1
 			}
 		}
-		p.owned = nil
+		p.owned = p.owned[:0]
 		p.inDirty = false
 		if p.wantRetry {
 			// Re-inject: same packet identity (and sequence number, so
@@ -619,17 +625,15 @@ func (s *Simulator) reapDropped(res *Result, now int) int {
 func (s *Simulator) waitCycle() []topology.ChannelID {
 	v := s.cfg.VirtualChannels
 	g := graph.NewDigraph(s.net.NumChannels() * v)
-	slices.Sort(s.activeBufs)
-	for i, k := range s.activeBufs {
-		s.activePos[k] = int32(i)
-	}
-	for _, k32 := range s.activeBufs {
-		key := int(k32)
-		f := s.bufFlits[key*s.depth+int(s.bufHead[key])]
-		if f.pkt.dropped {
-			continue
+	for w, word := range s.activeBits {
+		for ; word != 0; word &= word - 1 {
+			key := w<<6 | bits.TrailingZeros64(word)
+			f := s.bufFlits[key*s.depth+int(s.bufHead[key])]
+			if f.pkt.dropped {
+				continue
+			}
+			g.AddEdge(key, int(f.pkt.route[f.hop+1])*v+f.pkt.vcAt(f.hop+1))
 		}
-		g.AddEdge(key, int(f.pkt.route[f.hop+1])*v+f.pkt.vcAt(f.hop+1))
 	}
 	cyc, ok := g.FindCycle()
 	if !ok {

@@ -52,13 +52,11 @@ type Simulator struct {
 	deadCount []int32
 	busyCh    []int // flit crossings per channel
 
-	// Worklist of non-empty input buffers. activePos gives each key's index
-	// in activeBufs (-1 when absent) so emptying a buffer removes it with a
-	// swap. planMoves sorts the list so candidates are visited in ascending
-	// key order — the old channel-then-VC scan order the round-robin
-	// arbiter state depends on.
-	activeBufs    []int32
-	activePos     []int32
+	// Non-empty input buffers, one bit per buffer key. Scanning the words
+	// in order with bits.TrailingZeros64 visits candidates in ascending key
+	// order, the order the round-robin arbiter state depends on, with no
+	// sort.
+	activeBits    []uint64
 	totalBuffered int
 
 	// pend is a circular FIFO of flits propagating on wires. Every wire
@@ -95,11 +93,11 @@ type Simulator struct {
 	dirty      []*packet // dropped packets whose flits are not fully reaped
 
 	// Per-output-port arbitration scratch, reused every cycle (see
-	// arbiter.go).
-	arb        []arbPort
-	arbLast    []int32
-	arbTouched []int32
-	arbStamp   int64
+	// arbiter.go). arbBits holds one bit per global output port, set while
+	// the port has requests this cycle.
+	arb     []arbPort
+	arbLast []int32
+	arbBits []uint64
 
 	moves      []move // planMoves scratch, reused every cycle
 	nextInject int    // earliest future InjectCycle among queue fronts
@@ -310,17 +308,14 @@ func New(net *topology.Network, dis *router.Disables, cfg Config) *Simulator {
 		owner:       make([]int32, numKeys),
 		deadCount:   make([]int32, net.NumLinks()),
 		busyCh:      make([]int, numCh),
-		activePos:   make([]int32, numKeys),
+		activeBits:  make([]uint64, (numKeys+63)/64),
 	}
 	for i := range s.owner {
 		s.owner[i] = -1
 	}
-	for i := range s.activePos {
-		s.activePos[i] = -1
-	}
 	// Global output-port index: ports numbered by (device, port) ascending.
-	// Granted ports sorted by this index reproduce the old sorted-physKey
-	// grant emission order exactly.
+	// Granted ports visited in this index order reproduce the old
+	// sorted-physKey grant emission order exactly.
 	ports := 0
 	portBase := make([]int32, net.NumDevices())
 	for _, d := range net.Devices() {
@@ -329,6 +324,7 @@ func New(net *topology.Network, dis *router.Disables, cfg Config) *Simulator {
 	}
 	s.arb = make([]arbPort, ports)
 	s.arbLast = make([]int32, ports)
+	s.arbBits = make([]uint64, (ports+63)/64)
 	for c := 0; c < numCh; c++ {
 		ch := topology.ChannelID(c)
 		src, dst := net.ChannelSrc(ch), net.ChannelDst(ch)
@@ -352,18 +348,31 @@ func (s *Simulator) bufKey(ch topology.ChannelID, vc int) int {
 
 // AddPacket schedules a packet with an explicit route. Using routes rather
 // than live table lookups lets experiments inject per-packet path choices
-// (the in-order ablation) and corrupted-table routes.
+// (the in-order ablation) and corrupted-table routes. The route may take any
+// turn, but it must be a walk from the source to the destination: it starts
+// on the source's injection channel, each channel leaves the router the
+// previous one entered, and only its last channel, the ejection channel into
+// the destination, reaches an end node.
 func (s *Simulator) AddPacket(spec PacketSpec, route routing.Route) error {
 	if spec.Flits < 1 {
 		return fmt.Errorf("sim: packet needs at least 1 flit, got %d", spec.Flits)
 	}
-	if spec.Src < 0 || spec.Src >= len(s.queues) {
-		return fmt.Errorf("sim: source %d is not a node address (network has %d nodes)",
-			spec.Src, len(s.queues))
+	for _, a := range [2]int{spec.Src, spec.Dst} {
+		if a < 0 || a >= len(s.queues) {
+			return fmt.Errorf("sim: %d is not a node address (network has %d nodes)",
+				a, len(s.queues))
+		}
 	}
 	if route.Src != spec.Src || route.Dst != spec.Dst {
 		return fmt.Errorf("sim: route %d->%d does not match spec %d->%d",
 			route.Src, route.Dst, spec.Src, spec.Dst)
+	}
+	if err := s.checkWalk(spec, route.Channels); err != nil {
+		return err
+	}
+	if route.VCs != nil && len(route.VCs) != len(route.Channels) {
+		return fmt.Errorf("sim: route has %d VCs for %d channels",
+			len(route.VCs), len(route.Channels))
 	}
 	for i := range route.Channels {
 		if v := route.VCAt(i); v < 0 || v >= s.cfg.VirtualChannels {
@@ -377,11 +386,50 @@ func (s *Simulator) AddPacket(spec PacketSpec, route routing.Route) error {
 		route: route.Channels,
 		vcs:   route.VCs,
 		seq:   s.seqs[[2]int{spec.Src, spec.Dst}],
+		// A worm claims at most one output VC per hop, so the step loop
+		// never grows this list.
+		owned: make([]int32, 0, len(route.Channels)),
 	}
 	s.seqs[[2]int{spec.Src, spec.Dst}]++
 	s.packets = append(s.packets, p)
 	s.queues[spec.Src] = append(s.queues[spec.Src], p)
 	s.outstanding++
+	return nil
+}
+
+// checkWalk reports why a channel sequence is not a walk from spec.Src's
+// injection channel through routers to spec.Dst's ejection channel. The
+// step loop indexes route[hop+1] until a flit lands on an end node, so a
+// route that fails here would panic or deliver to the wrong node.
+func (s *Simulator) checkWalk(spec PacketSpec, route []topology.ChannelID) error {
+	if len(route) == 0 {
+		return fmt.Errorf("sim: route %d->%d has no channels", spec.Src, spec.Dst)
+	}
+	for i, c := range route {
+		if c < 0 || int(c) >= s.net.NumChannels() {
+			return fmt.Errorf("sim: route hop %d is channel %d (network has %d channels)",
+				i, c, s.net.NumChannels())
+		}
+	}
+	if src := s.net.NodeByIndex(spec.Src); s.net.ChannelSrc(route[0]).Device != src {
+		return fmt.Errorf("sim: route %d->%d starts on %s, not on node %d's injection channel",
+			spec.Src, spec.Dst, s.net.ChannelString(route[0]), spec.Src)
+	}
+	for i, c := range route[:len(route)-1] {
+		if s.chDstIsNode[c] {
+			return fmt.Errorf("sim: route %d->%d hop %d (%s) ends at an end node before the last hop",
+				spec.Src, spec.Dst, i, s.net.ChannelString(c))
+		}
+		if s.net.ChannelDst(c).Device != s.net.ChannelSrc(route[i+1]).Device {
+			return fmt.Errorf("sim: route %d->%d is broken between hop %d (%s) and hop %d (%s)",
+				spec.Src, spec.Dst, i, s.net.ChannelString(c), i+1, s.net.ChannelString(route[i+1]))
+		}
+	}
+	last := route[len(route)-1]
+	if dst := s.net.NodeByIndex(spec.Dst); s.net.ChannelDst(last).Device != dst {
+		return fmt.Errorf("sim: route %d->%d ends on %s, not on node %d's ejection channel",
+			spec.Src, spec.Dst, s.net.ChannelString(last), spec.Dst)
+	}
 	return nil
 }
 
@@ -408,16 +456,15 @@ func (s *Simulator) bufPush(key int, f flit) {
 	}
 	s.bufFlits[key*s.depth+i] = f
 	if s.bufLen[key] == 0 {
-		s.activePos[key] = int32(len(s.activeBufs))
-		s.activeBufs = append(s.activeBufs, int32(key))
+		s.activeBits[key>>6] |= 1 << (key & 63)
 	}
 	s.bufLen[key]++
 	s.totalBuffered++
 	f.pkt.flitsBuf++
 }
 
-// bufPop removes a buffer's head flit, swap-removing the buffer from the
-// active worklist on the 1 -> 0 transition.
+// bufPop removes a buffer's head flit, deactivating the buffer on the
+// 1 -> 0 transition.
 func (s *Simulator) bufPop(key int) flit {
 	f := s.bufFlits[key*s.depth+int(s.bufHead[key])]
 	h := s.bufHead[key] + 1
@@ -427,12 +474,7 @@ func (s *Simulator) bufPop(key int) flit {
 	s.bufHead[key] = h
 	s.bufLen[key]--
 	if s.bufLen[key] == 0 {
-		pos := s.activePos[key]
-		last := s.activeBufs[len(s.activeBufs)-1]
-		s.activeBufs[pos] = last
-		s.activePos[last] = pos
-		s.activeBufs = s.activeBufs[:len(s.activeBufs)-1]
-		s.activePos[key] = -1
+		s.activeBits[key>>6] &^= 1 << (key & 63)
 	}
 	s.totalBuffered--
 	f.pkt.flitsBuf--
