@@ -21,7 +21,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/servernet"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -169,8 +168,8 @@ func BenchmarkSimulationSweep(b *testing.B) {
 // parallel speedup on identical (bit-for-bit) rows.
 func benchmarkSimSweepWorkers(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
-		rows, err := new(experiments.Lab).SimSweep([]float64{0.002, 0.005, 0.01, 0.02}, 600, 8, 1,
-			runner.Workers(workers))
+		lab := experiments.Lab{Workers: workers}
+		rows, err := lab.SimSweep([]float64{0.002, 0.005, 0.01, 0.02}, 600, 8, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -220,7 +219,7 @@ func BenchmarkAblationRadix(b *testing.B) {
 // partitions against the 12:1 pigeonhole bound.
 func BenchmarkAblationPartitions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationFatTreePartitions()
+		rows, err := new(experiments.Lab).AblationFatTreePartitions()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -381,7 +380,8 @@ func BenchmarkChaosOff(b *testing.B) {
 // reconfiguration, dual-fabric retry failover).
 func BenchmarkChaosRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cr, err := experiments.ChaosRecovery(1, 300, 4, 2, runner.Workers(1))
+		lab := experiments.Lab{Workers: 1}
+		cr, err := lab.ChaosRecovery(1, 300, 4, 2)
 		if err != nil || cr.Lost != 0 || cr.Unresolved != 0 || cr.Reconfigurations == 0 {
 			b.Fatalf("err=%v campaign=%+v", err, cr)
 		}
@@ -521,7 +521,7 @@ func BenchmarkSaturation(b *testing.B) {
 // BenchmarkFailover runs the live dual-fabric failover scenario.
 func BenchmarkFailover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.FailoverSim(300, 8, 50, 7)
+		res, err := new(experiments.Lab).FailoverSim(300, 8, 50, 7)
 		if err != nil || res.TotalLost != 0 {
 			b.Fatalf("err=%v lost=%d", err, res.TotalLost)
 		}

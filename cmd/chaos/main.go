@@ -11,12 +11,14 @@
 //	chaos [-trials N] [-packets N] [-flits N] [-seed S] [-workers W] [-json PATH]
 //
 // The campaign is deterministic: equal seeds produce byte-identical JSON
-// for any worker count.
+// for any worker count. With -json - the JSON is all of stdout and the
+// text summary goes to stderr, so the output pipes straight into jq.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cliutil"
@@ -25,13 +27,28 @@ import (
 )
 
 func main() {
-	trials := flag.Int("trials", 4, "independent chaos trials")
-	packets := flag.Int("packets", 300, "transfers offered per trial")
-	flits := flag.Int("flits", 4, "flits per transfer")
-	seed := flag.Int64("seed", 2, "campaign seed; equal seeds reproduce the campaign exactly")
-	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS); results are identical for any value")
-	jsonPath := flag.String("json", "", "write the campaign JSON to this path (\"-\" for stdout)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one chaos invocation with the given arguments, printing
+// results to stdout and diagnostics to stderr, and returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	trials := fs.Int("trials", 4, "independent chaos trials")
+	packets := fs.Int("packets", 300, "transfers offered per trial")
+	flits := fs.Int("flits", 4, "flits per transfer")
+	seed := fs.Int64("seed", 2, "campaign seed; equal seeds reproduce the campaign exactly")
+	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS); results are identical for any value")
+	jsonPath := fs.String("json", "", "write the campaign JSON to this path (\"-\" for stdout, the summary then goes to stderr)")
+	if err := fs.Parse(args); err != nil {
+		// The exit statuses flag.ExitOnError would have used.
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if err := cliutil.First(
 		cliutil.Positive("trials", *trials),
@@ -39,36 +56,40 @@ func main() {
 		cliutil.Positive("flits", *flits),
 		cliutil.NonNegative("workers", *workers),
 	); err != nil {
-		cliutil.Fail("chaos", err)
+		fmt.Fprintf(stderr, "chaos: %v\n", err)
+		fs.Usage()
+		return 2
 	}
 
-	stats := runner.NewStats()
-	cr, err := experiments.ChaosRecovery(*trials, *packets, *flits, *seed,
-		runner.Workers(*workers), runner.WithStats(stats))
+	lab := experiments.Lab{Workers: *workers, Stats: runner.NewStats()}
+	cr, err := lab.ChaosRecovery(*trials, *packets, *flits, *seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "chaos: %v\n", err)
+		return 1
 	}
-	fmt.Print(experiments.ChaosRecoveryString(cr))
+	summary := stdout
+	if *jsonPath == "-" {
+		summary = stderr
+	}
+	fmt.Fprint(summary, experiments.ChaosRecoveryString(cr))
 
 	if *jsonPath != "" {
 		data, err := cr.JSON()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "chaos: %v\n", err)
+			return 1
 		}
 		data = append(data, '\n')
 		if *jsonPath == "-" {
-			if _, err := os.Stdout.Write(data); err != nil {
-				fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-				os.Exit(1)
-			}
-		} else if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			os.Exit(1)
+			_, err = stdout.Write(data)
+		} else {
+			err = os.WriteFile(*jsonPath, data, 0o644)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "chaos: %v\n", err)
+			return 1
 		}
 	}
-	if stats.Summary().Runs > 0 {
-		fmt.Fprintln(os.Stderr, stats)
-	}
+	fmt.Fprintln(stderr, lab.Stats)
+	return 0
 }

@@ -194,7 +194,7 @@ func main() {
 		res   sim.Result
 	}
 	stats := runner.NewStats()
-	results, err := runner.Map(runner.Config{Workers: *workers, Stats: stats},
+	results, err := runner.Map(runner.Config{Workers: *workers},
 		*runs, func(i int) (run, error) {
 			specs, err := buildSpecs(runner.RNG(*seed, i))
 			if err != nil {
@@ -205,12 +205,7 @@ func main() {
 			if err != nil {
 				return run{}, err
 			}
-			stats.Record(runner.Stat{
-				Label:     fmt.Sprintf("run %d", i),
-				Cycles:    res.Cycles,
-				FlitMoves: res.FlitMoves(),
-				Wall:      time.Since(start),
-			})
+			stats.Record(runner.Stat{Cycles: res.Cycles, FlitMoves: res.FlitMoves(), Wall: time.Since(start)})
 			return run{specs: len(specs), res: res}, nil
 		})
 	if err != nil {

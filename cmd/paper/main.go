@@ -40,7 +40,6 @@ func main() {
 		lab    experiments.Lab
 		levels int
 		quick  bool
-		opts   []runner.Option
 	)
 	text := func(s string) output { return output{text: s} }
 	exps := []experiment{
@@ -115,11 +114,11 @@ func main() {
 			if quick {
 				packets = 400
 			}
-			rows, err := lab.LocalitySweep([]float64{0, 0.3, 0.6, 0.9}, packets, 8, 1, opts...)
+			rows, err := lab.LocalitySweep([]float64{0, 0.3, 0.6, 0.9}, packets, 8, 1)
 			return output{experiments.LocalitySweepString(rows), rows}, err
 		}},
 		{"permutations", func() (output, error) {
-			rows, err := lab.PermutationStudy(8, opts...)
+			rows, err := lab.PermutationStudy(8)
 			return output{experiments.PermutationStudyString(rows), rows}, err
 		}},
 		{"saturation", func() (output, error) {
@@ -127,11 +126,11 @@ func main() {
 			if quick {
 				cycles = 400
 			}
-			rows, err := lab.Saturation(cycles, 8, 1, opts...)
+			rows, err := lab.Saturation(cycles, 8, 1)
 			return output{experiments.SaturationString(rows), rows}, err
 		}},
 		{"failover", func() (output, error) {
-			r, err := experiments.FailoverSim(400, 8, 60, 2, opts...)
+			r, err := lab.FailoverSim(400, 8, 60, 2)
 			return text(r.String()), err
 		}},
 		{"chaos", func() (output, error) {
@@ -139,7 +138,7 @@ func main() {
 			if quick {
 				trials = 2
 			}
-			cr, err := experiments.ChaosRecovery(trials, 300, 4, 2, opts...)
+			cr, err := lab.ChaosRecovery(trials, 300, 4, 2)
 			if err != nil {
 				return output{}, err
 			}
@@ -152,7 +151,7 @@ func main() {
 				rates = []float64{0.005}
 				cycles = 300
 			}
-			rows, err := lab.LargeSim(rates, cycles, 8, 1, opts...)
+			rows, err := lab.LargeSim(rates, cycles, 8, 1)
 			return output{experiments.LargeSimString(rows), rows}, err
 		}},
 		{"sweep", func() (output, error) {
@@ -162,7 +161,7 @@ func main() {
 				rates = []float64{0.002, 0.02}
 				cycles = 500
 			}
-			rows, err := lab.SimSweep(rates, cycles, 8, 1, opts...)
+			rows, err := lab.SimSweep(rates, cycles, 8, 1)
 			return output{experiments.SimSweepString(rows), rows}, err
 		}},
 		{"db", func() (output, error) {
@@ -170,23 +169,23 @@ func main() {
 			if quick {
 				n = 4
 			}
-			rows, err := lab.DatabaseScenario(n, 16, opts...)
+			rows, err := lab.DatabaseScenario(n, 16)
 			return text(experiments.DatabaseScenarioString(rows)), err
 		}},
 		{"ablations", func() (output, error) {
-			fifo, err := lab.AblationFIFODepth([]int{1, 2, 4, 8, 16}, 300, 8, 1, opts...)
+			fifo, err := lab.AblationFIFODepth([]int{1, 2, 4, 8, 16}, 300, 8, 1)
 			if err != nil {
 				return output{}, err
 			}
-			radix, err := lab.AblationRadix([]int{3, 4, 5}, opts...)
+			radix, err := lab.AblationRadix([]int{3, 4, 5})
 			if err != nil {
 				return output{}, err
 			}
-			parts, err := experiments.AblationFatTreePartitions(opts...)
+			parts, err := lab.AblationFatTreePartitions()
 			if err != nil {
 				return output{}, err
 			}
-			cable, err := lab.AblationCableLength([]int{1, 2, 4}, 300, 8, 1, opts...)
+			cable, err := lab.AblationCableLength([]int{1, 2, 4}, 300, 8, 1)
 			if err != nil {
 				return output{}, err
 			}
@@ -215,8 +214,9 @@ func main() {
 		cliutil.Fail("paper", err)
 	}
 
+	// The experiments close over lab; no system is built before this.
 	stats := runner.NewStats()
-	opts = []runner.Option{runner.Workers(*workers), runner.WithStats(stats)}
+	lab = experiments.Lab{Workers: *workers, Stats: stats}
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {

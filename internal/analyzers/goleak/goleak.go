@@ -19,8 +19,8 @@
 // A spawn with no obligation, an unverifiable one, or a statically
 // unresolvable spawned function is reported: this is the analyzer a
 // deadlock-freedom certificate leans on, so it is loud where the graph is
-// blind. It pins the shutdown paths of runner.Map, routing's parallel
-// all-pairs walk, serve.Server and livefabric.Fabric in CI.
+// blind. It pins the shutdown paths of runner.Map, serve.Server and
+// livefabric.Fabric in CI.
 package goleak
 
 import (

@@ -40,11 +40,10 @@ var allowWallClock = map[string]map[string]bool{
 
 // allowGoroutines maps package path to file base names where go statements
 // are sanctioned: the audited pools whose scheduling provably never reaches
-// a result (routing's merge-in-order parallel table builder). Anywhere else
-// in the contract packages a goroutine is a latent scheduling dependence
-// and is flagged.
+// a result. Anywhere else in the contract packages a goroutine is a latent
+// scheduling dependence and is flagged; fan-out goes through runner.Map,
+// which lies outside the scope.
 var allowGoroutines = map[string]map[string]bool{
-	"repro/internal/routing": {"parallel.go": true},
 	// serve's goroutines (acceptor, queue workers, refill ticker) are
 	// joined by Close and certified leak-free by the codecert golden;
 	// none of their scheduling reaches a result row.

@@ -118,7 +118,19 @@ func (r *CampaignResult) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// MarshalJSON names the fault kind instead of emitting a bare enum value.
-func (k FaultKind) MarshalJSON() ([]byte, error) {
-	return json.Marshal(k.String())
+// MarshalText names the fault kind in JSON instead of a bare enum value.
+func (k FaultKind) MarshalText() ([]byte, error) {
+	return []byte(k.String()), nil
+}
+
+// UnmarshalText reads a fault kind back from its name, so campaign JSON
+// decodes into the CampaignResult it was written from.
+func (k *FaultKind) UnmarshalText(name []byte) error {
+	for _, c := range []FaultKind{LinkKill, LinkFlap, RouterKill} {
+		if c.String() == string(name) {
+			*k = c
+			return nil
+		}
+	}
+	return fmt.Errorf("chaos: unknown fault kind %q", name)
 }

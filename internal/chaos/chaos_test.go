@@ -269,11 +269,11 @@ func TestCampaignWorkerDeterminism(t *testing.T) {
 		Plan:    chaos.PlanSpec{LinkKills: 1, LinkFlaps: 1, RouterKills: 1, Window: 40, RepairAfter: 120},
 		Engine:  engineConfig(),
 	}
-	one, err := chaos.Campaign(spec, runner.NewConfig(runner.Workers(1)))
+	one, err := chaos.Campaign(spec, runner.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := chaos.Campaign(spec, runner.NewConfig(runner.Workers(4)))
+	four, err := chaos.Campaign(spec, runner.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

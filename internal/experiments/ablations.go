@@ -28,19 +28,18 @@ type FIFORow struct {
 // §2 (Dally–Seitz virtual channels "require multiple packet buffers at each
 // router stage... buffering space may dominate the area of a typical
 // router") quantified: how much does depth actually buy?
-func (l *Lab) AblationFIFODepth(depths []int, packets, flits int, seed int64, opts ...runner.Option) ([]FIFORow, error) {
-	cfg := runner.NewConfig(opts...)
+func (l *Lab) AblationFIFODepth(depths []int, packets, flits int, seed int64) ([]FIFORow, error) {
 	sys, err := l.System("fat-fract:levels=2")
 	if err != nil {
 		return nil, err
 	}
 	// Every depth point replays the SAME workload — buffer depth is the
 	// controlled variable — so all points share workload index 0.
-	return runner.Map(cfg, len(depths), func(i int) (FIFORow, error) {
+	return runner.Map(runner.Config{Workers: l.Workers}, len(depths), func(i int) (FIFORow, error) {
 		d := depths[i]
 		rng := runner.RNG(seed, 0)
 		specs := workload.UniformRandom(rng, 64, packets, flits, packets/2)
-		res, err := observe(cfg, fmt.Sprintf("ablation fifo=%d", d), sys, specs, sim.Config{FIFODepth: d})
+		res, err := l.simulate(sys, specs, sim.Config{FIFODepth: d})
 		if err != nil {
 			return FIFORow{}, err
 		}
@@ -79,7 +78,7 @@ type RadixRow struct {
 // AblationRadix builds fat fractahedrons from ensembles of different sizes
 // and compares their figures of merit at two levels, one group size per
 // worker (the contention matching dominates each point).
-func (l *Lab) AblationRadix(groups []int, opts ...runner.Option) ([]RadixRow, error) {
+func (l *Lab) AblationRadix(groups []int) ([]RadixRow, error) {
 	systems := make([]*core.System, len(groups))
 	for i, g := range groups {
 		// The paper's group of 4 is the default: its spec leaves the key
@@ -93,7 +92,7 @@ func (l *Lab) AblationRadix(groups []int, opts ...runner.Option) ([]RadixRow, er
 			return nil, err
 		}
 	}
-	return runner.Map(runner.NewConfig(opts...), len(groups), func(i int) (RadixRow, error) {
+	return runner.Map(runner.Config{Workers: l.Workers}, len(groups), func(i int) (RadixRow, error) {
 		sys := systems[i]
 		hops, err := metrics.Hops(sys.Tables)
 		if err != nil {
@@ -145,20 +144,18 @@ type CableRow struct {
 // "up to 30 meters" cables) on the 64-node fat fractahedron under a fixed
 // moderate load: latency grows linearly with cable length while delivered
 // throughput holds, because the wormhole pipeline keeps the wires full.
-func (l *Lab) AblationCableLength(latencies []int, packets, flits int, seed int64, opts ...runner.Option) ([]CableRow, error) {
-	cfg := runner.NewConfig(opts...)
+func (l *Lab) AblationCableLength(latencies []int, packets, flits int, seed int64) ([]CableRow, error) {
 	sys, err := l.System("fat-fract:levels=2")
 	if err != nil {
 		return nil, err
 	}
 	// Like the FIFO sweep, the workload is held fixed (index 0) while the
 	// link latency varies.
-	return runner.Map(cfg, len(latencies), func(i int) (CableRow, error) {
+	return runner.Map(runner.Config{Workers: l.Workers}, len(latencies), func(i int) (CableRow, error) {
 		lat := latencies[i]
 		rng := runner.RNG(seed, 0)
 		specs := workload.UniformRandom(rng, 64, packets, flits, packets)
-		res, err := observe(cfg, fmt.Sprintf("ablation cable=%d", lat), sys, specs,
-			sim.Config{FIFODepth: 8, LinkLatency: lat})
+		res, err := l.simulate(sys, specs, sim.Config{FIFODepth: 8, LinkLatency: lat})
 		if err != nil {
 			return CableRow{}, err
 		}
@@ -196,7 +193,7 @@ type PartitionRow struct {
 // AblationFatTreePartitions measures worst-case contention for several
 // distinct static up-path partitions of the 64-node 4-2 fat tree, one
 // partition's matching per worker.
-func AblationFatTreePartitions(opts ...runner.Option) ([]PartitionRow, error) {
+func (l *Lab) AblationFatTreePartitions() ([]PartitionRow, error) {
 	ft := topology.NewFatTree(4, 2, 64)
 	tables := []struct {
 		name string
@@ -207,7 +204,7 @@ func AblationFatTreePartitions(opts ...runner.Option) ([]PartitionRow, error) {
 		{"dst digit rotated 2", routing.FatTreeShifted(ft, 2)},
 		{"striped leaf blocks", routing.FatTreeCompact(ft)},
 	}
-	return runner.Map(runner.NewConfig(opts...), len(tables), func(i int) (PartitionRow, error) {
+	return runner.Map(runner.Config{Workers: l.Workers}, len(tables), func(i int) (PartitionRow, error) {
 		res, err := contention.MaxLinkContention(tables[i].tb)
 		if err != nil {
 			return PartitionRow{}, err

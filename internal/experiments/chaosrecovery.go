@@ -18,13 +18,12 @@ import (
 // swap), and retry failover onto the co-simulated Y fabric with capped
 // exponential backoff. The campaign JSON is byte-identical for any worker
 // count.
-func ChaosRecovery(trials, packets, flits int, seed int64, opts ...runner.Option) (*chaos.CampaignResult, error) {
-	cfg := runner.NewConfig(opts...)
+func (l *Lab) ChaosRecovery(trials, packets, flits int, seed int64) (*chaos.CampaignResult, error) {
 	spec := ChaosRecoverySpec(trials, packets, flits, seed)
 	var cr *chaos.CampaignResult
-	err := timedCost(cfg.Stats, "chaos recovery campaign", func() (int, int, error) {
+	err := l.record(func() (int, int, error) {
 		var err error
-		cr, err = chaos.Campaign(spec, cfg)
+		cr, err = chaos.Campaign(spec, runner.Config{Workers: l.Workers})
 		if err != nil {
 			return 0, 0, err
 		}

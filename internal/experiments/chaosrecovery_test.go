@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/runner"
 )
 
 // chaosGrid keeps the campaign cheap enough for -race while still firing
@@ -21,8 +19,8 @@ var chaosGrid = struct {
 func TestChaosRecoveryDeterminism(t *testing.T) {
 	var want []byte
 	for _, w := range []int{1, 4} {
-		cr, err := ChaosRecovery(chaosGrid.trials, chaosGrid.packets, chaosGrid.flits, chaosGrid.seed,
-			runner.Workers(w))
+		lab := Lab{Workers: w}
+		cr, err := lab.ChaosRecovery(chaosGrid.trials, chaosGrid.packets, chaosGrid.flits, chaosGrid.seed)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -55,7 +53,7 @@ func TestChaosRecoveryDeterminism(t *testing.T) {
 // the fault-plan and recovery behavior cannot drift silently. Regenerate
 // with `go test ./internal/experiments -run Golden -update`.
 func TestChaosRecoveryGolden(t *testing.T) {
-	cr, err := ChaosRecovery(chaosGrid.trials, chaosGrid.packets, chaosGrid.flits, chaosGrid.seed)
+	cr, err := new(Lab).ChaosRecovery(chaosGrid.trials, chaosGrid.packets, chaosGrid.flits, chaosGrid.seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@ func TestSimSweepDeterminism(t *testing.T) {
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	var want []SweepRow
 	for _, w := range counts {
-		rows, err := new(Lab).SimSweep(sweepGrid.rates, sweepGrid.cycles, sweepGrid.flits, sweepGrid.seed,
-			runner.Workers(w))
+		lab := Lab{Workers: w}
+		rows, err := lab.SimSweep(sweepGrid.rates, sweepGrid.cycles, sweepGrid.flits, sweepGrid.seed)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -59,7 +59,8 @@ func TestSimSweepDeterminism(t *testing.T) {
 func TestSaturationDeterminism(t *testing.T) {
 	var want []SaturationRow
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		rows, err := new(Lab).Saturation(300, 8, 1, runner.Workers(w))
+		lab := Lab{Workers: w}
+		rows, err := lab.Saturation(300, 8, 1)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -81,7 +82,8 @@ func TestLargeSimDeterminism(t *testing.T) {
 	}
 	var want []LargeSimRow
 	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-		rows, err := new(Lab).LargeSim([]float64{0.004}, 200, 8, 3, runner.Workers(w))
+		lab := Lab{Workers: w}
+		rows, err := lab.LargeSim([]float64{0.004}, 200, 8, 3)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -187,40 +189,71 @@ func TestSimSweepGolden(t *testing.T) {
 	}
 }
 
-// TestCampaignStats checks runs are recorded once per point with real
-// cycle counts when a Stats accumulator rides along.
+// TestCampaignStats covers every Lab method that records cost, on its
+// smallest grid: a run with stats attached on two workers returns the
+// rows of a plain one-worker run, and the stats count one run per
+// simulation with real cycles, flit moves and wall time.
 func TestCampaignStats(t *testing.T) {
-	st := runner.NewStats()
-	rows, err := new(Lab).SimSweep([]float64{0.005}, 200, 8, 1, runner.Workers(2), runner.WithStats(st))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		runs  int // simulations run; 0 for Saturation's adaptive ladder, which need only record some
+		large bool
+		run   func(l *Lab) (any, error)
+	}{
+		{"SimSweep", 3, false, func(l *Lab) (any, error) { return l.SimSweep([]float64{0.005}, 200, 8, 1) }},
+		{"DatabaseScenario", 2, false, func(l *Lab) (any, error) { return l.DatabaseScenario(2, 4) }},
+		{"LargeSim", 2, true, func(l *Lab) (any, error) { return l.LargeSim([]float64{0.004}, 200, 8, 3) }},
+		{"Saturation", 0, false, func(l *Lab) (any, error) { return l.Saturation(200, 8, 1) }},
+		{"LocalitySweep", 6, false, func(l *Lab) (any, error) { return l.LocalitySweep([]float64{0, 0.9}, 100, 4, 1) }},
+		{"PermutationStudy", 20, false, func(l *Lab) (any, error) { return l.PermutationStudy(2) }},
+		{"AblationFIFODepth", 2, false, func(l *Lab) (any, error) { return l.AblationFIFODepth([]int{2, 8}, 100, 4, 1) }},
+		{"AblationCableLength", 2, false, func(l *Lab) (any, error) { return l.AblationCableLength([]int{1, 2}, 100, 4, 1) }},
+		{"FailoverSim", 1, false, func(l *Lab) (any, error) { return l.FailoverSim(300, 8, 50, 7) }},
+		{"ChaosRecovery", 1, false, func(l *Lab) (any, error) { return l.ChaosRecovery(1, 100, 3, 2) }},
 	}
-	sum := st.Summary()
-	if sum.Runs != len(rows) {
-		t.Fatalf("recorded %d runs for %d points", sum.Runs, len(rows))
-	}
-	if sum.Cycles == 0 || sum.FlitMoves == 0 {
-		t.Fatalf("empty cost accounting: %+v", sum)
-	}
-	if sum.SimWall <= 0 {
-		t.Fatalf("no simulation time accounted: %+v", sum)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.large && testing.Short() {
+				t.Skip("512-node simulation")
+			}
+			want, err := c.run(&Lab{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := runner.NewStats()
+			got, err := c.run(&Lab{Workers: 2, Stats: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("stats-attached two-worker rows diverged:\n got %+v\nwant %+v", got, want)
+			}
+			sum := st.Summary()
+			if sum.Runs == 0 || (c.runs > 0 && sum.Runs != c.runs) {
+				t.Fatalf("recorded %d runs, want %d", sum.Runs, c.runs)
+			}
+			if sum.Cycles == 0 || sum.FlitMoves == 0 || sum.SimWall <= 0 {
+				t.Fatalf("empty cost accounting: %+v", sum)
+			}
+		})
 	}
 }
 
-// TestFailoverRepeatable pins the satellite audit of FailoverSim: after
-// moving the per-fabric wall-clock timing behind the campaign accounting
-// helper (timed) and deriving the workload stream through runner.RNG,
+// TestFailoverRepeatable pins the audit of FailoverSim: with the run's
+// wall-clock timing behind the Lab's cost recorder and the workload
+// stream derived through runner.RNG,
 // the result row must be a pure function of the arguments — identical
 // across repeated runs, and identical whether or not a Stats accumulator
 // is attached (wall time may only reach Stats, never the row).
 func TestFailoverRepeatable(t *testing.T) {
-	first, err := FailoverSim(300, 8, 50, 7)
+	first, err := new(Lab).FailoverSim(300, 8, 50, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
 		st := runner.NewStats()
-		again, err := FailoverSim(300, 8, 50, 7, runner.WithStats(st))
+		lab := Lab{Stats: st}
+		again, err := lab.FailoverSim(300, 8, 50, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +268,7 @@ func TestFailoverRepeatable(t *testing.T) {
 	// chance; require only that some nearby seed moves the result.
 	moved := false
 	for _, seed := range []int64{8, 9, 10} {
-		diff, err := FailoverSim(300, 8, 50, seed)
+		diff, err := new(Lab).FailoverSim(300, 8, 50, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

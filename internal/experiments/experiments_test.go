@@ -283,7 +283,7 @@ func TestAblationRadix(t *testing.T) {
 }
 
 func TestAblationFatTreePartitions(t *testing.T) {
-	rows, err := AblationFatTreePartitions()
+	rows, err := new(Lab).AblationFatTreePartitions()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestLargeSim(t *testing.T) {
 }
 
 func TestFailoverSim(t *testing.T) {
-	res, err := FailoverSim(300, 8, 50, 7)
+	res, err := new(Lab).FailoverSim(300, 8, 50, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

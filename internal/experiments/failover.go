@@ -44,8 +44,7 @@ func dualFractahedron() (*topology.Network, *routing.Tables) {
 // feeding Y injections a backoff later. The single rng feeds only the
 // workload generator (victim selection is a deterministic argmax over route
 // counts), so the run is reproducible from the seed alone.
-func FailoverSim(packets, flits, faultCycle int, seed int64, opts ...runner.Option) (FailoverResult, error) {
-	cfg := runner.NewConfig(opts...)
+func (l *Lab) FailoverSim(packets, flits, faultCycle int, seed int64) (FailoverResult, error) {
 	res := FailoverResult{Packets: packets, FaultCycle: faultCycle}
 
 	// A reference copy of the fabric, for workload shaping and victim
@@ -84,7 +83,7 @@ func FailoverSim(packets, flits, faultCycle int, seed int64, opts ...runner.Opti
 		{Fabric: 0, Kind: chaos.LinkKill, Cycle: faultCycle, Link: victim},
 	}}
 	var cr chaos.Result
-	err := timedCost(cfg.Stats, "failover dual fabric", func() (int, int, error) {
+	err := l.record(func() (int, int, error) {
 		var err error
 		cr, err = chaos.Run(chaos.Config{
 			Build: dualFractahedron,

@@ -1,8 +1,12 @@
 package experiments
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/runner"
+)
 
-// Lab holds the systems of one paper run. Experiments name their systems
+// Lab is one paper run: its settings and its systems. Workers and Stats
+// apply to every experiment the Lab runs. Experiments name their systems
 // by core.ParseSystem spec; the Lab builds each spec once, on first use,
 // and hands every later caller the same *core.System, so a system's
 // once-only contention and bisection are shared too. Two spellings of one
@@ -12,6 +16,12 @@ import "repro/internal/core"
 // before it fans work out over runner.Map. A Lab lives as long as its run;
 // there is no process-wide cache.
 type Lab struct {
+	// Workers is the worker-pool size of every fan-out; <= 0 means
+	// GOMAXPROCS. Rows are identical for any value.
+	Workers int
+	// Stats, when non-nil, accumulates the cost of every simulation run.
+	Stats *runner.Stats
+
 	built map[string]*core.System
 }
 

@@ -29,8 +29,7 @@ type LargeSimRow struct {
 // slowest points in the suite, so they gain the most from the worker pool;
 // per-rate workload seeds keep both variants under the same packet stream
 // at each rate (the test asserts equal delivery counts).
-func (l *Lab) LargeSim(rates []float64, cycles, flits int, seed int64, opts ...runner.Option) ([]LargeSimRow, error) {
-	cfg := runner.NewConfig(opts...)
+func (l *Lab) LargeSim(rates []float64, cycles, flits int, seed int64) ([]LargeSimRow, error) {
 	systems, err := l.systems(
 		namedSpec{"fat fractahedron N=3", "fat-fract:levels=3"},
 		namedSpec{"thin fractahedron N=3", "thin-fract:levels=3"},
@@ -39,12 +38,11 @@ func (l *Lab) LargeSim(rates []float64, cycles, flits int, seed int64, opts ...r
 		return nil, err
 	}
 
-	return runner.Map(cfg, len(rates)*len(systems), func(i int) (LargeSimRow, error) {
+	return runner.Map(runner.Config{Workers: l.Workers}, len(rates)*len(systems), func(i int) (LargeSimRow, error) {
 		rate, s := rates[i/len(systems)], systems[i%len(systems)]
 		rng := runner.RNG(seed, i/len(systems))
 		specs := workload.Bernoulli(rng, s.sys.Net.NumNodes(), cycles, flits, rate)
-		res, err := observe(cfg, fmt.Sprintf("large %s rate=%.3f", s.name, rate),
-			s.sys, specs, sim.Config{FIFODepth: 4, MaxCycles: 60 * cycles})
+		res, err := l.simulate(s.sys, specs, sim.Config{FIFODepth: 4, MaxCycles: 60 * cycles})
 		if err != nil {
 			return LargeSimRow{}, err
 		}

@@ -27,8 +27,7 @@ type LocalityRow struct {
 // tree, a tetrahedron on the fractahedron). As locality rises, the thinned
 // upper levels matter less and every topology converges; under low
 // locality the bandwidth-rich fractahedron leads.
-func (l *Lab) LocalitySweep(fracs []float64, packets, flits int, seed int64, opts ...runner.Option) ([]LocalityRow, error) {
-	cfg := runner.NewConfig(opts...)
+func (l *Lab) LocalitySweep(fracs []float64, packets, flits int, seed int64) ([]LocalityRow, error) {
 	systems, err := l.systems(
 		namedSpec{"4-2 fat tree", "fattree:d=4,u=2,nodes=64"},
 		namedSpec{"3-3 fat tree", "fattree:d=3,u=3,nodes=64"},
@@ -41,12 +40,11 @@ func (l *Lab) LocalitySweep(fracs []float64, packets, flits int, seed int64, opt
 	// Per-fraction workload seeds: every topology sees the same packet
 	// stream at a given locality fraction, distinct fractions draw
 	// independent streams.
-	return runner.Map(cfg, len(fracs)*len(systems), func(i int) (LocalityRow, error) {
+	return runner.Map(runner.Config{Workers: l.Workers}, len(fracs)*len(systems), func(i int) (LocalityRow, error) {
 		frac, s := fracs[i/len(systems)], systems[i%len(systems)]
 		rng := runner.RNG(seed, i/len(systems))
 		specs := workload.Locality(rng, 64, packets, flits, packets/3, 8, frac)
-		res, err := observe(cfg, fmt.Sprintf("locality %s frac=%.2f", s.name, frac),
-			s.sys, specs, sim.Config{FIFODepth: 4})
+		res, err := l.simulate(s.sys, specs, sim.Config{FIFODepth: 4})
 		if err != nil {
 			return LocalityRow{}, err
 		}

@@ -25,8 +25,7 @@ type PermRow struct {
 // structured analogue of §3.0's load-imbalance scenarios: each node sends
 // one transfer, and the pattern decides how badly the deterministic routes
 // collide.
-func (l *Lab) PermutationStudy(flits int, opts ...runner.Option) ([]PermRow, error) {
-	cfg := runner.NewConfig(opts...)
+func (l *Lab) PermutationStudy(flits int) ([]PermRow, error) {
 	systems, err := l.systems(
 		namedSpec{"4-2 fat tree", "fattree:d=4,u=2,nodes=64"},
 		namedSpec{"fat fractahedron", "fat-fract:levels=2"},
@@ -49,11 +48,10 @@ func (l *Lab) PermutationStudy(flits int, opts ...runner.Option) ([]PermRow, err
 
 	// Permutations are fully deterministic (no RNG at all), so the grid
 	// fans over the pool with nothing to seed.
-	return runner.Map(cfg, len(patterns)*len(systems), func(i int) (PermRow, error) {
+	return runner.Map(runner.Config{Workers: l.Workers}, len(patterns)*len(systems), func(i int) (PermRow, error) {
 		p, s := patterns[i/len(systems)], systems[i%len(systems)]
 		specs := workload.Permutation(p.perm, flits)
-		res, err := observe(cfg, fmt.Sprintf("perm %s %s", p.name, s.name),
-			s.sys, specs, sim.Config{FIFODepth: 4})
+		res, err := l.simulate(s.sys, specs, sim.Config{FIFODepth: 4})
 		if err != nil {
 			return PermRow{}, err
 		}

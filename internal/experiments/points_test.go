@@ -70,7 +70,8 @@ func TestSweepSpecPoints(t *testing.T) {
 // through chaos.Trial merges to the same JSON bytes.
 func TestChaosRecoverySpecMatchesExperiment(t *testing.T) {
 	const trials, packets, flits, seed = 2, 100, 3, 2
-	batch, err := ChaosRecovery(trials, packets, flits, seed, runner.Workers(2))
+	lab := Lab{Workers: 2}
+	batch, err := lab.ChaosRecovery(trials, packets, flits, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +118,8 @@ func TestStatsNeverReachesRows(t *testing.T) {
 
 	// Behavioral half: identical row JSON with and without stats attached,
 	// across two runs whose wall-clock costs necessarily differ.
-	run := func(opts ...runner.Option) []byte {
-		rows, err := new(Lab).SimSweep([]float64{0.01}, 200, 4, 1, opts...)
+	run := func(lab *Lab) []byte {
+		rows, err := lab.SimSweep([]float64{0.01}, 200, 4, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,9 +129,9 @@ func TestStatsNeverReachesRows(t *testing.T) {
 		}
 		return b
 	}
-	plain := run()
+	plain := run(new(Lab))
 	st := runner.NewStats()
-	withStats := run(runner.WithStats(st), runner.Workers(3))
+	withStats := run(&Lab{Workers: 3, Stats: st})
 	if string(plain) != string(withStats) {
 		t.Fatal("stats-attached run changed the row JSON")
 	}

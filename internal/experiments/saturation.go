@@ -34,8 +34,7 @@ const LatencyFactor = 4.0
 // of the geometric ladder seeds its workload from (seed, rung index), the
 // same for every topology, so the knees stay comparable and the rows are
 // identical for any worker count.
-func (l *Lab) Saturation(cycles, flits int, seed int64, opts ...runner.Option) ([]SaturationRow, error) {
-	cfg := runner.NewConfig(opts...)
+func (l *Lab) Saturation(cycles, flits int, seed int64) ([]SaturationRow, error) {
 	systems, err := l.systems(
 		namedSpec{"4-2 fat tree", "fattree:d=4,u=2,nodes=64"},
 		namedSpec{"fat fractahedron", "fat-fract:levels=2"},
@@ -46,13 +45,12 @@ func (l *Lab) Saturation(cycles, flits int, seed int64, opts ...runner.Option) (
 		return nil, err
 	}
 
-	return runner.Map(cfg, len(systems), func(i int) (SaturationRow, error) {
+	return runner.Map(runner.Config{Workers: l.Workers}, len(systems), func(i int) (SaturationRow, error) {
 		s := systems[i]
 		run := func(rung int, rate float64) (sim.Result, error) {
 			rng := runner.RNG(seed, rung)
 			specs := workload.Bernoulli(rng, s.sys.Net.NumNodes(), cycles, flits, rate)
-			return observe(cfg, fmt.Sprintf("saturation %s rate=%.3f", s.name, rate),
-				s.sys, specs, sim.Config{FIFODepth: 4, MaxCycles: 100 * cycles})
+			return l.simulate(s.sys, specs, sim.Config{FIFODepth: 4, MaxCycles: 100 * cycles})
 		}
 		base, err := run(0, 0.001)
 		if err != nil {

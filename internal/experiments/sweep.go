@@ -28,8 +28,7 @@ type SweepRow struct {
 // (seed, rate index), so all topologies face the same packet stream at a
 // given rate — keeping the curves comparable — while distinct rates draw
 // independent streams, and the rows are bit-identical for any worker count.
-func (l *Lab) SimSweep(rates []float64, warmCycles, flits int, seed int64, opts ...runner.Option) ([]SweepRow, error) {
-	cfg := runner.NewConfig(opts...)
+func (l *Lab) SimSweep(rates []float64, warmCycles, flits int, seed int64) ([]SweepRow, error) {
 	systems, err := l.systems(
 		namedSpec{"4-2 fat tree", "fattree:d=4,u=2,nodes=64"},
 		namedSpec{"fat fractahedron", "fat-fract:levels=2"},
@@ -39,12 +38,11 @@ func (l *Lab) SimSweep(rates []float64, warmCycles, flits int, seed int64, opts 
 		return nil, err
 	}
 
-	return runner.Map(cfg, len(rates)*len(systems), func(i int) (SweepRow, error) {
+	return runner.Map(runner.Config{Workers: l.Workers}, len(rates)*len(systems), func(i int) (SweepRow, error) {
 		rate, s := rates[i/len(systems)], systems[i%len(systems)]
 		rng := runner.RNG(seed, i/len(systems))
 		specs := workload.Bernoulli(rng, s.sys.Net.NumNodes(), warmCycles, flits, rate)
-		res, err := observe(cfg, fmt.Sprintf("sweep %s rate=%.3f", s.name, rate),
-			s.sys, specs, sim.Config{FIFODepth: 4})
+		res, err := l.simulate(s.sys, specs, sim.Config{FIFODepth: 4})
 		if err != nil {
 			return SweepRow{}, err
 		}
@@ -93,8 +91,7 @@ type DBScenarioRow struct {
 // (the contention matching's witness). The per-stream bandwidth then shows
 // the contention ratio operating: ~1/12 flit/cycle on the fat tree versus
 // ~1/8 on the fat fractahedron.
-func (l *Lab) DatabaseScenario(transfersEach, flits int, opts ...runner.Option) ([]DBScenarioRow, error) {
-	cfg := runner.NewConfig(opts...)
+func (l *Lab) DatabaseScenario(transfersEach, flits int) ([]DBScenarioRow, error) {
 	systems, err := l.systems(
 		namedSpec{"4-2 fat tree", "fattree:d=4,u=2,nodes=64"},
 		namedSpec{"fat fractahedron", "fat-fract:levels=2"},
@@ -103,7 +100,7 @@ func (l *Lab) DatabaseScenario(transfersEach, flits int, opts ...runner.Option) 
 		return nil, err
 	}
 
-	return runner.Map(cfg, len(systems), func(i int) (DBScenarioRow, error) {
+	return runner.Map(runner.Config{Workers: l.Workers}, len(systems), func(i int) (DBScenarioRow, error) {
 		s := systems[i]
 		worst, err := s.sys.Contention()
 		if err != nil {
@@ -115,7 +112,7 @@ func (l *Lab) DatabaseScenario(transfersEach, flits int, opts ...runner.Option) 
 			disks = append(disks, w.Dst)
 		}
 		specs := workload.DatabaseQuery(cpus, disks, transfersEach, flits)
-		res, err := observe(cfg, "db "+s.name, s.sys, specs, sim.Config{FIFODepth: 4})
+		res, err := l.simulate(s.sys, specs, sim.Config{FIFODepth: 4})
 		if err != nil {
 			return DBScenarioRow{}, err
 		}

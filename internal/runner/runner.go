@@ -1,7 +1,7 @@
 // Package runner is the parallel experiment engine: it fans independent
 // simulation points (topology × rate × seed × config) over a worker pool
-// and merges results in point order, following the deterministic
-// merge-in-order pattern of routing's parallel all-pairs walk.
+// and merges results in point order, so the schedule never reaches a
+// result.
 //
 // Determinism contract: a point's result may depend only on its inputs and
 // its own RNG stream, derived from (experiment seed, point index) via
@@ -22,31 +22,11 @@ import (
 	"time"
 )
 
-// Config controls a campaign: worker-pool width and optional cost
-// accounting. The zero value runs with GOMAXPROCS workers and no stats.
+// Config controls a campaign's worker pool. The zero value runs with
+// GOMAXPROCS workers.
 type Config struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// Stats, when non-nil, accumulates per-run cost records.
-	Stats *Stats
-}
-
-// Option mutates a Config.
-type Option func(*Config)
-
-// Workers sets the worker-pool size (<= 0 means GOMAXPROCS).
-func Workers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// WithStats attaches a campaign stats accumulator.
-func WithStats(s *Stats) Option { return func(c *Config) { c.Stats = s } }
-
-// NewConfig folds options into a Config.
-func NewConfig(opts ...Option) Config {
-	var c Config
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
 }
 
 // Map runs fn for every point in [0, n) over the configured worker pool
@@ -165,19 +145,18 @@ func RNG(seed int64, point int) *rand.Rand {
 
 // Stat is the cost record of one simulation run.
 type Stat struct {
-	Label     string
 	Cycles    int           // simulated cycles
 	FlitMoves int           // flit-channel crossings
 	Wall      time.Duration // wall time of the run
 }
 
-// Stats accumulates per-run cost records across a campaign. It is safe for
-// concurrent use; a nil *Stats discards records, so experiments can call
-// Record unconditionally.
+// Stats accumulates run costs across a campaign as running totals. It is
+// safe for concurrent use; a nil *Stats discards records, so experiments
+// can call Record unconditionally.
 type Stats struct {
-	mu     sync.Mutex
-	start  time.Time
-	points []Stat
+	mu    sync.Mutex
+	start time.Time
+	sum   Summary // Elapsed is filled in by Summary
 }
 
 // NewStats creates an accumulator; elapsed time counts from this call.
@@ -189,7 +168,10 @@ func (s *Stats) Record(st Stat) {
 		return
 	}
 	s.mu.Lock()
-	s.points = append(s.points, st)
+	s.sum.Runs++
+	s.sum.Cycles += st.Cycles
+	s.sum.FlitMoves += st.FlitMoves
+	s.sum.SimWall += st.Wall
 	s.mu.Unlock()
 }
 
@@ -202,20 +184,15 @@ type Summary struct {
 	Elapsed   time.Duration // wall time since NewStats
 }
 
-// Summary aggregates the recorded runs.
+// Summary returns the totals recorded so far.
 func (s *Stats) Summary() Summary {
 	if s == nil {
 		return Summary{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sum := Summary{Elapsed: time.Since(s.start)}
-	for _, p := range s.points {
-		sum.Runs++
-		sum.Cycles += p.Cycles
-		sum.FlitMoves += p.FlitMoves
-		sum.SimWall += p.Wall
-	}
+	sum := s.sum
+	sum.Elapsed = time.Since(s.start)
 	return sum
 }
 

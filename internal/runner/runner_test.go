@@ -191,15 +191,15 @@ func TestPointSeed(t *testing.T) {
 // TestStats exercises concurrent recording and the summary aggregate.
 func TestStats(t *testing.T) {
 	st := NewStats()
-	_, err := Map(Config{Workers: 8, Stats: st}, 100, func(i int) (int, error) {
-		st.Record(Stat{Label: "p", Cycles: 10, FlitMoves: 3, Wall: time.Microsecond})
+	_, err := Map(Config{Workers: 8}, 100, func(i int) (int, error) {
+		st.Record(Stat{Cycles: 10, FlitMoves: 3, Wall: time.Microsecond})
 		return i, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := st.Summary()
-	if sum.Runs != 100 || sum.Cycles != 1000 || sum.FlitMoves != 300 {
+	if sum.Runs != 100 || sum.Cycles != 1000 || sum.FlitMoves != 300 || sum.SimWall != 100*time.Microsecond {
 		t.Fatalf("summary = %+v", sum)
 	}
 	if !strings.Contains(st.String(), "100 runs") {
