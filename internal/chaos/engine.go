@@ -311,14 +311,14 @@ func (e *engine) reconfigure(fs *fabState) {
 		e.res.RecertFailures++
 		return
 	}
-	lc, turns := fabricver.CertifyLive(tb)
+	lc, dis := fabricver.CertifyLive(tb)
 	if !lc.Acyclic || lc.Reached != expected {
 		e.res.RecertFailures++
 		e.res.FinalCertified = false
 		return
 	}
 	fs.tb = tb
-	fs.s.SetDisables(router.FromTurns(fs.net, turns))
+	fs.s.SetDisables(dis)
 	e.res.Reconfigurations++
 	e.res.FinalCertified = true
 }

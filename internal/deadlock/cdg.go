@@ -122,16 +122,9 @@ func VerifyTurnEquivalence(t *routing.Tables) error {
 	if err != nil {
 		return err
 	}
-	turns, err := t.UsedTurns()
-	if err != nil {
-		return err
-	}
-	turnCount := 0
-	for _, m := range turns {
-		turnCount += len(m)
-	}
-	if g.M() != turnCount {
-		return fmt.Errorf("deadlock: %d CDG dependencies != %d used turns", g.M(), turnCount)
+	sw := t.Sweep()
+	if turns := sw.NumTurns(); g.M() != turns {
+		return fmt.Errorf("deadlock: %d CDG dependencies != %d used turns", g.M(), turns)
 	}
 	// Every CDG edge corresponds to an enabled turn.
 	for c := 0; c < g.N(); c++ {
@@ -139,7 +132,7 @@ func VerifyTurnEquivalence(t *routing.Tables) error {
 			dev := t.Net.ChannelDst(topology.ChannelID(c)).Device
 			in := t.Net.ChannelDst(topology.ChannelID(c)).Port
 			out := t.Net.ChannelSrc(topology.ChannelID(c2)).Port
-			if !turns[dev][routing.Turn{In: in, Out: out}] {
+			if !sw.TurnUsed(dev, in, out) {
 				return fmt.Errorf("deadlock: dependency %s => %s uses a disabled turn (%d->%d at %s)",
 					t.Net.ChannelString(topology.ChannelID(c)),
 					t.Net.ChannelString(topology.ChannelID(c2)),

@@ -293,3 +293,23 @@ func BenchmarkCheckFault(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkVerifySpec measures the static certification of the 4096-node
+// level-4 fat fractahedron: build, table consistency, the all-pairs sweep,
+// CDG acyclicity, reachability and disables, without the fault
+// enumeration. It is the largest fabric any built-in check reaches.
+func BenchmarkVerifySpec(b *testing.B) {
+	const spec = "fat-fract:levels=4"
+	b.Run(spec, func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			cert, err := VerifySpec(spec, Options{SkipFaults: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !cert.OK {
+				b.Fatal(cert.Violations)
+			}
+		}
+	})
+}

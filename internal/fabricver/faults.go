@@ -241,11 +241,10 @@ func verifyComponent(net *topology.Network, c component, skipLink topology.LinkI
 
 	// Recompute the path-disables for the degraded fabric (§2.4: the
 	// disable registers are reloaded to match the new tables). The swept
-	// turn sets are exactly the new dependency structure; a mismatch here
-	// means FromTurns and the sweep disagree on the fabric's turns.
-	turns := sw.Turns()
-	enabled, _ := router.FromTurns(sub, turns).Counts()
-	if used := turnCount(turns); enabled != used {
+	// turns are exactly the new dependency structure; a mismatch here means
+	// FromSweep and the sweep disagree on the fabric's turns.
+	enabled, _ := router.FromSweep(sw, sub).Counts()
+	if used := sw.NumTurns(); enabled != used {
 		out = append(out, fmt.Sprintf("%s: recomputed disables enable %d turns but routes use %d", desc, enabled, used))
 	}
 	return out

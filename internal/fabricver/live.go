@@ -10,8 +10,8 @@ package fabricver
 // actually routed.
 
 import (
+	"repro/internal/router"
 	"repro/internal/routing"
-	"repro/internal/topology"
 )
 
 // LiveCheck is the certificate of one online recertification sweep.
@@ -29,20 +29,19 @@ type LiveCheck struct {
 }
 
 // CertifyLive sweeps every ordered node pair through the tables and proves
-// (or refutes) channel-dependency acyclicity. It also returns the swept
-// per-router turn set, ready for router.FromTurns, so the caller derives
-// the minimal path-disables from the exact dependency structure that was
-// just certified — the pair never goes out of sync.
-func CertifyLive(tb *routing.Tables) (LiveCheck, map[topology.DeviceID]map[routing.Turn]bool) {
+// (or refutes) channel-dependency acyclicity. It also returns the minimal
+// path-disables of the swept turns, so the caller loads the disables of
+// the exact dependency structure that was just certified — the pair never
+// goes out of sync.
+func CertifyLive(tb *routing.Tables) (LiveCheck, *router.Disables) {
 	sw := tb.Sweep()
-	turns := sw.Turns()
 	maxHops, _, _ := sw.MaxHops()
 	lc := LiveCheck{
 		Pairs:       sw.Pairs(),
 		Reached:     sw.Reached(),
 		Unreachable: len(sw.Failures),
 		MaxHops:     maxHops,
-		UsedTurns:   turnCount(turns),
+		UsedTurns:   sw.NumTurns(),
 		Failures:    failureLines(sw),
 	}
 	numVC := tb.NumVC()
@@ -55,5 +54,5 @@ func CertifyLive(tb *routing.Tables) (LiveCheck, map[topology.DeviceID]map[routi
 	} else {
 		lc.Acyclic = true
 	}
-	return lc, turns
+	return lc, router.FromSweep(sw, tb.Net)
 }

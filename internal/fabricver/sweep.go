@@ -82,8 +82,7 @@ func reachCheck(sw *routing.PairSweep, net *topology.Network, bound int, violate
 // must be enabled, and nothing beyond those turns may be enabled — the
 // hardware permits exactly the analyzed dependency structure.
 func disablesCheck(sw *routing.PairSweep, sys *core.System, violate func(check, format string, args ...any)) DisablesCheck {
-	used := sw.Turns()
-	dc := DisablesCheck{UsedTurns: turnCount(used)}
+	dc := DisablesCheck{UsedTurns: sw.NumTurns()}
 	enabled, _ := sys.Disables.Counts()
 	dc.EnabledTurns = enabled
 
@@ -99,7 +98,7 @@ func disablesCheck(sw *routing.PairSweep, sys *core.System, violate func(check, 
 				if in == out {
 					continue
 				}
-				u := used[dev.ID][routing.Turn{In: in, Out: out}]
+				u := sw.TurnUsed(dev.ID, in, out)
 				a := sys.Disables.Allowed(dev.ID, in, out)
 				if u && !a {
 					if mismatches < maxDetail {
@@ -121,15 +120,6 @@ func disablesCheck(sw *routing.PairSweep, sys *core.System, violate func(check, 
 	}
 	dc.OK = mismatches == 0
 	return dc
-}
-
-// turnCount totals the per-router used-turn sets.
-func turnCount(turns map[topology.DeviceID]map[routing.Turn]bool) int {
-	n := 0
-	for _, m := range turns {
-		n += len(m)
-	}
-	return n
 }
 
 // vcChannelString renders a (channel, VC) CDG vertex with device and port

@@ -46,27 +46,29 @@ func AllowAll(net *topology.Network) *Disables {
 // internal/deadlock), a network whose CDG is acyclic remains deadlock-free
 // under ANY table contents once these disables are loaded.
 func FromTables(t *routing.Tables) (*Disables, error) {
-	turns, err := t.UsedTurns()
-	if err != nil {
+	sw := t.Sweep()
+	if err := sw.Err(); err != nil {
 		return nil, err
 	}
-	return FromTurns(t.Net, turns), nil
+	return FromSweep(sw, t.Net), nil
 }
 
-// FromTurns builds the disable configuration enabling exactly the given
-// per-router turn sets. Callers that already swept every route (the fabric
-// verifier's fault enumeration, which collects turns and dependency edges
-// in one pass) use it to recompute path-disables for a degraded fabric
-// without routing all pairs a second time.
-func FromTurns(net *topology.Network, turns map[topology.DeviceID]map[routing.Turn]bool) *Disables {
+// FromSweep builds the disable configuration enabling exactly the turns
+// the swept routes of net use. Callers that already swept every route (the
+// fabric verifier's fault enumeration, the online recertification) use it
+// to recompute path-disables for a degraded fabric without routing all
+// pairs a second time.
+func FromSweep(sw *routing.PairSweep, net *topology.Network) *Disables {
 	d := &Disables{net: net, allowed: make(map[topology.DeviceID][][]bool)}
 	for _, dev := range net.Devices() {
 		if dev.Kind != topology.Router {
 			continue
 		}
 		m := newMatrix(dev.Ports)
-		for turn := range turns[dev.ID] {
-			m[turn.In][turn.Out] = true
+		for in := range m {
+			for out := range m[in] {
+				m[in][out] = sw.TurnUsed(dev.ID, in, out)
+			}
 		}
 		d.allowed[dev.ID] = m
 	}

@@ -11,21 +11,6 @@ package routing
 // machine, while topologies whose output port varies irregularly with the
 // address need many.
 
-// regions reports, for one router's row, the minimal number of contiguous
-// destination-address ranges with a constant output port.
-func regions(row []int) int {
-	if len(row) == 0 {
-		return 0
-	}
-	n := 1
-	for i := 1; i < len(row); i++ {
-		if row[i] != row[i-1] {
-			n++
-		}
-	}
-	return n
-}
-
 // RegionStats summarizes region-table sizes across all routers.
 type RegionStats struct {
 	Min, Max int
@@ -34,15 +19,14 @@ type RegionStats struct {
 	Routers  int
 }
 
-// RegionSizes computes the region-count distribution over every router.
+// RegionSizes computes the region-count distribution over every router:
+// the number of contiguous destination-address ranges with a constant
+// output port, as CompileImage compresses each router's table.
 func (t *Tables) RegionSizes() RegionStats {
 	var st RegionStats
 	st.Min = -1
-	for _, row := range t.out {
-		if row == nil {
-			continue
-		}
-		r := regions(row)
+	for _, ri := range CompileImage(t).Routers {
+		r := len(ri.Regions)
 		st.Total += r
 		st.Routers++
 		if st.Min < 0 || r < st.Min {

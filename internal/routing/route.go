@@ -10,6 +10,7 @@ package routing
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/topology"
 )
@@ -44,16 +45,37 @@ func (r Route) RouterHops() int { return len(r.Devices) - 2 }
 // Tables is a full set of per-router routing tables plus the network they
 // route. Entry (router, dst) gives the output port a packet for node
 // address dst must take; -1 marks table holes (which Verify rejects).
+//
+// Entries are stored destination-major, one byte per (destination,
+// router): each destination's column holds its routers' entries in device
+// order, which is the order the all-pairs sweep reads them in. A byte is
+// port+1, so 0 is a hole; ports outside [-1, maxBytePort] hold escByte and
+// live in a side map, so any int written by SetOutPort reads back.
 type Tables struct {
 	Net       *topology.Network
 	Algorithm string
-	out       [][]int // per device: the router's row over destinations; nil for end nodes
+
+	nodes   int
+	routers []topology.DeviceID // ascending; a column's router order
+	rix     []int32             // per device: its position in routers; -1 for end nodes
+	cols    []byte              // [dst*len(routers) + rix[router]]: port+1, 0 = hole, escByte = escaped
+	escaped map[int]int         // cols index -> port, for the escByte entries
 
 	// Virtual-channel assignment (see vc.go); zero-valued for single-VC
 	// routings.
 	numVC int
 	vc    VCFunc
+
+	// mu guards memo, the Sweep of the current table contents; every
+	// table write drops it.
+	mu   sync.Mutex
+	memo *PairSweep
 }
+
+const (
+	escByte     = 0xff        // the entry's port is in Tables.escaped
+	maxBytePort = escByte - 2 // largest port stored inline as port+1
+)
 
 // NextPortFunc computes the output port a router uses toward a destination
 // node address. Algorithms are defined by such functions and compiled into
@@ -64,38 +86,76 @@ type NextPortFunc func(router topology.DeviceID, dst int) int
 // of the network.
 func Build(net *topology.Network, algorithm string, next NextPortFunc) *Tables {
 	t := newTables(net, algorithm)
-	for dev, row := range t.out {
-		for dst := range row {
-			row[dst] = next(topology.DeviceID(dev), dst)
+	for ri, dev := range t.routers {
+		for dst := 0; dst < t.nodes; dst++ {
+			t.set(dst*len(t.routers)+ri, next(dev, dst))
 		}
 	}
 	return t
 }
 
-// newTables allocates one zeroed row per router.
+// newTables allocates tables whose every entry is a hole.
 func newTables(net *topology.Network, algorithm string) *Tables {
-	t := &Tables{Net: net, Algorithm: algorithm, out: make([][]int, net.NumDevices())}
+	t := &Tables{Net: net, Algorithm: algorithm, nodes: net.NumNodes(), rix: make([]int32, net.NumDevices())}
 	for _, d := range net.Devices() {
+		t.rix[d.ID] = -1
 		if d.Kind == topology.Router {
-			t.out[d.ID] = make([]int, net.NumNodes())
+			t.rix[d.ID] = int32(len(t.routers))
+			t.routers = append(t.routers, d.ID)
 		}
 	}
+	t.cols = make([]byte, t.nodes*len(t.routers))
 	return t
+}
+
+// index returns the storage index of entry (router, dst), panicking when
+// the device has no table or the destination is out of range.
+func (t *Tables) index(router topology.DeviceID, dst int) int {
+	if router < 0 || int(router) >= len(t.rix) || t.rix[router] < 0 {
+		panic(fmt.Sprintf("routing: device %d has no table", router))
+	}
+	if dst < 0 || dst >= t.nodes {
+		panic(fmt.Sprintf("routing: destination %d out of range [0,%d)", dst, t.nodes))
+	}
+	return dst*len(t.routers) + int(t.rix[router])
+}
+
+// port decodes the entry at storage index i.
+func (t *Tables) port(i int) int {
+	if b := t.cols[i]; b != escByte {
+		return int(b) - 1
+	}
+	return t.escaped[i]
+}
+
+// set encodes port into the entry at storage index i.
+func (t *Tables) set(i, port int) {
+	if port >= -1 && port <= maxBytePort {
+		t.cols[i] = byte(port + 1)
+		delete(t.escaped, i)
+		return
+	}
+	if t.escaped == nil {
+		t.escaped = make(map[int]int)
+	}
+	t.cols[i] = escByte
+	t.escaped[i] = port
 }
 
 // OutPort returns the table entry of a router for a destination address.
 func (t *Tables) OutPort(router topology.DeviceID, dst int) int {
-	if router < 0 || int(router) >= len(t.out) || t.out[router] == nil {
-		panic(fmt.Sprintf("routing: device %d has no table", router))
-	}
-	return t.out[router][dst]
+	return t.port(t.index(router, dst))
 }
 
 // SetOutPort overrides one table entry. The fault-injection experiments use
 // it to model the corrupted routing tables §2.4 of the paper defends
 // against with path-disable logic.
 func (t *Tables) SetOutPort(router topology.DeviceID, dst, port int) {
-	t.out[router][dst] = port
+	i := t.index(router, dst)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.set(i, port)
+	t.memo = nil
 }
 
 // Route walks the tables from node address src to node address dst and
@@ -207,19 +267,4 @@ func (t *Tables) Verify() error {
 		}
 	}
 	return nil
-}
-
-// Turn is a (input port, output port) pair at a router.
-type Turn struct{ In, Out int }
-
-// UsedTurns computes, for every router, the set of turns any route actually
-// takes. Its complement is the path-disable configuration of §2.4: ServerNet
-// routers can disable all unused turns so that even a corrupted routing
-// table cannot re-introduce a dependency loop.
-func (t *Tables) UsedTurns() (map[topology.DeviceID]map[Turn]bool, error) {
-	sw := t.Sweep()
-	if err := sw.Err(); err != nil {
-		return nil, err
-	}
-	return sw.Turns(), nil
 }

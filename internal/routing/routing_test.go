@@ -375,21 +375,27 @@ func TestFatFractahedronDiagonalContention(t *testing.T) {
 func TestUsedTurnsNeverReversePort(t *testing.T) {
 	f := topology.NewFractahedron(topology.Tetra(2, true))
 	tb := Fractahedron(f)
-	used, err := tb.UsedTurns()
-	if err != nil {
+	sw := tb.Sweep()
+	if err := sw.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(used) != f.NumRouters() {
-		t.Fatalf("turn map covers %d routers, want %d", len(used), f.NumRouters())
-	}
-	for dev, turns := range used {
-		if len(turns) == 0 {
-			t.Errorf("router %s takes no turns", f.Device(dev).Name)
+	for _, d := range f.Devices() {
+		if d.Kind != topology.Router {
+			continue
 		}
-		for turn := range turns {
-			if turn.In == turn.Out {
-				t.Errorf("router %s u-turns on port %d", f.Device(dev).Name, turn.In)
+		turns := 0
+		for in := 0; in < d.Ports; in++ {
+			for out := 0; out < d.Ports; out++ {
+				if sw.TurnUsed(d.ID, in, out) {
+					turns++
+					if in == out {
+						t.Errorf("router %s u-turns on port %d", d.Name, in)
+					}
+				}
 			}
+		}
+		if turns == 0 {
+			t.Errorf("router %s takes no turns", d.Name)
 		}
 	}
 }

@@ -18,9 +18,14 @@ import (
 // (in port, in VC, out port, out VC); with a single VC that is the
 // in*ports+out turn bitmap itself. The used turns (§2.4's path-disable
 // configuration) and the channel dependency graph are both read from it.
+//
+// A PairSweep is shared by every caller that sweeps the same table state
+// (see Tables.Sweep), so it is read-only: callers must not modify it,
+// Failures included.
 type PairSweep struct {
 	tables *Tables
 	n      int
+	numVC  int
 	hops   []int32 // [dst*n+src]: router hops; -1 when the pair fails and on the diagonal
 
 	// Failures lists every pair that does not route, in (dst, src) order.
@@ -28,6 +33,8 @@ type PairSweep struct {
 
 	turnBase []int // per device: first bit of its dependency block; -1 for end nodes
 	stride   []int // per device: ports × VCs, the row length of its block
+	inRow    []int // per channel: the bit row of its (entry port, VC 0) in the entered device's block
+	outCol   []int // per channel: its (exit port, VC 0) column in the block of the device it leaves
 	bits     []uint64
 }
 
@@ -50,6 +57,63 @@ const (
 // going to count the damage. Callers that need every route to exist check
 // Err.
 //
+// The result is memoized on the tables: every later call returns the same
+// read-only *PairSweep until a table write (SetOutPort, WithVCs) drops it.
+// Concurrent callers are safe and share one sweep.
+func (t *Tables) Sweep() *PairSweep {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.memo == nil {
+		t.memo = t.sweep()
+	}
+	return t.memo
+}
+
+// wiring is the network's port and channel structure as flat arrays, the
+// form the sweep's inner walk reads.
+type wiring struct {
+	portBase []int32              // per device, plus one: the device's first slot in portCh
+	portCh   []topology.ChannelID // per (device, port) slot: the channel leaving it; -1 unwired
+	dstDev   []topology.DeviceID  // per channel: the device it enters
+}
+
+func newWiring(net *topology.Network) *wiring {
+	nd, nc := net.NumDevices(), net.NumChannels()
+	w := &wiring{portBase: make([]int32, nd+1), dstDev: make([]topology.DeviceID, nc)}
+	for i, d := range net.Devices() {
+		w.portBase[i+1] = w.portBase[i] + int32(d.Ports)
+	}
+	w.portCh = make([]topology.ChannelID, w.portBase[nd])
+	for i := range w.portCh {
+		w.portCh[i] = -1
+	}
+	for c := range nc {
+		src := net.ChannelSrc(topology.ChannelID(c))
+		w.portCh[w.portBase[src.Device]+int32(src.Port)] = topology.ChannelID(c)
+		w.dstDev[c] = net.ChannelDst(topology.ChannelID(c)).Device
+	}
+	return w
+}
+
+// step is Next at router dev, reading the entry from dst's column through
+// the wiring arrays. A hole, an escaped, out-of-range or unwired port goes
+// to Next itself, which gives the verdict and its error text.
+func (t *Tables) step(w *wiring, dev topology.DeviceID, dst int, col []byte) (topology.ChannelID, int, error) {
+	if b := col[t.rix[dev]]; b != 0 && b != escByte {
+		if slot := w.portBase[dev] + int32(b) - 1; slot < w.portBase[dev+1] {
+			if ch := w.portCh[slot]; ch >= 0 {
+				if t.vc == nil {
+					return ch, 0, nil
+				}
+				return ch, t.vcAt(dev, dst), nil
+			}
+		}
+	}
+	return t.Next(dev, dst)
+}
+
+// sweep is Sweep without the memo.
+//
 // Destination-indexed routing means the step taken at a device depends on
 // (device, destination) only, so the sweep walks each destination's
 // in-tree once with memoization: a walk stops at the first device whose
@@ -57,15 +121,17 @@ const (
 // turns the all-pairs cost from O(N² · path) into O(N² + N · routers).
 // Pairs are visited in ascending (dst, src) order, so every derived
 // field, including the order of Failures, is deterministic.
-func (t *Tables) Sweep() *PairSweep {
+func (t *Tables) sweep() *PairSweep {
 	net := t.Net
 	v := t.NumVC()
 	n := net.NumNodes()
 	nd := net.NumDevices()
+	w := newWiring(net)
 
 	sw := &PairSweep{
 		tables:   t,
 		n:        n,
+		numVC:    v,
 		hops:     make([]int32, n*n),
 		turnBase: make([]int, nd),
 		stride:   make([]int, nd),
@@ -83,6 +149,13 @@ func (t *Tables) Sweep() *PairSweep {
 		}
 	}
 	sw.bits = make([]uint64, (nbits+63)/64)
+	sw.inRow = make([]int, net.NumChannels())
+	sw.outCol = make([]int, net.NumChannels())
+	for c := range sw.inRow {
+		at := net.ChannelDst(topology.ChannelID(c))
+		sw.inRow[c] = sw.turnBase[at.Device] + at.Port*v*sw.stride[at.Device]
+		sw.outCol[c] = net.ChannelSrc(topology.ChannelID(c)).Port * v
+	}
 
 	// Per-destination memo, invalidated by stamping (stamp == dst+1) so no
 	// per-destination clearing pass is needed.
@@ -103,7 +176,7 @@ func (t *Tables) Sweep() *PairSweep {
 	// it visited. On success it also marks the newly discovered
 	// dependencies: each device's out-channel is recorded once per
 	// destination, in the walk that first reaches it.
-	walk := func(r topology.DeviceID, dst, ds int) {
+	walk := func(r topology.DeviceID, dst, ds int, col []byte) {
 		walkID++
 		path = path[:0]
 		cur := r
@@ -116,16 +189,16 @@ func (t *Tables) Sweep() *PairSweep {
 			seen[cur] = walkID
 			path = append(path, cur)
 			var sealWhy string
-			if net.Device(cur).Kind != topology.Router {
+			if t.rix[cur] < 0 {
 				// A walk only ever enters a node by mis-routing: the
 				// destination node is pre-memoized and sources inject
 				// outside walk.
 				sealWhy = fmt.Sprintf("walk enters foreign end node %s", net.Device(cur).Name)
-			} else if ch, vc, err := t.Next(cur, dst); err != nil {
+			} else if ch, vc, err := t.step(w, cur, dst, col); err != nil {
 				sealWhy = err.Error()
 			} else {
 				outCh[cur], outVC[cur] = ch, vc
-				cur = net.ChannelDst(ch).Device
+				cur = w.dstDev[ch]
 				continue
 			}
 			stamp[cur] = ds
@@ -171,45 +244,54 @@ func (t *Tables) Sweep() *PairSweep {
 			p := path[i-1]
 			sw.mark(path[i], outCh[p], outVC[p], outCh[path[i]], outVC[path[i]])
 		}
-		if len(path) > 0 && net.Device(cur).Kind == topology.Router {
+		if len(path) > 0 && t.rix[cur] >= 0 {
 			last := path[len(path)-1]
 			sw.mark(cur, outCh[last], outVC[last], outCh[cur], outVC[cur])
 		}
 	}
 
+	// injOut holds, per source, the (channel, VC) out of its first router
+	// whose injection turn it marked last. Successive destinations mostly
+	// leave a router the same way, and a turn is marked once.
+	injOut := make([]int, n)
+	for i := range injOut {
+		injOut[i] = -1
+	}
 	for dst := 0; dst < n; dst++ {
 		ds := dst + 1
+		col := t.cols[dst*len(t.routers) : (dst+1)*len(t.routers)]
 		dstDev := net.NodeByIndex(dst)
 		stamp[dstDev] = ds
 		status[dstDev] = swOK
 		hops[dstDev] = 0
 
-		for s := 0; s < n; s++ {
+		for s, src := range net.Nodes() {
 			if s == dst {
 				continue
 			}
-			src := net.NodeByIndex(s)
-			// Injection: sources always take their single port; a node's
-			// verdict as a walk victim (mis-routed into) differs from its
-			// verdict as a source, so sources are never memo-read.
-			ch, vc, err := t.Next(src, dst)
-			if err != nil {
+			// Injection: sources always take their single port, on VC 0;
+			// a node's verdict as a walk victim (mis-routed into) differs
+			// from its verdict as a source, so sources are never memo-read.
+			ch := w.portCh[w.portBase[src]]
+			if ch < 0 {
+				_, _, err := t.Next(src, dst)
 				sw.Failures = append(sw.Failures, PairFailure{s, dst, err.Error()})
 				continue
 			}
-			r0 := net.ChannelDst(ch).Device
+			r0 := w.dstDev[ch]
 			if stamp[r0] != ds {
-				walk(r0, dst, ds)
+				walk(r0, dst, ds, col)
 			}
 			if status[r0] == swBad {
 				sw.Failures = append(sw.Failures, PairFailure{s, dst, why[failDev[r0]]})
 				continue
 			}
 			sw.hops[dst*n+s] = hops[r0]
-			if r0 != dstDev {
+			if out := int(outCh[r0])*v + outVC[r0]; r0 != dstDev && out != injOut[s] {
 				// The injection dependency at the first router; the rest of
 				// the path was marked when the walk sealed it.
-				sw.mark(r0, ch, vc, outCh[r0], outVC[r0])
+				sw.mark(r0, ch, 0, outCh[r0], outVC[r0])
+				injOut[s] = out
 			}
 		}
 	}
@@ -218,11 +300,7 @@ func (t *Tables) Sweep() *PairSweep {
 
 // mark records the dependency inCh(inVC) -> outCh(outVC) at router dev.
 func (sw *PairSweep) mark(dev topology.DeviceID, inCh topology.ChannelID, inVC int, outCh topology.ChannelID, outVC int) {
-	net := sw.tables.Net
-	v := sw.tables.NumVC()
-	in := net.ChannelDst(inCh).Port
-	out := net.ChannelSrc(outCh).Port
-	i := sw.turnBase[dev] + (in*v+inVC)*sw.stride[dev] + out*v + outVC
+	i := sw.inRow[inCh] + inVC*sw.stride[dev] + sw.outCol[outCh] + outVC
 	sw.bits[i/64] |= 1 << (i % 64)
 }
 
@@ -265,10 +343,11 @@ func (sw *PairSweep) MaxHops() (hops, src, dst int) {
 	return hops, src, dst
 }
 
-// turnUsed reports whether some route turns from port in to port out at
-// router dev (on any virtual channels).
-func (sw *PairSweep) turnUsed(dev topology.DeviceID, in, out int) bool {
-	v := sw.tables.NumVC()
+// TurnUsed reports whether some route turns from port in to port out at
+// router dev (on any virtual channels). The turns no route uses are §2.4's
+// path-disable set.
+func (sw *PairSweep) TurnUsed(dev topology.DeviceID, in, out int) bool {
+	v := sw.numVC
 	base, stride := sw.turnBase[dev], sw.stride[dev]
 	for vi := 0; vi < v; vi++ {
 		for vo := 0; vo < v; vo++ {
@@ -280,26 +359,23 @@ func (sw *PairSweep) turnUsed(dev topology.DeviceID, in, out int) bool {
 	return false
 }
 
-// Turns returns the used turns of every router as sets (every router has
-// an entry, possibly empty); UsedTurns' map form.
-func (sw *PairSweep) Turns() map[topology.DeviceID]map[Turn]bool {
-	net := sw.tables.Net
-	used := make(map[topology.DeviceID]map[Turn]bool)
-	for _, d := range net.Devices() {
+// NumTurns reports the number of distinct (router, in port, out port)
+// turns the routes use.
+func (sw *PairSweep) NumTurns() int {
+	n := 0
+	for _, d := range sw.tables.Net.Devices() {
 		if d.Kind != topology.Router {
 			continue
 		}
-		m := make(map[Turn]bool)
 		for in := 0; in < d.Ports; in++ {
 			for out := 0; out < d.Ports; out++ {
-				if sw.turnUsed(d.ID, in, out) {
-					m[Turn{In: in, Out: out}] = true
+				if sw.TurnUsed(d.ID, in, out) {
+					n++
 				}
 			}
 		}
-		used[d.ID] = m
 	}
-	return used
+	return n
 }
 
 // Deps returns the distinct channel dependencies of the routed pairs as
@@ -311,7 +387,7 @@ func (sw *PairSweep) Turns() map[topology.DeviceID]map[Turn]bool {
 // short row needs sorting.
 func (sw *PairSweep) Deps() [][2]int {
 	net := sw.tables.Net
-	v := sw.tables.NumVC()
+	v := sw.numVC
 	n := 0
 	for _, w := range sw.bits {
 		n += bits.OnesCount64(w)
@@ -346,7 +422,7 @@ func CompareEdges(a, b [2]int) int {
 // with Deps inserted in order so the graph, and any cycle taken from it,
 // is reproducible.
 func (sw *PairSweep) CDG() *graph.Digraph {
-	g := graph.NewDigraph(sw.tables.Net.NumChannels() * sw.tables.NumVC())
+	g := graph.NewDigraph(sw.tables.Net.NumChannels() * sw.numVC)
 	for _, e := range sw.Deps() {
 		g.AddEdge(e[0], e[1])
 	}

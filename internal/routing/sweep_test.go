@@ -1,11 +1,14 @@
 package routing_test
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/contention"
@@ -21,19 +24,16 @@ import (
 // replaced: every ordered pair is routed with Tables.Route, source-major,
 // and the first failure is returned as is.
 
-func refUsedTurns(t *routing.Tables) (map[topology.DeviceID]map[routing.Turn]bool, error) {
-	used := make(map[topology.DeviceID]map[routing.Turn]bool)
-	for _, d := range t.Net.Devices() {
-		if d.Kind == topology.Router {
-			used[d.ID] = make(map[routing.Turn]bool)
-		}
-	}
+// refTurns returns the (in, out) turns the routes take at each router.
+func refTurns(t *routing.Tables) (map[topology.DeviceID]map[[2]int]bool, error) {
+	used := make(map[topology.DeviceID]map[[2]int]bool)
 	err := forEachRoute(t, func(r routing.Route) {
 		for i := 1; i < len(r.Channels); i++ {
-			dev := t.Net.ChannelDst(r.Channels[i-1]).Device
-			in := t.Net.ChannelDst(r.Channels[i-1]).Port
-			out := t.Net.ChannelSrc(r.Channels[i]).Port
-			used[dev][routing.Turn{In: in, Out: out}] = true
+			at := t.Net.ChannelDst(r.Channels[i-1])
+			if used[at.Device] == nil {
+				used[at.Device] = make(map[[2]int]bool)
+			}
+			used[at.Device][[2]int{at.Port, t.Net.ChannelSrc(r.Channels[i]).Port}] = true
 		}
 	})
 	return used, err
@@ -152,8 +152,6 @@ func checkAgainstReference(t *testing.T, name string, tb *routing.Tables) {
 		}
 	}
 
-	turns, err := tb.UsedTurns()
-	sameErr("UsedTurns", err)
 	g, gErr := deadlock.BuildCDG(tb)
 	sameErr("BuildCDG", gErr)
 	gvc, vcErr := deadlock.BuildCDGVC(tb)
@@ -164,8 +162,24 @@ func checkAgainstReference(t *testing.T, name string, tb *routing.Tables) {
 		return
 	}
 
-	if want, _ := refUsedTurns(tb); !reflect.DeepEqual(turns, want) {
-		t.Errorf("%s: UsedTurns differs from the route walk", name)
+	sw := tb.Sweep()
+	used, _ := refTurns(tb)
+	turns := 0
+	for _, d := range tb.Net.Devices() {
+		if d.Kind != topology.Router {
+			continue
+		}
+		for in := 0; in < d.Ports; in++ {
+			for out := 0; out < d.Ports; out++ {
+				if got, want := sw.TurnUsed(d.ID, in, out), used[d.ID][[2]int{in, out}]; got != want {
+					t.Errorf("%s: TurnUsed(%s, %d, %d) = %v, route walk %v", name, d.Name, in, out, got, want)
+				}
+			}
+		}
+		turns += len(used[d.ID])
+	}
+	if sw.NumTurns() != turns {
+		t.Errorf("%s: NumTurns = %d, route walk %d", name, sw.NumTurns(), turns)
 	}
 	if want, _ := refDeps(tb, false); !slices.Equal(edgesOf(g), want) {
 		t.Errorf("%s: BuildCDG has %d edges, route walk %d (or they differ)", name, g.M(), len(want))
@@ -174,7 +188,6 @@ func checkAgainstReference(t *testing.T, name string, tb *routing.Tables) {
 	if !slices.Equal(edgesOf(gvc), want) {
 		t.Errorf("%s: BuildCDGVC has %d edges, route walk %d (or they differ)", name, gvc.M(), len(want))
 	}
-	sw := tb.Sweep()
 	if !slices.Equal(sw.Deps(), want) {
 		t.Errorf("%s: Sweep.Deps differs from the route walk", name)
 	}
@@ -265,7 +278,7 @@ func TestSweepFailuresInDstSrcOrder(t *testing.T) {
 	}
 }
 
-func mustChannel(t *testing.T, net *topology.Network, dev topology.DeviceID, port int) topology.ChannelID {
+func mustChannel(t testing.TB, net *topology.Network, dev topology.DeviceID, port int) topology.ChannelID {
 	t.Helper()
 	ch, ok := net.ChannelFromPort(dev, port)
 	if !ok {
@@ -366,17 +379,198 @@ func FuzzSweepVsRoute(f *testing.F) {
 	})
 }
 
-// BenchmarkSweep measures the all-pairs sweep of the 512-CPU level-3 fat
-// fractahedron (261,632 ordered pairs), including the dependency list a
-// CDG is built from.
-func BenchmarkSweep(b *testing.B) {
-	tb := routing.Fractahedron(topology.NewFractahedron(topology.Tetra(3, true)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw := tb.Sweep()
-		if sw.Err() != nil || len(sw.Deps()) == 0 {
-			b.Fatal(sw.Err())
+// A sweep is memoized per table state: repeated calls share one result,
+// any write drops it (even one that leaves the entry as it was), and
+// concurrent callers on shared tables all get the same sweep.
+func TestSweepMemo(t *testing.T) {
+	sys, _, err := core.ParseSystem("fat-fract:levels=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := sys.Tables
+	r := tb.Net.ChannelDst(mustChannel(t, tb.Net, tb.Net.NodeByIndex(0), 0)).Device
+	sw := tb.Sweep()
+	if tb.Sweep() != sw {
+		t.Fatal("a second Sweep with no table change swept again")
+	}
+	port := tb.OutPort(r, 5)
+	tb.SetOutPort(r, 5, port)
+	same := tb.Sweep()
+	if same == sw {
+		t.Fatal("Sweep after SetOutPort returned the stale sweep")
+	}
+	tb.SetOutPort(r, 5, -1)
+	if holed := tb.Sweep(); holed == same || len(holed.Failures) == 0 {
+		t.Fatalf("Sweep after a hole: %d failures", len(holed.Failures))
+	}
+
+	// With the memo dropped, the goroutines race to compute it.
+	tb.SetOutPort(r, 5, port)
+	got := make([]*routing.PairSweep, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = tb.Sweep()
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != got[0] {
+			t.Errorf("goroutine %d got a different sweep", i)
 		}
 	}
+	if len(got[0].Failures) != 0 {
+		t.Errorf("restored tables sweep with %d failures", len(got[0].Failures))
+	}
+}
+
+// nextHops routes src -> dst by Tables.Next alone, which, unlike Route,
+// never panics on an out-of-range port: the router hops, or -1 and the
+// failing step's error.
+func nextHops(tb *routing.Tables, src, dst int) (int, error) {
+	net := tb.Net
+	cur, dstDev := net.NodeByIndex(src), net.NodeByIndex(dst)
+	for hops := 0; hops <= net.NumDevices(); hops++ {
+		ch, _, err := tb.Next(cur, dst)
+		if err != nil {
+			return -1, err
+		}
+		if cur = net.ChannelDst(ch).Device; cur == dstDev {
+			return hops, nil
+		}
+		if net.Device(cur).Kind != topology.Router {
+			return -1, fmt.Errorf("walk enters foreign end node %s", net.Device(cur).Name)
+		}
+	}
+	return -1, fmt.Errorf("routing loop")
+}
+
+// Any int a table entry is set to reads back through OutPort, whether it
+// is stored in the entry's byte or escaped, and the sweep agrees with
+// Next's walk on it; where Route can walk the value, Sweep.Err is exactly
+// Verify's error.
+func TestOutPortEncodingRoundTrip(t *testing.T) {
+	sys, _, err := core.ParseSystem("fat-fract:levels=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := sys.Tables
+	net := tb.Net
+	const dst = 5
+	r := tb.Net.ChannelDst(mustChannel(t, net, net.NodeByIndex(0), 0)).Device
+	ports := net.Device(r).Ports
+
+	// FuzzSweepVsRoute's [-1, Ports), the byte-encoding edges, and every
+	// int16 FuzzMutatedTetra can write.
+	var values []int
+	for p := -1; p < ports; p++ {
+		values = append(values, p)
+	}
+	values = append(values, -2, 252, 253, 254, 255, 1<<20, math.MinInt32)
+	for p := math.MinInt16; p <= math.MaxInt16; p++ {
+		values = append(values, p)
+	}
+	for _, v := range values {
+		tb.SetOutPort(r, dst, v)
+		if got := tb.OutPort(r, dst); got != v {
+			t.Fatalf("SetOutPort(%d) reads back %d", v, got)
+		}
+		sw := tb.Sweep()
+		for s := 0; s < net.NumNodes(); s++ {
+			if s == dst {
+				continue
+			}
+			want, werr := nextHops(tb, s, dst)
+			if got := sw.Hops(s, dst); got != want {
+				t.Fatalf("port %d: Sweep.Hops(%d, %d) = %d, Next's walk %d (%v)", v, s, dst, got, want, werr)
+			}
+		}
+		if sw.Reached()+len(sw.Failures) != sw.Pairs() {
+			t.Fatalf("port %d: %d reached + %d failures != %d pairs", v, sw.Reached(), len(sw.Failures), sw.Pairs())
+		}
+		if v < ports {
+			if err, verr := sw.Err(), tb.Verify(); (err == nil) != (verr == nil) ||
+				(err != nil && err.Error() != verr.Error()) {
+				t.Fatalf("port %d: Sweep.Err %v, Verify %v", v, err, verr)
+			}
+		}
+	}
+}
+
+// End nodes have no table, and an out-of-range destination panics rather
+// than reading or writing another router's entry.
+func TestOutPortBounds(t *testing.T) {
+	sys, _, err := core.ParseSystem("fat-fract:levels=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := sys.Tables
+	net := tb.Net
+	var routers []topology.DeviceID
+	for _, d := range net.Devices() {
+		if d.Kind == topology.Router {
+			routers = append(routers, d.ID)
+		}
+	}
+	entries := func() []int {
+		var e []int
+		for _, r := range routers {
+			for dst := 0; dst < net.NumNodes(); dst++ {
+				e = append(e, tb.OutPort(r, dst))
+			}
+		}
+		return e
+	}
+	before := entries()
+	panics := func(what, want string, f func()) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), want) {
+				t.Errorf("%s: panic %v, want one containing %q", what, p, want)
+			}
+		}()
+		f()
+	}
+	panics("OutPort on an end node", "has no table", func() { tb.OutPort(net.NodeByIndex(0), 0) })
+	panics("SetOutPort on an end node", "has no table", func() { tb.SetOutPort(net.NodeByIndex(0), 0, 1) })
+	for _, r := range routers {
+		for _, dst := range []int{-1, net.NumNodes(), -net.NumNodes()} {
+			panics("OutPort", "out of range", func() { tb.OutPort(r, dst) })
+			panics("SetOutPort", "out of range", func() { tb.SetOutPort(r, dst, 1) })
+		}
+	}
+	if !slices.Equal(entries(), before) {
+		t.Error("an out-of-range write changed some entry")
+	}
+}
+
+// BenchmarkSweep measures the all-pairs sweep of the 512-CPU level-3 fat
+// fractahedron (261,632 ordered pairs), including the dependency list a
+// CDG is built from: cold, with the memo dropped by rewriting one entry
+// before each sweep, and memoized.
+func BenchmarkSweep(b *testing.B) {
+	tb := routing.Fractahedron(topology.NewFractahedron(topology.Tetra(3, true)))
+	r := tb.Net.ChannelDst(mustChannel(b, tb.Net, tb.Net.NodeByIndex(0), 0)).Device
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tb.SetOutPort(r, 0, tb.OutPort(r, 0))
+			sw := tb.Sweep()
+			if sw.Err() != nil || len(sw.Deps()) == 0 {
+				b.Fatal(sw.Err())
+			}
+		}
+	})
+	b.Run("memo", func(b *testing.B) {
+		tb.Sweep()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if sw := tb.Sweep(); sw.Err() != nil {
+				b.Fatal(sw.Err())
+			}
+		}
+	})
 }

@@ -38,18 +38,16 @@ type Region struct {
 // CompileImage compresses the tables into region form.
 func CompileImage(t *Tables) *TableImage {
 	img := &TableImage{Algorithm: t.Algorithm, Nodes: t.Net.NumNodes()}
-	for dev, row := range t.out {
-		if row == nil {
-			continue
-		}
-		ri := RouterImage{Device: topology.DeviceID(dev)}
-		for i := 0; i < len(row); {
-			j := i
-			for j+1 < len(row) && row[j+1] == row[i] {
-				j++
+	nr := len(t.routers)
+	for r, dev := range t.routers {
+		ri := RouterImage{Device: dev}
+		for lo := 0; lo < t.nodes; {
+			port, hi := t.port(lo*nr+r), lo
+			for hi+1 < t.nodes && t.port((hi+1)*nr+r) == port {
+				hi++
 			}
-			ri.Regions = append(ri.Regions, Region{Lo: i, Hi: j, Port: row[i]})
-			i = j + 1
+			ri.Regions = append(ri.Regions, Region{Lo: lo, Hi: hi, Port: port})
+			lo = hi + 1
 		}
 		img.Routers = append(img.Routers, ri)
 	}

@@ -254,35 +254,27 @@ func upDown(net *topology.Network, root topology.DeviceID, algorithm string,
 		}
 	}
 
-	t := newTables(net, algorithm)
-	for i, u := range routers {
-		row := t.out[u]
-		for dst, c := range group {
-			row[dst] = -1
-			if c >= 0 {
-				row[dst] = int(cols[i*groups+int(c)])
+	// A router that is dead or outside the root component cannot say
+	// anything useful about any destination, so its entries stay holes, as
+	// do every router's entries for a severed destination.
+	if strict {
+		for _, d := range net.Devices() {
+			if d.Kind == topology.Router && level[d.ID] < 0 {
+				panic(fmt.Sprintf("routing: up*/down* router %d unreachable from root %d", d.ID, root))
 			}
 		}
 	}
-	// The destination router delivers through the node's own port.
+	t := newTables(net, algorithm)
 	for dst, c := range group {
-		if c >= 0 {
-			t.out[home[dst].Device][dst] = home[dst].Port
-		}
-	}
-
-	// A router that is dead or outside the root component cannot say
-	// anything useful about any destination.
-	for _, d := range net.Devices() {
-		if d.Kind != topology.Router || level[d.ID] >= 0 {
+		if c < 0 {
 			continue
 		}
-		if strict {
-			panic(fmt.Sprintf("routing: up*/down* router %d unreachable from root %d", d.ID, root))
+		col := dst * len(t.routers)
+		for i, u := range routers {
+			t.set(col+int(t.rix[u]), int(cols[i*groups+int(c)]))
 		}
-		for dst := range t.out[d.ID] {
-			t.out[d.ID][dst] = -1
-		}
+		// The destination router delivers through the node's own port.
+		t.set(t.index(home[dst].Device, dst), home[dst].Port)
 	}
 	return t
 }

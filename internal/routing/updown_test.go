@@ -358,13 +358,15 @@ func RefUpDownGeneric(net *topology.Network, root topology.DeviceID) *Tables {
 
 // sameTables reports the first entry where two tables differ.
 func sameTables(got, want *Tables) error {
-	if got.Algorithm != want.Algorithm || len(got.out) != len(want.out) {
-		return fmt.Errorf("algorithm %q over %d devices, want %q over %d",
-			got.Algorithm, len(got.out), want.Algorithm, len(want.out))
+	if got.Algorithm != want.Algorithm || !slices.Equal(got.routers, want.routers) || got.nodes != want.nodes {
+		return fmt.Errorf("algorithm %q over %d routers, want %q over %d",
+			got.Algorithm, len(got.routers), want.Algorithm, len(want.routers))
 	}
-	for dev := range got.out {
-		if !slices.Equal(got.out[dev], want.out[dev]) {
-			return fmt.Errorf("device %d row %v, want %v", dev, got.out[dev], want.out[dev])
+	for _, r := range got.routers {
+		for dst := 0; dst < got.nodes; dst++ {
+			if g, w := got.OutPort(r, dst), want.OutPort(r, dst); g != w {
+				return fmt.Errorf("device %d entry for %d is %d, want %d", r, dst, g, w)
+			}
 		}
 	}
 	return nil

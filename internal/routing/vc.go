@@ -26,8 +26,11 @@ func (t *Tables) WithVCs(numVC int, f VCFunc) *Tables {
 	if numVC < 2 {
 		panic(fmt.Sprintf("routing: WithVCs needs >= 2 virtual channels, got %d", numVC))
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.numVC = numVC
 	t.vc = f
+	t.memo = nil
 	return t
 }
 
