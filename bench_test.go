@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/deadlock"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/servernet"
@@ -280,18 +279,6 @@ func BenchmarkContentionMatching(b *testing.B) {
 		res, err := contention.MaxLinkContention(tb)
 		if err != nil || res.Max != 8 {
 			b.Fatal(err, res.Max)
-		}
-	}
-}
-
-// BenchmarkBisectionSearch measures the flow-based balanced min-cut search.
-func BenchmarkBisectionSearch(b *testing.B) {
-	f := topology.NewFractahedron(topology.Tetra(2, true))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := metrics.Bisection(f.Network, 1, 1)
-		if res.Cut != 16 {
-			b.Fatalf("cut = %d", res.Cut)
 		}
 	}
 }

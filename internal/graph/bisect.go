@@ -63,17 +63,22 @@ func terminalsOf(p BisectionProblem) []int {
 // the zero-weight vertices, given fixed sides for the terminals. It builds
 // one flow network per bisection problem — the graph's edges in both
 // directions with capacity 1, plus a source edge s -> v and a sink edge
-// v -> t per terminal — and each evaluation only switches the terminal
-// edges (the pinned side infinite, the other zero) and restores the base
-// capacities. Edge order does not matter to the result: the cut value is
-// the maximum flow, and the s-side (the residual-reachable set) is the
-// same for every maximum flow.
+// v -> t per terminal, the pinned side infinite and the other zero. eval
+// solves an assignment from zero flow; swap re-solves a pair swap from the
+// maximum flow the network already holds. Neither the edge order nor the
+// flow a solve starts from matters to the result: the cut value is the
+// maximum flow, and the s-side (the residual-reachable set) is the same for
+// every maximum flow.
 type cutEvaluator struct {
 	f         *FlowNetwork
 	s, t      int
 	toS, toT  []int // per vertex: edge ids of s -> v and v -> t (terminals only)
 	terminals []int
+	saved     []int64 // residual capacities before a swap, restored on rejection
 }
+
+// inf is the capacity of a pinned terminal edge: more than any cut.
+const inf = int64(1) << 40
 
 func newCutEvaluator(p BisectionProblem, terminals []int) *cutEvaluator {
 	n := p.G.N()
@@ -93,14 +98,14 @@ func newCutEvaluator(p BisectionProblem, terminals []int) *cutEvaluator {
 		ev.toS[v] = ev.f.AddEdge(ev.s, v, 0)
 		ev.toT[v] = ev.f.AddEdge(v, ev.t, 0)
 	}
+	ev.saved = make([]int64, len(ev.f.cap))
 	return ev
 }
 
 // eval returns the minimum cut with every terminal v pinned to the right
-// side when termSide[v], else to the left. side reads the optimal
-// placement until the next eval.
+// side when termSide[v], else to the left, solved from zero flow. side
+// reads the optimal placement until the next eval or accepted swap.
 func (ev *cutEvaluator) eval(termSide []bool) int {
-	const inf = int64(1) << 40
 	for _, v := range ev.terminals {
 		if termSide[v] {
 			ev.f.SetCap(ev.toS[v], 0)
@@ -112,6 +117,48 @@ func (ev *cutEvaluator) eval(termSide []bool) int {
 	}
 	ev.f.Reset()
 	return int(ev.f.MaxFlow(ev.s, ev.t))
+}
+
+// swap moves left terminal l to the right and right terminal r to the left,
+// given that the network holds a maximum flow of value cut for the current
+// assignment (after eval or an accepted swap). When the new minimum cut is
+// below cut, swap returns it and the network holds a maximum flow for the
+// new assignment, so side reads the same placement a cold eval would.
+// Otherwise swap restores the previous flow and returns cut.
+//
+// Only the four terminal edges of l and r change. The flow on the two that
+// close is cancelled first: the flow s -> l along the flow paths from l on
+// to t, then the flow r -> t along the flow paths back from r to s. In
+// residual terms that pushes it back from t to l, and from r to s, along
+// paths that avoid the other end. Each is at most the terminal's degree,
+// and the flow paths through a terminal always carry it all. Dinic then
+// augments until the flow regains its old value or is maximum below it.
+func (ev *cutEvaluator) swap(l, r, cut int) int {
+	f := ev.f
+	copy(ev.saved, f.cap)
+	a := f.cap[ev.toS[l]^1]
+	if !f.cancel(l, ev.t, true, a) {
+		panic("graph: the flow into a swapped terminal has no path to the sink")
+	}
+	setEmpty(f, ev.toS[l], 0)
+	b := f.cap[ev.toT[r]^1]
+	if !f.cancel(r, ev.s, false, b) {
+		panic("graph: the flow out of a swapped terminal has no path from the source")
+	}
+	setEmpty(f, ev.toT[r], 0)
+	setEmpty(f, ev.toT[l], inf)
+	setEmpty(f, ev.toS[r], inf)
+	if value := int64(cut) - a - b + f.augment(ev.s, ev.t, a+b); value < int64(cut) {
+		return int(value)
+	}
+	copy(f.cap, ev.saved)
+	return cut
+}
+
+// setEmpty gives edge id the residual capacity c and its reverse none: the
+// edge carries no flow.
+func setEmpty(f *FlowNetwork, id int, c int64) {
+	f.cap[id], f.cap[id^1] = c, 0
 }
 
 // side returns the full side assignment of the last evaluation: right for
@@ -192,13 +239,12 @@ func searchBisection(p BisectionProblem, terminals []int, half int, restarts int
 					if tries++; tries > maxSwapTries {
 						break swap
 					}
-					termSide[l], termSide[r] = true, false
-					if c2 := ev.eval(termSide); c2 < cut {
+					if c2 := ev.swap(l, r, cut); c2 < cut {
+						termSide[l], termSide[r] = true, false
 						cut, side = c2, ev.side()
 						improved = true
 						break swap
 					}
-					termSide[l], termSide[r] = false, true
 				}
 			}
 		}
@@ -226,7 +272,7 @@ func searchBisection(p BisectionProblem, terminals []int, half int, restarts int
 	for r := 0; r < restarts; r++ {
 		termSide := randomBalanced(p.G.N(), terminals, p.Weight, half, rng)
 		if termSide == nil {
-			break
+			continue // a greedy draw can miss a balanced split that exists
 		}
 		improve(termSide)
 	}

@@ -88,6 +88,126 @@ func TestCutEvaluatorReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// FuzzSwapEval checks the warm pair-swap evaluation against a fresh
+// network per assignment. On a seeded random graph whose terminals weigh 1
+// to 3 and mostly have several links, it swaps random left/right terminal
+// pairs from the last maximum flow: the verdict must be the fresh cut's
+// comparison with the current one, an accepted swap must report the fresh
+// cut and side, and a rejected one must leave the evaluator on the previous
+// assignment, so that its side and every later swap still match. The
+// search itself then runs on the weighted instance.
+func FuzzSwapEval(f *testing.F) {
+	for seed := int64(1); seed <= 12; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		terminals := 2 + rng.Intn(28)
+		n := terminals + 2 + rng.Intn(20)
+		p := randomProblem(rng, n, terminals)
+		ts := terminalsOf(p)
+		total := 0
+		for _, v := range ts {
+			p.Weight[v] = 1 + rng.Intn(3)
+			total += p.Weight[v]
+		}
+		if total%2 != 0 {
+			p.Weight[ts[0]]++
+			total++
+		}
+
+		ev := newCutEvaluator(p, ts)
+		termSide := make([]bool, n)
+		for _, v := range ts {
+			termSide[v] = rng.Intn(2) == 0
+		}
+		termSide[ts[0]], termSide[ts[1]] = false, true
+		cut := ev.eval(termSide)
+		if wantCut, wantSide := freshCut(p, termSide); cut != wantCut || !slices.Equal(ev.side(), wantSide) {
+			t.Fatalf("eval: cut %d side %v, fresh %d %v", cut, ev.side(), wantCut, wantSide)
+		}
+		for i := 0; i < 40; i++ {
+			var lefts, rights []int
+			for _, v := range ts {
+				if termSide[v] {
+					rights = append(rights, v)
+				} else {
+					lefts = append(lefts, v)
+				}
+			}
+			l, r := lefts[rng.Intn(len(lefts))], rights[rng.Intn(len(rights))]
+			termSide[l], termSide[r] = true, false
+			wantCut, wantSide := freshCut(p, termSide)
+			c2 := ev.swap(l, r, cut)
+			if (c2 < cut) != (wantCut < cut) {
+				t.Fatalf("swap %d (%d, %d) from cut %d: got %d, fresh cut %d", i, l, r, cut, c2, wantCut)
+			}
+			if c2 < cut {
+				if c2 != wantCut || !slices.Equal(ev.side(), wantSide) {
+					t.Fatalf("swap %d (%d, %d): cut %d side %v, fresh %d %v", i, l, r, c2, ev.side(), wantCut, wantSide)
+				}
+				cut = c2
+				continue
+			}
+			termSide[l], termSide[r] = false, true
+			if _, prevSide := freshCut(p, termSide); c2 != cut || !slices.Equal(ev.side(), prevSide) {
+				t.Fatalf("rejected swap %d (%d, %d): cut %d side %v, previous %d %v", i, l, r, c2, ev.side(), cut, prevSide)
+			}
+		}
+
+		res := MinBisection(p, 3, seed)
+		if res.Cut < 0 {
+			return // these weights admit no balanced split the search drew
+		}
+		right := 0
+		for _, v := range ts {
+			if res.Side[v] {
+				right += p.Weight[v]
+			}
+		}
+		if wantCut, wantSide := freshCut(p, res.Side); 2*right != total || res.Cut != wantCut || !slices.Equal(res.Side, wantSide) {
+			t.Fatalf("MinBisection: cut %d, right weight %d, fresh cut %d", res.Cut, right, wantCut)
+		}
+	})
+}
+
+// A random greedy draw can miss a balanced split that exists; that draw
+// must cost one restart, not all the remaining ones. Here 18 terminals
+// share two linked routers, with weights 3,3,3,3 and fourteen 2s (total
+// 40): a draw fails whenever it takes an odd number of 3s, yet every seed
+// must find a balanced bisection within 8 restarts.
+func TestMinBisectionFailedDrawKeepsRestarting(t *testing.T) {
+	g := NewUgraph(20)
+	g.AddEdge(0, 1)
+	w := make([]int, 20)
+	for v := 2; v < 20; v++ {
+		g.AddEdge(v%2, v)
+		w[v] = 2
+		if v < 6 {
+			w[v] = 3
+		}
+	}
+	p := BisectionProblem{G: g, Weight: w}
+	for seed := int64(1); seed <= 50; seed++ {
+		res := MinBisection(p, 8, seed)
+		if res.Cut < 0 {
+			t.Fatalf("seed %d: no bisection found (cut %d)", seed, res.Cut)
+		}
+		right := 0
+		for v, r := range res.Side {
+			if r {
+				right += w[v]
+			}
+		}
+		if right != 20 {
+			t.Errorf("seed %d: right side weighs %d, want 20", seed, right)
+		}
+		if wantCut, wantSide := freshCut(p, res.Side); res.Cut != wantCut || !slices.Equal(res.Side, wantSide) {
+			t.Errorf("seed %d: cut %d, fresh evaluation of its terminals %d", seed, res.Cut, wantCut)
+		}
+	}
+}
+
 // Reset restores the capacities MaxFlow consumed, so a network solves to
 // the same flow and cut every time.
 func TestMaxFlowAfterReset(t *testing.T) {

@@ -178,3 +178,30 @@ func TestStretch(t *testing.T) {
 		t.Errorf("up*/down* on CCC reported minimal (max %.2f); expected detours", st.Max)
 	}
 }
+
+// BenchmarkBisection measures the balanced min-cut search on the Table 1
+// fractahedrons: the level-2 fat one with one random restart, and the
+// level-3 fat and thin ones with the seed cuts alone, as
+// core.System.Bisection runs networks above 128 end nodes.
+func BenchmarkBisection(b *testing.B) {
+	for _, c := range []struct {
+		name           string
+		levels         int
+		fat            bool
+		restarts, want int
+	}{
+		{"fat-fract:levels=2", 2, true, 1, 16},
+		{"fat-fract:levels=3", 3, true, 0, 64},
+		{"thin-fract:levels=3", 3, false, 0, 4},
+	} {
+		net := topology.NewFractahedron(topology.Tetra(c.levels, c.fat)).Network
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res := Bisection(net, c.restarts, 1); res.Cut != c.want {
+					b.Fatalf("cut = %d, want %d", res.Cut, c.want)
+				}
+			}
+		})
+	}
+}
