@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race bench bench-smoke bench-json sweep-bench golden clean lint vet-lint lint-concurrency vet-conc codecert verify-fabric chaos-smoke serve-smoke livefabric
+.PHONY: all build test check race bench bench-smoke golden clean lint vet-lint lint-concurrency vet-conc codecert verify-fabric chaos-smoke serve-smoke livefabric
 
 all: build test
 
@@ -60,9 +60,9 @@ verify-fabric:
 # committed code certificate, the whole-fabric verification matrix (whose
 # CDG check is the static Dally–Seitz deadlock certificate), the full
 # test suite under the race detector (the parallel experiment engine must
-# be race-clean), one pass over every benchmark so a broken benchmark
-# cannot land silently, a small chaos-recovery campaign, the campaign
-# server smoke, and the live-fabric race matrix.
+# be race-clean), one pass over every per-layer benchmark so a broken
+# benchmark cannot land silently, a small chaos-recovery campaign, the
+# campaign server smoke, and the live-fabric race matrix.
 check: lint lint-concurrency vet-conc codecert verify-fabric
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -102,23 +102,15 @@ serve-smoke:
 race:
 	$(GO) test -race ./...
 
+# bench times every per-layer benchmark, each in the package whose code it
+# times; bench/ (`bash bench/run.sh`) is the end-to-end timer.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
-# bench-smoke runs every benchmark exactly once — a correctness pass (each
-# benchmark validates its headline numbers), not a timing pass.
+# bench-smoke runs every per-layer benchmark exactly once — a correctness
+# pass (each benchmark validates its result), not a timing pass.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
-
-# bench-json regenerates the committed benchmark baseline from a real
-# timing run; review the diff like any golden file.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_SIM.json
-
-# sweep-bench times the same sweep grid with 1 and 4 workers; rows are
-# bit-identical, only wall clock differs (needs >1 CPU to show a speedup).
-sweep-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimSweepWorkers' -benchtime 5x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/...
 
 # golden regenerates the committed experiment fixtures; review the diff.
 golden:

@@ -305,3 +305,17 @@ func TestMaxLinkContentionPairs(t *testing.T) {
 		t.Error("empty-set string missing")
 	}
 }
+
+// BenchmarkContentionMatching measures the full Hopcroft–Karp contention
+// analysis on the 64-node fat fractahedron.
+func BenchmarkContentionMatching(b *testing.B) {
+	f := topology.NewFractahedron(topology.Tetra(2, true))
+	tb := routing.Fractahedron(f)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := MaxLinkContention(tb)
+		if err != nil || res.Max != 8 {
+			b.Fatal(err, res.Max)
+		}
+	}
+}

@@ -28,8 +28,20 @@ import (
 //	                                 see topology.Parse for the format)
 //
 // Unknown keys are rejected. The returned description names the built
-// network for display.
-func ParseSystem(spec string) (*System, string, error) {
+// network for display. The builders panic on out-of-range parameters;
+// ParseSystem returns those panics as errors, because a spec arrives from
+// a flag or an HTTP request and a bad one is a rejected input, not a
+// crash.
+func ParseSystem(spec string) (sys *System, desc string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg := fmt.Sprint(r)
+			if !strings.HasPrefix(msg, "topology") && !strings.HasPrefix(msg, "routing:") {
+				panic(r)
+			}
+			sys, desc, err = nil, "", fmt.Errorf("core: spec %q: %s", spec, msg)
+		}
+	}()
 	if path, ok := strings.CutPrefix(spec, "file:"); ok {
 		return loadSystemFile(path)
 	}
@@ -51,7 +63,6 @@ func ParseSystem(spec string) (*System, string, error) {
 		}
 		return false
 	}
-	var sys *System
 	switch kind {
 	case "fat-fract", "thin-fract":
 		cfg := topology.FractConfig{

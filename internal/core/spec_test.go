@@ -47,6 +47,13 @@ func TestParseSystemRejects(t *testing.T) {
 		"fat-fract:levels=2,bogus=1",
 		"mesh:cols=x",
 		"ring:size=4,unsafe,extra",
+		// Out-of-range builder parameters: the builders panic, ParseSystem
+		// returns an error.
+		"mesh:cols=0",
+		"fat-fract:levels=0",
+		"ring:size=2",
+		"ccc:dim=1",
+		"tree:d=1", // used to loop forever looking for a tree height
 	} {
 		if _, _, err := ParseSystem(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)

@@ -372,3 +372,17 @@ func TestVCReportStringForms(t *testing.T) {
 		t.Errorf("cyclic report: %s", cyclic)
 	}
 }
+
+// BenchmarkCDGAnalysis measures channel-dependency-graph construction and
+// cycle search on the 64-node fat fractahedron.
+func BenchmarkCDGAnalysis(b *testing.B) {
+	f := topology.NewFractahedron(topology.Tetra(2, true))
+	tb := routing.Fractahedron(f)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := Analyze(tb)
+		if err != nil || !rep.Free {
+			b.Fatal(err, rep.Free)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -279,5 +280,28 @@ func TestFailoverRepeatable(t *testing.T) {
 	}
 	if !moved {
 		t.Fatalf("seed changes did not move the result; seed is not reaching the workload: %+v", first)
+	}
+}
+
+// BenchmarkSimSweepWorkers times the same four-rate sweep grid at worker-pool
+// sizes 1 and 4: the runner's fan-out over identical (bit-for-bit) rows, so
+// the pair shows the pool's parallel speedup on a host with more than one
+// CPU.
+func BenchmarkSimSweepWorkers(b *testing.B) {
+	for _, workers := range []int{1, 4} {
+		b.Run(strconv.Itoa(workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lab := Lab{Workers: workers}
+				rows, err := lab.SimSweep([]float64{0.002, 0.005, 0.01, 0.02}, 600, 8, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, r := range rows {
+					if r.Deadlocked {
+						b.Fatalf("%s deadlocked", r.Topology)
+					}
+				}
+			}
+		})
 	}
 }

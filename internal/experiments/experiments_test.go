@@ -185,6 +185,9 @@ func TestDeadlockSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rows) != 9 {
+		t.Fatalf("rows = %d, want 9", len(rows))
+	}
 	free := map[string]bool{}
 	for _, r := range rows {
 		free[r.Topology+"/"+r.Algorithm] = r.Free
@@ -235,6 +238,10 @@ func TestDatabaseScenario(t *testing.T) {
 	}
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
+	}
+	// One stream per member of each topology's worst contention set.
+	if rows[0].Streams != 12 || rows[1].Streams != 8 {
+		t.Errorf("streams = %d/%d, want 12/8", rows[0].Streams, rows[1].Streams)
 	}
 	for _, r := range rows {
 		if !r.OrderKept {

@@ -50,6 +50,20 @@ type SweepPointRow struct {
 	Deadlocked bool    `json:"deadlocked"`
 }
 
+// Admission bounds on a sweep's simulator sizing. A spec arrives over
+// HTTP, and each point builds a simulator from it: sim.New allocates
+// channels × VCs × FIFO depth flit slots, and the Bernoulli workload can
+// start one packet per (cycle, node) pair, numbered with int32 ids. A spec
+// past these bounds would panic or exhaust memory inside a point on a
+// campaignd worker instead of failing validation. They sit far above what
+// the paper's experiments run (FIFOs of 1 to 16 flits, at most 3 VCs, a
+// few thousand cycles).
+const (
+	maxSweepFIFODepth  = 256
+	maxSweepVCs        = 8
+	maxSweepInjections = 1 << 24 // cycles × nodes
+)
+
 // Points is the campaign size: every (spec, rate) pair.
 func (s SweepSpec) Points() int { return len(s.Specs) * len(s.Rates) }
 
@@ -68,15 +82,23 @@ func (s SweepSpec) Validate() error {
 	if s.Flits < 1 {
 		return fmt.Errorf("sweep: flits %d, need >= 1", s.Flits)
 	}
-	if s.FIFODepth < 1 {
-		return fmt.Errorf("sweep: fifo_depth %d, need >= 1", s.FIFODepth)
+	if s.FIFODepth < 1 || s.FIFODepth > maxSweepFIFODepth {
+		return fmt.Errorf("sweep: fifo_depth %d outside [1, %d]", s.FIFODepth, maxSweepFIFODepth)
 	}
-	if s.VCs < 0 {
-		return fmt.Errorf("sweep: vcs %d, need >= 0", s.VCs)
+	if s.VCs < 0 || s.VCs > maxSweepVCs {
+		return fmt.Errorf("sweep: vcs %d outside [0, %d]", s.VCs, maxSweepVCs)
 	}
 	for _, spec := range s.Specs {
-		if _, _, err := core.ParseSystem(spec); err != nil {
+		sys, _, err := core.ParseSystem(spec)
+		if err != nil {
 			return fmt.Errorf("sweep: %w", err)
+		}
+		n := sys.Net.NumNodes()
+		if n < 2 {
+			return fmt.Errorf("sweep: %s has %d nodes, need >= 2 for traffic", spec, n)
+		}
+		if s.Cycles > maxSweepInjections/n {
+			return fmt.Errorf("sweep: %d cycles × %d nodes of %s exceeds %d", s.Cycles, n, spec, maxSweepInjections)
 		}
 	}
 	for _, r := range s.Rates {

@@ -54,6 +54,15 @@ func TestSweepSpecPoints(t *testing.T) {
 		{Specs: []string{"no-such-topo:x=1"}, Rates: []float64{0.1}, Cycles: 10, Flits: 1, FIFODepth: 1},
 		{Specs: []string{"ring:size=4"}, Rates: []float64{-0.5}, Cycles: 10, Flits: 1, FIFODepth: 1},
 		{Specs: []string{"ring:size=4"}, Rates: []float64{0.1}, Cycles: 0, Flits: 1, FIFODepth: 1},
+		// Sizes sim.New cannot allocate: Row would panic in makeslice.
+		{Specs: []string{"ring:size=4"}, Rates: []float64{0.1}, Cycles: 10, Flits: 1, FIFODepth: 1 << 50},
+		{Specs: []string{"ring:size=4"}, Rates: []float64{0.1}, Cycles: 10, Flits: 1, FIFODepth: 1, VCs: 1 << 50},
+		// More (cycle, node) injection slots than int32 packet ids.
+		{Specs: []string{"ring:size=4"}, Rates: []float64{0.1}, Cycles: 1 << 50, Flits: 1, FIFODepth: 1},
+		// No destination besides the source: the workload cannot draw one.
+		{Specs: []string{"mesh:cols=1,rows=1,nodes=1"}, Rates: []float64{1}, Cycles: 10, Flits: 1, FIFODepth: 1},
+		// Out-of-range builder parameters are an error, not a panic.
+		{Specs: []string{"mesh:cols=0"}, Rates: []float64{0.1}, Cycles: 10, Flits: 1, FIFODepth: 1},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -62,6 +71,12 @@ func TestSweepSpecPoints(t *testing.T) {
 	}
 	if _, err := spec.Row(spec.Points(), 0); err == nil {
 		t.Error("out-of-range point accepted")
+	}
+	// The bounds admit their own limits.
+	edge := SweepSpec{Specs: []string{"ring:size=4"}, Rates: []float64{0.1}, Flits: 1,
+		Cycles: maxSweepInjections / 4, FIFODepth: maxSweepFIFODepth, VCs: maxSweepVCs}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("spec at the bounds rejected: %v", err)
 	}
 }
 

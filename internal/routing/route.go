@@ -232,26 +232,6 @@ func (t *Tables) Next(dev topology.DeviceID, dst int) (topology.ChannelID, int, 
 	return ch, t.vcAt(dev, dst), nil
 }
 
-// AllRoutes returns routes for every ordered pair of distinct node
-// addresses.
-func (t *Tables) AllRoutes() ([]Route, error) {
-	n := t.Net.NumNodes()
-	routes := make([]Route, 0, n*(n-1))
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			r, err := t.Route(s, d)
-			if err != nil {
-				return nil, err
-			}
-			routes = append(routes, r)
-		}
-	}
-	return routes, nil
-}
-
 // Verify routes every ordered pair and reports the first failure, if any.
 // It is the all-pairs reachability check builders and tests rely on.
 func (t *Tables) Verify() error {

@@ -641,18 +641,6 @@ func TestFatTreeShiftedVerifies(t *testing.T) {
 	}
 }
 
-func TestAllRoutes(t *testing.T) {
-	fm := topology.NewFullMesh(3, 6)
-	tb := FullMesh(fm)
-	routes, err := tb.AllRoutes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(routes) != 12*11 {
-		t.Errorf("routes = %d, want 132", len(routes))
-	}
-}
-
 // Dateline routes carry a VC per hop and follow the discipline: VC never
 // drops from 1 back to 0.
 func TestRingDatelineVCs(t *testing.T) {

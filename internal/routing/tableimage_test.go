@@ -156,3 +156,17 @@ func FuzzReadImage(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkTableImage measures region-table compilation, serialization and
+// verification for the 512-node fat fractahedron.
+func BenchmarkTableImage(b *testing.B) {
+	f := topology.NewFractahedron(topology.Tetra(3, true))
+	tb := routing.Fractahedron(f)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		img := routing.CompileImage(tb)
+		if err := routing.VerifyImage(img, tb); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

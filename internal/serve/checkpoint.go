@@ -83,7 +83,7 @@ func (w *checkpointWriter) close() error { return w.f.Close() }
 // recorded point, first record wins on duplicates. Decoding stops at
 // the first torn/invalid line (the SIGKILL tail); what was read before
 // it is still good.
-func readCheckpoint(path string, maxPoints int) (checkpointHeader, map[int]json.RawMessage, error) {
+func readCheckpoint(path string) (checkpointHeader, map[int]json.RawMessage, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return checkpointHeader{}, nil, err
@@ -98,17 +98,13 @@ func readCheckpoint(path string, maxPoints int) (checkpointHeader, map[int]json.
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Key == "" {
 		return checkpointHeader{}, nil, fmt.Errorf("serve: checkpoint %s: bad header", path)
 	}
-	limit := hdr.Points
-	if maxPoints > 0 && limit > maxPoints {
-		limit = maxPoints
-	}
 	rows := map[int]json.RawMessage{}
 	for sc.Scan() {
 		var ln checkpointLine
 		if err := json.Unmarshal(sc.Bytes(), &ln); err != nil || ln.Row == nil {
 			break // torn tail: everything before it stands
 		}
-		if ln.Point < 0 || ln.Point >= limit {
+		if ln.Point < 0 || ln.Point >= hdr.Points {
 			continue
 		}
 		if _, ok := rows[ln.Point]; !ok {

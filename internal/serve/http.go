@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 )
@@ -41,19 +42,26 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeJob reads one job body strictly: an unknown field (a
+// misspelling, a spec the kind does not define) or data after the object
+// is an error, never silently dropped from the job identity.
+func decodeJob(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	// Strict decoding: an unknown field (a misspelling, a spec the kind
-	// does not define) is an error, never silently dropped from the job
-	// identity.
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad job JSON: "+err.Error())
-		return
+		return JobSpec{}, err
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		httpError(w, http.StatusBadRequest, "bad job JSON: data after the job object")
+		return JobSpec{}, errors.New("data after the job object")
+	}
+	return spec, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeJob(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad job JSON: "+err.Error())
 		return
 	}
 	if err := spec.validate(); err != nil {

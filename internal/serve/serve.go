@@ -241,7 +241,7 @@ func (s *Server) loadCheckpoints() ([]*job, error) {
 	sort.Strings(names)
 	var out []*job
 	for _, name := range names {
-		hdr, rows, err := readCheckpoint(filepath.Join(s.cfg.CheckpointDir, name), 0)
+		hdr, rows, err := readCheckpoint(filepath.Join(s.cfg.CheckpointDir, name))
 		if err != nil {
 			continue
 		}

@@ -171,9 +171,12 @@ func TestLimiterConcurrent(t *testing.T) {
 }
 
 // TestSubmitValidation: malformed jobs are rejected at admission with
-// 400, never enqueued. Decoding is strict: a field the job kind does not
-// define (another kind's spec, a misspelling) or bytes after the object
-// are rejected, never silently dropped from the job identity.
+// 400, never enqueued, and the server keeps answering. Decoding is strict:
+// a field the job kind does not define (another kind's spec, a
+// misspelling) or bytes after the object are rejected, never silently
+// dropped from the job identity. A sweep whose simulator cannot be
+// allocated is malformed too: admitted, its first point would panic on a
+// worker goroutine and take the whole process down.
 func TestSubmitValidation(t *testing.T) {
 	s := startTestServer(t, Config{})
 	sweep := `{"kind":"sweep","sweep":{"specs":["ring:size=4"],"rates":[0.01],"cycles":10,"flits":1,"fifo_depth":1`
@@ -188,6 +191,9 @@ func TestSubmitValidation(t *testing.T) {
 		sweep + `,"seeed":7}}`,
 		sweep + `}}{"kind":"chaos"}`,
 		sweep + `}} x`,
+		`{"kind":"sweep","sweep":{"specs":["ring:size=4"],"rates":[0.1],"cycles":10,"flits":1,"fifo_depth":1125899906842624}}`,
+		`{"kind":"sweep","sweep":{"specs":["ring:size=4"],"rates":[0.1],"cycles":10,"flits":1,"fifo_depth":1,"vcs":1125899906842624}}`,
+		`{"kind":"sweep","sweep":{"specs":["mesh:cols=0"],"rates":[0.1],"cycles":10,"flits":1,"fifo_depth":1}}`,
 	} {
 		resp, err := http.Post("http://"+s.Addr()+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -197,6 +203,13 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("submit %q: HTTP %d, want 400", body, resp.StatusCode)
 		}
+	}
+	st, code := postJob(t, s, testSweep(1))
+	if code != http.StatusAccepted {
+		t.Fatalf("good job after the rejections: HTTP %d (%+v)", code, st)
+	}
+	if st = waitDone(t, s, st.Key); st.State != stateDone {
+		t.Fatalf("good job after the rejections: %+v", st)
 	}
 }
 
@@ -453,7 +466,7 @@ func TestAbortResumeByteIdentical(t *testing.T) {
 		t.Fatalf("resumed artifact differs from uninterrupted run:\n got %s\nwant %s", got, want)
 	}
 	// The checkpoint is consumed on completion.
-	if _, _, err := readCheckpoint(s2.checkpointPath(st.Key), 0); err == nil {
+	if _, _, err := readCheckpoint(s2.checkpointPath(st.Key)); err == nil {
 		t.Fatal("checkpoint file survived job completion")
 	}
 }
@@ -483,7 +496,7 @@ func TestCheckpointTornTail(t *testing.T) {
 	f.f.Write([]byte(`{"point":3,"row":{"p"`))
 	f.close()
 
-	got, rows, err := readCheckpoint(path, 0)
+	got, rows, err := readCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 func fractSystem(t *testing.T) *core.System {
@@ -155,5 +156,30 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Kind(9).String() == "" {
 		t.Error("unknown kind renders empty")
+	}
+}
+
+// BenchmarkTransactionLayer measures the ServerNet protocol engine over the
+// 16-node system: reads, DMA writes with acks, completion interrupts.
+func BenchmarkTransactionLayer(b *testing.B) {
+	cfg := topology.Tetra(1, false)
+	cfg.Fanout = true
+	sys, _, err := core.NewFractahedron(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine(sys, sim.Config{FIFODepth: 4})
+		for cpu := 0; cpu < 8; cpu++ {
+			ctrl := 8 + cpu
+			e.ReadTx(cpu, ctrl, 32, 0)
+			e.WriteTx(ctrl, cpu, 48, 5)
+			e.InterruptTx(ctrl, cpu, 6)
+		}
+		res, err := e.Run()
+		if err != nil || res.InterruptOvertakes != 0 || res.Completed != 24 {
+			b.Fatalf("err=%v overtakes=%d completed=%d", err, res.InterruptOvertakes, res.Completed)
+		}
 	}
 }

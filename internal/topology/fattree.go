@@ -38,9 +38,10 @@ type FTRouter struct {
 }
 
 // NewFatTree builds a D-U fat tree over nodes end nodes, with the minimum
-// height whose capacity D^L covers them.
+// height whose capacity D^L covers them. With D = 1 no height covers more
+// than one node.
 func NewFatTree(d, u, nodes int) *FatTree {
-	if d < 1 || u < 1 || nodes < 1 {
+	if d < 1 || u < 1 || nodes < 1 || d == 1 && nodes > 1 {
 		panic(fmt.Sprintf("topology: bad fat tree d=%d u=%d nodes=%d", d, u, nodes))
 	}
 	levels := 1

@@ -543,3 +543,13 @@ func TestChannelStringFormat(t *testing.T) {
 		t.Error("Kind strings wrong")
 	}
 }
+
+// BenchmarkBuildFatFractahedron measures topology construction alone.
+func BenchmarkBuildFatFractahedron(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		f := NewFractahedron(Tetra(2, true))
+		if f.NumRouters() != 48 {
+			b.Fatal("bad build")
+		}
+	}
+}
