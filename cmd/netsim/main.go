@@ -24,10 +24,11 @@
 // circular wait cannot be dodged by a fast scheduler draining worms
 // one by one.
 //
-// With -runs N > 1 the same configuration executes N times over a worker
-// pool, run i drawing its workload from the seed derived from (-seed, i);
-// results are printed in run order and are identical for any -workers
-// value. Patterns without randomness (bitcomp, ringdeadlock, db) repeat
+// Run i draws its workload from the seed derived from (-seed, i), so a
+// single run is run 0 of any -runs N and of the live backend. With
+// -runs N > 1 the same configuration executes N times over a worker
+// pool; results are printed in run order and are identical for any
+// -workers value. Patterns without randomness (bitcomp, ringdeadlock, db) repeat
 // the same run N times.
 package main
 
@@ -173,7 +174,7 @@ func main() {
 	}
 
 	if *runs <= 1 {
-		specs, err := buildSpecs(rand.New(rand.NewSource(*seed)))
+		specs, err := buildSpecs(runner.RNG(*seed, 0))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
 			os.Exit(2)

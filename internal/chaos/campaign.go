@@ -56,9 +56,9 @@ type CampaignResult struct {
 // to an uninterrupted campaign.
 func Trial(spec CampaignSpec, trial int) (TrialResult, error) {
 	// One stream per trial, consumed in a fixed order: plan first, then
-	// workload. The build only feeds plan generation the network shape.
+	// workload.
 	rng := runner.RNG(spec.Seed, trial)
-	net, _ := spec.Engine.Build()
+	net := spec.Engine.System.Net
 	plan, err := GeneratePlan(rng, net, spec.Plan)
 	if err != nil {
 		return TrialResult{}, err
@@ -74,8 +74,8 @@ func Trial(spec CampaignSpec, trial int) (TrialResult, error) {
 // Campaign runs spec.Trials independent recovery trials over the worker
 // pool and merges them in trial order.
 func Campaign(spec CampaignSpec, rcfg runner.Config) (*CampaignResult, error) {
-	if spec.Engine.Build == nil {
-		return nil, fmt.Errorf("chaos: CampaignSpec.Engine.Build is required")
+	if spec.Engine.System == nil {
+		return nil, fmt.Errorf("chaos: CampaignSpec.Engine.System is required")
 	}
 	if spec.Trials <= 0 {
 		return nil, fmt.Errorf("chaos: campaign needs a positive trial count, got %d", spec.Trials)

@@ -7,30 +7,33 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/routing"
+	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
-// buildFract2 is the level-2 fat fractahedron (64 nodes) the acceptance
+// fract2 builds the level-2 fat fractahedron (64 nodes) the acceptance
 // scenario runs on.
-func buildFract2() (*topology.Network, *routing.Tables) {
-	f := topology.NewFractahedron(topology.Tetra(2, true))
-	return f.Network, routing.Fractahedron(f)
+func fract2(t *testing.T) *core.System {
+	t.Helper()
+	sys, _, err := core.ParseSystem("fat-fract:levels=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }
 
-func engineConfig() chaos.Config {
+func engineConfig(sys *core.System) chaos.Config {
 	return chaos.Config{
-		Build:       buildFract2,
+		System:      sys,
 		Sim:         sim.Config{FIFODepth: 4, TimeoutCycles: 200, MaxRetries: 1},
 		Reconfigure: true,
 	}
 }
 
 func TestGeneratePlanDeterministic(t *testing.T) {
-	net, _ := buildFract2()
+	net := fract2(t).Net
 	spec := chaos.PlanSpec{LinkKills: 2, LinkFlaps: 1, RouterKills: 1, Window: 50, RepairAfter: 100}
 	a, err := chaos.GeneratePlan(runner.RNG(3, 0), net, spec)
 	if err != nil {
@@ -65,7 +68,7 @@ func TestGeneratePlanDeterministic(t *testing.T) {
 }
 
 func TestGeneratePlanValidation(t *testing.T) {
-	net, _ := buildFract2()
+	net := fract2(t).Net
 	cases := []chaos.PlanSpec{
 		{LinkKills: 1},                     // no window
 		{LinkFlaps: 1, Window: 10},         // flap without RepairAfter
@@ -85,7 +88,8 @@ func TestGeneratePlanValidation(t *testing.T) {
 // lost with its retry budget exhausted, and at least one hot
 // reconfiguration must have been re-certified and swapped in.
 func TestRecoveryLevel2(t *testing.T) {
-	net, _ := buildFract2()
+	sys := fract2(t)
+	net := sys.Net
 	rng := runner.RNG(11, 0)
 	plan, err := chaos.GeneratePlan(rng, net, chaos.PlanSpec{
 		LinkKills: 1, LinkFlaps: 1, RouterKills: 1, Window: 40, RepairAfter: 160,
@@ -94,7 +98,7 @@ func TestRecoveryLevel2(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := workload.UniformRandom(rng, net.NumNodes(), 300, 4, 80)
-	res, err := chaos.Run(engineConfig(), plan, specs)
+	res, err := chaos.Run(engineConfig(sys), plan, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +133,7 @@ func TestRecoveryLevel2(t *testing.T) {
 	}
 
 	// Byte-for-byte repeatability of the whole result.
-	res2, err := chaos.Run(engineConfig(), plan, specs)
+	res2, err := chaos.Run(engineConfig(sys), plan, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +145,10 @@ func TestRecoveryLevel2(t *testing.T) {
 // TestNoFaultsNoOverhead pins the quiet path: an empty plan delivers
 // everything on X with zero drops, re-issues, or reconfigurations.
 func TestNoFaultsNoOverhead(t *testing.T) {
-	net, _ := buildFract2()
+	sys := fract2(t)
+	net := sys.Net
 	specs := workload.UniformRandom(runner.RNG(4, 0), net.NumNodes(), 200, 4, 60)
-	res, err := chaos.Run(engineConfig(), chaos.Plan{}, specs)
+	res, err := chaos.Run(engineConfig(sys), chaos.Plan{}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,45 +162,13 @@ func TestNoFaultsNoOverhead(t *testing.T) {
 	}
 }
 
-// TestBuildValidation pins Run's dual-fabric input checks: the tables Build
-// returns must belong to the network it returns, and the two calls (X, then
-// Y) must produce fabrics of one shape, or node addresses would not name the
-// same dual-ported node on both.
-func TestBuildValidation(t *testing.T) {
-	specs := []sim.PacketSpec{{Src: 0, Dst: 1, Flits: 2}}
-	foreign := func() (*topology.Network, *routing.Tables) {
-		net, _ := buildFract2()
-		_, tb := buildFract2()
-		return net, tb
-	}
-	calls := 0
-	growing := func() (*topology.Network, *routing.Tables) {
-		calls++
-		r := topology.NewRing(4+calls, 1)
-		return r.Network, routing.RingSeamless(r)
-	}
-	for _, tc := range []struct {
-		name  string
-		build func() (*topology.Network, *routing.Tables)
-		want  string
-	}{
-		{"foreign tables", foreign, "chaos: fabric X tables do not belong to the built network"},
-		{"shape mismatch", growing, "chaos: X and Y fabrics differ in shape"},
-	} {
-		cfg := engineConfig()
-		cfg.Build = tc.build
-		if _, err := chaos.Run(cfg, chaos.Plan{}, specs); err == nil || err.Error() != tc.want {
-			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
-		}
-	}
-}
-
 // TestNodeLinkFault is §1's dual-fabric claim on the engine that runs: with
 // node 0's only link dead on X, every transfer still completes by failing
 // over to Y; with it dead on both fabrics, node 0 is isolated and exactly
 // the transfers touching it are lost.
 func TestNodeLinkFault(t *testing.T) {
-	net, _ := buildFract2()
+	sys := fract2(t)
+	net := sys.Net
 	nodeLink, ok := net.LinkAt(net.NodeByIndex(0), 0)
 	if !ok {
 		t.Fatal("node 0 unwired")
@@ -221,7 +194,7 @@ func TestNodeLinkFault(t *testing.T) {
 		{"X only", []chaos.Fault{kill(0)}, 0},
 		{"X and Y", []chaos.Fault{kill(0), kill(1)}, touching},
 	} {
-		res, err := chaos.Run(engineConfig(), chaos.Plan{Faults: tc.faults}, specs)
+		res, err := chaos.Run(engineConfig(sys), chaos.Plan{Faults: tc.faults}, specs)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -239,10 +212,11 @@ func TestNodeLinkFault(t *testing.T) {
 // with a high rate, packets die mid-flight and the retry machinery still
 // accounts for every transfer.
 func TestCorruptionDrops(t *testing.T) {
-	net, _ := buildFract2()
+	sys := fract2(t)
+	net := sys.Net
 	specs := workload.UniformRandom(runner.RNG(9, 0), net.NumNodes(), 150, 4, 60)
 	plan := chaos.Plan{CorruptionRate: 0.02, CorruptionSeed: 0xfeed}
-	res, err := chaos.Run(engineConfig(), plan, specs)
+	res, err := chaos.Run(engineConfig(sys), plan, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +241,7 @@ func TestCampaignWorkerDeterminism(t *testing.T) {
 		Window:  60,
 		Seed:    5,
 		Plan:    chaos.PlanSpec{LinkKills: 1, LinkFlaps: 1, RouterKills: 1, Window: 40, RepairAfter: 120},
-		Engine:  engineConfig(),
+		Engine:  engineConfig(fract2(t)),
 	}
 	one, err := chaos.Campaign(spec, runner.Config{Workers: 1})
 	if err != nil {
@@ -302,7 +276,8 @@ func TestCampaignWorkerDeterminism(t *testing.T) {
 // along with negative retry/backoff knobs, while zero still means the
 // documented defaults.
 func TestBackoffConfigValidation(t *testing.T) {
-	net, _ := buildFract2()
+	sys := fract2(t)
+	net := sys.Net
 	rng := runner.RNG(11, 0)
 	plan, err := chaos.GeneratePlan(rng, net, chaos.PlanSpec{LinkKills: 1, Window: 40})
 	if err != nil {
@@ -311,7 +286,7 @@ func TestBackoffConfigValidation(t *testing.T) {
 	specs := workload.UniformRandom(rng, net.NumNodes(), 20, 4, 20)
 
 	run := func(mut func(*chaos.Config)) error {
-		cfg := engineConfig()
+		cfg := engineConfig(sys)
 		mut(&cfg)
 		_, err := chaos.Run(cfg, plan, specs)
 		return err
@@ -350,7 +325,7 @@ func TestBackoffConfigValidation(t *testing.T) {
 	spec := chaos.CampaignSpec{
 		Trials: 1, Packets: 10, Flits: 2, Window: 20, Seed: 3,
 		Plan:   chaos.PlanSpec{LinkKills: 1, Window: 20},
-		Engine: engineConfig(),
+		Engine: engineConfig(sys),
 	}
 	spec.Engine.BackoffBase, spec.Engine.BackoffCap = 50, 5
 	if _, err := chaos.Campaign(spec, runner.Config{Workers: 2}); err == nil ||

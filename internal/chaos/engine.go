@@ -18,8 +18,8 @@ package chaos
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/fabricver"
-	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -33,9 +33,10 @@ var fabricName = [2]string{"X", "Y"}
 
 // Config parameterizes one recovery run.
 type Config struct {
-	// Build constructs one fabric; Run calls it twice, once for X and once
-	// for Y. It must be deterministic so the two fabrics share one shape.
-	Build func() (*topology.Network, *routing.Tables)
+	// System is the fabric both X and Y start as. The simulators and the
+	// reconfiguration only read its network, tables and disables, so the
+	// two fabrics, and concurrent trials, share it.
+	System *core.System
 	// Sim configures both simulators. TimeoutCycles should normally be set:
 	// it is the end-node detection mechanism that surfaces worms wedged
 	// behind (not aimed at) a dead link.
@@ -131,7 +132,6 @@ type transfer struct {
 
 // fabState is one fabric's live state.
 type fabState struct {
-	id  int
 	net *topology.Network
 	tb  *routing.Tables
 	s   *sim.Simulator
@@ -287,7 +287,8 @@ func (fs *fabState) observeFaults() {
 }
 
 // reconfigure recomputes up*/down* tables and minimal disables for the
-// fabric's surviving topology, proves the configuration acyclic and exactly
+// fabric's surviving topology (masked over the original network, which the
+// live simulator keeps running on), proves the configuration acyclic and exactly
 // component-connected with fabricver.CertifyLive, and hot-swaps it into the
 // live simulator. On any certification failure the stale configuration is
 // kept (and counted): a running fabric must never swap in an unproven
@@ -301,7 +302,7 @@ func (e *engine) reconfigure(fs *fabState) {
 	}
 	linkDead := func(l topology.LinkID) bool { return deadSet[l] }
 
-	root, expected := survivingPlan(fs.net, deadSet)
+	root, expected := fabricver.LiveTarget(fs.net, linkDead)
 	if root < 0 {
 		e.res.RecertFailures++
 		return // no live router component: nothing to route
@@ -323,95 +324,8 @@ func (e *engine) reconfigure(fs *fabState) {
 	e.res.FinalCertified = true
 }
 
-// survivingPlan picks the reconfiguration root — the lowest-ID router in
-// the largest surviving router component — and computes how many ordered
-// node pairs the degraded tables must route: sources are nodes whose router
-// survives in that component (tables cannot see a source's own dead node
-// link; the simulator kills those injections), destinations additionally
-// need their own link alive.
-func survivingPlan(net *topology.Network, deadSet map[topology.LinkID]bool) (topology.DeviceID, int) {
-	nDev := net.NumDevices()
-	comp := make([]int, nDev)
-	for i := range comp {
-		comp[i] = -1
-	}
-	nComps := 0
-	var sizes []int
-	var mins []topology.DeviceID
-	for d := 0; d < nDev; d++ {
-		dev := net.Device(topology.DeviceID(d))
-		if dev.Kind != topology.Router || comp[d] >= 0 {
-			continue
-		}
-		// A router with every link dead is itself dead; it founds no
-		// component.
-		alive := false
-		for p := 0; p < dev.Ports; p++ {
-			if l, ok := net.LinkAt(dev.ID, p); ok && !deadSet[l] {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			continue
-		}
-		c := nComps
-		nComps++
-		sizes = append(sizes, 0)
-		mins = append(mins, dev.ID)
-		queue := []topology.DeviceID{dev.ID}
-		comp[d] = c
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			sizes[c]++
-			du := net.Device(u)
-			for p := 0; p < du.Ports; p++ {
-				l, ok := net.LinkAt(u, p)
-				if !ok || deadSet[l] {
-					continue
-				}
-				v := net.OtherEnd(l, u).Device
-				if net.Device(v).Kind != topology.Router || comp[v] >= 0 {
-					continue
-				}
-				comp[v] = c
-				queue = append(queue, v)
-			}
-		}
-	}
-	if nComps == 0 {
-		return -1, 0
-	}
-	best := 0
-	for c := 1; c < nComps; c++ {
-		if sizes[c] > sizes[best] || (sizes[c] == sizes[best] && mins[c] < mins[best]) {
-			best = c
-		}
-	}
-	sources, dests := 0, 0
-	for i := 0; i < net.NumNodes(); i++ {
-		nd := net.NodeByIndex(i)
-		l, ok := net.LinkAt(nd, 0)
-		if !ok {
-			continue
-		}
-		r := net.OtherEnd(l, nd).Device
-		if comp[r] != best {
-			continue
-		}
-		sources++
-		if !deadSet[l] {
-			dests++
-		}
-	}
-	// Every destination is also a source, so subtracting the diagonal
-	// leaves sources*dests - dests reachable ordered pairs.
-	return mins[best], sources*dests - dests
-}
-
-// Run executes one chaos recovery trial: build the dual fabric, schedule
-// the plan, issue every transfer on the primary fabric, then co-simulate
+// Run executes one chaos recovery trial: start X and Y from the shared
+// system, schedule the plan, issue every transfer on the primary fabric, then co-simulate
 // both fabrics in lock step with online detection, reconfiguration, and
 // retry failover until every transfer resolves (or the horizon/deadlock
 // freezes the remainder).
@@ -420,29 +334,15 @@ func Run(cfg Config, plan Plan, specs []sim.PacketSpec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Build == nil {
-		return Result{}, fmt.Errorf("chaos: Config.Build is required")
-	}
-	var nets [2]*topology.Network
-	var tables [2]*routing.Tables
-	for i := range nets {
-		nets[i], tables[i] = cfg.Build()
-		if tables[i].Net != nets[i] {
-			return Result{}, fmt.Errorf("chaos: fabric %s tables do not belong to the built network", fabricName[i])
-		}
-	}
-	if nets[0].NumNodes() != nets[1].NumNodes() || nets[0].NumLinks() != nets[1].NumLinks() {
-		return Result{}, fmt.Errorf("chaos: X and Y fabrics differ in shape")
+	sys := cfg.System
+	if sys == nil {
+		return Result{}, fmt.Errorf("chaos: Config.System is required")
 	}
 	e := &engine{cfg: cfg}
 	e.res.FirstFaultCycle = plan.FirstCycle()
 	e.res.FinalCertified = true // until a failed recertification says otherwise
 	for i := 0; i < 2; i++ {
-		dis, err := router.FromTables(tables[i])
-		if err != nil {
-			return e.res, fmt.Errorf("chaos: fabric %s disables: %w", fabricName[i], err)
-		}
-		fs := &fabState{id: i, net: nets[i], tb: tables[i], s: sim.New(nets[i], dis, cfg.Sim)}
+		fs := &fabState{net: sys.Net, tb: sys.Tables, s: sim.New(sys.Net, sys.Disables, cfg.Sim)}
 		e.fabs[i] = fs
 		e.pending[i] = make(map[[3]int][]int)
 		fab := i

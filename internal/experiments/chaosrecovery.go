@@ -19,9 +19,12 @@ import (
 // exponential backoff. The campaign JSON is byte-identical for any worker
 // count.
 func (l *Lab) ChaosRecovery(trials, packets, flits int, seed int64) (*chaos.CampaignResult, error) {
-	spec := ChaosRecoverySpec(trials, packets, flits, seed)
+	spec, err := l.ChaosRecoverySpec(trials, packets, flits, seed)
+	if err != nil {
+		return nil, err
+	}
 	var cr *chaos.CampaignResult
-	err := l.record(func() (int, int, error) {
+	err = l.record(func() (int, int, error) {
 		var err error
 		cr, err = chaos.Campaign(spec, runner.Config{Workers: l.Workers})
 		if err != nil {

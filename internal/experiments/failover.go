@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/chaos"
-	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -27,12 +26,9 @@ type FailoverResult struct {
 	YDeadlocked bool
 }
 
-// dualFractahedron builds one fabric of the failover/chaos experiments'
-// 64-node fat fractahedron pair.
-func dualFractahedron() (*topology.Network, *routing.Tables) {
-	f := topology.NewFractahedron(topology.Tetra(2, true))
-	return f.Network, routing.Fractahedron(f)
-}
+// dualFabricSpec is the 64-node fat fractahedron (Tetra(2, true)) that
+// both fabrics of the failover and chaos experiments are built as.
+const dualFabricSpec = "fat-fract:levels=2"
 
 // FailoverSim drives a uniform load over the X fabric of a dual
 // fat-fractahedron pair, kills a heavily used inter-router link mid-run,
@@ -46,10 +42,11 @@ func dualFractahedron() (*topology.Network, *routing.Tables) {
 // counts), so the run is reproducible from the seed alone.
 func (l *Lab) FailoverSim(packets, flits, faultCycle int, seed int64) (FailoverResult, error) {
 	res := FailoverResult{Packets: packets, FaultCycle: faultCycle}
-
-	// A reference copy of the fabric, for workload shaping and victim
-	// selection; chaos.Run builds its own pair from the same closure.
-	netX, tbX := dualFractahedron()
+	sys, err := l.System(dualFabricSpec)
+	if err != nil {
+		return res, err
+	}
+	netX := sys.Net
 
 	// The failover run is a single simulation point: point index 0 of its
 	// own seed space, per the seedflow discipline.
@@ -61,7 +58,7 @@ func (l *Lab) FailoverSim(packets, flits, faultCycle int, seed int64) (FailoverR
 	best := -1
 	counts := make(map[topology.LinkID]int)
 	for _, spec := range specs {
-		r, err := tbX.Route(spec.Src, spec.Dst)
+		r, err := sys.Tables.Route(spec.Src, spec.Dst)
 		if err != nil {
 			return res, err
 		}
@@ -83,11 +80,11 @@ func (l *Lab) FailoverSim(packets, flits, faultCycle int, seed int64) (FailoverR
 		{Fabric: 0, Kind: chaos.LinkKill, Cycle: faultCycle, Link: victim},
 	}}
 	var cr chaos.Result
-	err := l.record(func() (int, int, error) {
+	err = l.record(func() (int, int, error) {
 		var err error
 		cr, err = chaos.Run(chaos.Config{
-			Build: dualFractahedron,
-			Sim:   sim.Config{FIFODepth: 4},
+			System: sys,
+			Sim:    sim.Config{FIFODepth: 4},
 		}, plan, specs)
 		return cr.Cycles, cr.FlitMoves, err
 	})

@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -68,7 +69,9 @@ const (
 func (s SweepSpec) Points() int { return len(s.Specs) * len(s.Rates) }
 
 // Validate rejects empty or nonsensical sweeps up front, parsing every
-// topology spec so a bad job fails at admission, not at point 17.
+// topology spec so a bad job fails at admission, not at point 17. A sweep
+// arrives over HTTP, so file: specs, which would make the server open a
+// path the request names, are refused before anything is built.
 func (s SweepSpec) Validate() error {
 	if len(s.Specs) == 0 {
 		return fmt.Errorf("sweep: no topology specs")
@@ -89,6 +92,9 @@ func (s SweepSpec) Validate() error {
 		return fmt.Errorf("sweep: vcs %d outside [0, %d]", s.VCs, maxSweepVCs)
 	}
 	for _, spec := range s.Specs {
+		if strings.HasPrefix(spec, "file:") {
+			return fmt.Errorf("sweep: %s: file: specs are not accepted", spec)
+		}
 		sys, _, err := core.ParseSystem(spec)
 		if err != nil {
 			return fmt.Errorf("sweep: %w", err)
@@ -144,8 +150,12 @@ func (s SweepSpec) Row(point, _ int) (SweepPointRow, error) {
 // ChaosRecovery experiment runs, exported so the campaign server can
 // execute the same campaign trial by trial (chaos.Trial) with
 // checkpoint/resume. Equal arguments produce the exact trial stream of
-// the batch experiment.
-func ChaosRecoverySpec(trials, packets, flits int, seed int64) chaos.CampaignSpec {
+// the batch experiment. Every trial shares the Lab's dualFabricSpec system.
+func (l *Lab) ChaosRecoverySpec(trials, packets, flits int, seed int64) (chaos.CampaignSpec, error) {
+	sys, err := l.System(dualFabricSpec)
+	if err != nil {
+		return chaos.CampaignSpec{}, err
+	}
 	return chaos.CampaignSpec{
 		Trials:  trials,
 		Packets: packets,
@@ -157,9 +167,9 @@ func ChaosRecoverySpec(trials, packets, flits int, seed int64) chaos.CampaignSpe
 			Window: 40, RepairAfter: 160,
 		},
 		Engine: chaos.Config{
-			Build:       dualFractahedron,
+			System:      sys,
 			Sim:         sim.Config{FIFODepth: 4, TimeoutCycles: 200, MaxRetries: 1},
 			Reconfigure: true,
 		},
-	}
+	}, nil
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -48,7 +50,13 @@ func TestSweepSpecPoints(t *testing.T) {
 		}
 	}
 
+	// A valid topology file: a server must not open paths a request names.
+	topo := filepath.Join(t.TempDir(), "net.topo")
+	if err := os.WriteFile(topo, []byte("router a 4\nrouter b 4\nnode n0\nnode n1\nlink a b\nlink a n0\nlink b n1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	bad := []SweepSpec{
+		{Specs: []string{"file:" + topo}, Rates: []float64{0.1}, Cycles: 10, Flits: 1, FIFODepth: 1},
 		{Rates: []float64{0.1}, Cycles: 10, Flits: 1, FIFODepth: 1},
 		{Specs: []string{"ring:size=4"}, Cycles: 10, Flits: 1, FIFODepth: 1},
 		{Specs: []string{"no-such-topo:x=1"}, Rates: []float64{0.1}, Cycles: 10, Flits: 1, FIFODepth: 1},
@@ -90,7 +98,10 @@ func TestChaosRecoverySpecMatchesExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := ChaosRecoverySpec(trials, packets, flits, seed)
+	spec, err := new(Lab).ChaosRecoverySpec(trials, packets, flits, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []chaos.TrialResult
 	for i := 0; i < trials; i++ {
 		tr, err := chaos.Trial(spec, i)

@@ -3,7 +3,6 @@ package fabricver
 import (
 	"fmt"
 
-	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/topology"
@@ -97,24 +96,28 @@ func enumerateFaults(net *topology.Network, workers int, violate func(check, for
 // survived, the count of structurally severed ordered endpoint pairs, and
 // the rendered violations (device names refer to the original fabric).
 func checkFault(net *topology.Network, skipLink topology.LinkID, skipDev topology.DeviceID, desc string) (survived bool, severed int, violations []string) {
-	comps := survivingComponents(net, skipLink, skipDev)
+	// A failed router is the failure of all its links.
+	dead := func(l topology.LinkID) bool {
+		link := net.Link(l)
+		return l == skipLink || link.A.Device == skipDev || link.B.Device == skipDev
+	}
+	comps := Components(net, dead)
 
 	// Structural severance: ordered endpoint pairs that no longer share a
-	// component. Every end node of the original fabric still exists (a
-	// failed router keeps its nodes, isolated); pairs inside one component
-	// must re-route, pairs across components are expected losses.
+	// component. Pairs inside one component must re-route, pairs across
+	// components (or touching a node cut off alone) are expected losses.
 	total := net.NumNodes()
 	severed = total * (total - 1)
 	for _, c := range comps {
-		severed -= len(c.nodes) * (len(c.nodes) - 1)
+		severed -= len(c.Nodes) * (len(c.Nodes) - 1)
 	}
 
 	survived = true
 	for _, c := range comps {
-		if len(c.nodes) < 2 {
+		if len(c.Nodes) < 2 {
 			continue // nothing to route inside a singleton
 		}
-		for _, v := range verifyComponent(net, c, skipLink, desc) {
+		for _, v := range verifyComponent(net, c, dead, desc) {
 			violations = append(violations, v)
 			survived = false
 		}
@@ -122,82 +125,80 @@ func checkFault(net *topology.Network, skipLink topology.LinkID, skipDev topolog
 	return survived, severed, violations
 }
 
-// component is one connected piece of the degraded fabric, devices in
-// ascending original-ID order.
-type component struct {
-	devices []topology.DeviceID
-	nodes   []topology.DeviceID
-	routers []topology.DeviceID
+// Component is one connected piece of a damaged fabric, devices in
+// ascending device-ID order.
+type Component struct {
+	Devices []topology.DeviceID
+	Nodes   []topology.DeviceID
+	Routers []topology.DeviceID
 }
 
-// survivingComponents removes the faulted link or router and decomposes
-// what remains into connected components, each listed in ascending
-// original device order so downstream rebuilds are deterministic.
-func survivingComponents(net *topology.Network, skipLink topology.LinkID, skipDev topology.DeviceID) []component {
-	n := net.NumDevices()
-	parentOf := make([]int, n)
-	for i := range parentOf {
-		parentOf[i] = i
+// Components decomposes the fabric left when the links dead reports fail
+// (a failed router is the failure of all its links) into connected
+// components. Devices with no live link belong to none. Components come in
+// order of their lowest device ID, so the rebuilds and roots derived from
+// them are deterministic. It is the one component finder of every
+// damaged-fabric path: the single-fault enumeration and the online
+// reconfiguration (LiveTarget).
+func Components(net *topology.Network, dead func(topology.LinkID) bool) []Component {
+	// Label components breadth-first, in ascending order of their lowest
+	// device; -1 is unlabelled, and a device whose search crosses no live
+	// link stays isolated.
+	label := make([]int, net.NumDevices())
+	for i := range label {
+		label[i] = -1
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parentOf[x] != x {
-			parentOf[x] = parentOf[parentOf[x]]
-			x = parentOf[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if rb < ra {
-				ra, rb = rb, ra
-			}
-			parentOf[rb] = ra
-		}
-	}
-	for _, l := range net.Links() {
-		if l.ID == skipLink || l.A.Device == skipDev || l.B.Device == skipDev {
-			continue
-		}
-		union(int(l.A.Device), int(l.B.Device))
-	}
-
-	byRoot := make(map[int]*component)
-	var order []int
+	const isolated = -2
+	n := 0
+	var queue []topology.DeviceID
 	for _, d := range net.Devices() {
-		if d.ID == skipDev {
+		if label[d.ID] != -1 {
 			continue
 		}
-		r := find(int(d.ID))
-		c := byRoot[r]
-		if c == nil {
-			c = &component{}
-			byRoot[r] = c
-			order = append(order, r)
+		label[d.ID] = n
+		queue = append(queue[:0], d.ID)
+		for i := 0; i < len(queue); i++ {
+			u := queue[i]
+			for p := 0; p < net.Device(u).Ports; p++ {
+				l, ok := net.LinkAt(u, p)
+				if !ok || dead(l) {
+					continue
+				}
+				if v := net.OtherEnd(l, u).Device; label[v] == -1 {
+					label[v] = n
+					queue = append(queue, v)
+				}
+			}
 		}
-		c.devices = append(c.devices, d.ID)
-		if d.Kind == topology.Node {
-			c.nodes = append(c.nodes, d.ID)
-		} else {
-			c.routers = append(c.routers, d.ID)
+		if len(queue) == 1 {
+			label[d.ID] = isolated
+			continue
 		}
+		n++
 	}
-	// Device iteration is ascending, so `order` (roots by first sighting)
-	// and each component's member slices are already deterministic.
-	comps := make([]component, 0, len(order))
-	for _, r := range order {
-		comps = append(comps, *byRoot[r])
+	comps := make([]Component, n)
+	for _, d := range net.Devices() {
+		if label[d.ID] == isolated {
+			continue
+		}
+		c := &comps[label[d.ID]]
+		c.Devices = append(c.Devices, d.ID)
+		if d.Kind == topology.Node {
+			c.Nodes = append(c.Nodes, d.ID)
+		} else {
+			c.Routers = append(c.Routers, d.ID)
+		}
 	}
 	return comps
 }
 
 // verifyComponent rebuilds one surviving component as a standalone
 // network, routes it with up*/down* tables rooted at its lowest-numbered
-// router, recomputes the path-disables, and re-proves reachability, the
-// degraded hop bound and CDG acyclicity. Violations are rendered with the
-// original device names, prefixed by the fault description.
-func verifyComponent(net *topology.Network, c component, skipLink topology.LinkID, desc string) (out []string) {
+// router, and re-proves it with CertifyLive: reachability, CDG acyclicity
+// and the recomputed path-disables, plus the degraded hop bound.
+// Violations are rendered with the original device names, prefixed by the
+// fault description.
+func verifyComponent(net *topology.Network, c Component, dead func(topology.LinkID) bool, desc string) (out []string) {
 	// The verifier's contract is "never panic, always produce a
 	// certificate": a degradation odd enough to trip a builder panic
 	// (possible with hand-written file: topologies) becomes a violation.
@@ -206,46 +207,39 @@ func verifyComponent(net *topology.Network, c component, skipLink topology.LinkI
 			out = append(out, fmt.Sprintf("%s: degraded fabric cannot be re-routed: %v", desc, r))
 		}
 	}()
-	if len(c.routers) == 0 {
+	if len(c.Routers) == 0 {
 		// Two or more nodes with no router cannot exist: nodes have a
 		// single port each, so they can only interconnect through routers.
-		return []string{fmt.Sprintf("%s: component with %d nodes has no router", desc, len(c.nodes))}
+		return []string{fmt.Sprintf("%s: component with %d nodes has no router", desc, len(c.Nodes))}
 	}
 
-	sub, newID := rebuild(net, c, skipLink)
-	root := newID[c.routers[0]]
+	sub, newID := rebuild(net, c, dead)
+	root := newID[c.Routers[0]]
 	tb := routing.UpDownGeneric(sub, root)
 
-	sw := tb.Sweep()
-	for _, f := range failureLines(sw) {
+	lc, dis := CertifyLive(tb)
+	for _, f := range lc.Failures {
 		out = append(out, fmt.Sprintf("%s: degraded fabric unreachable pair: %s", desc, f))
 	}
-	if len(sw.Failures) > maxDetail {
-		out = append(out, fmt.Sprintf("%s: degraded fabric unreachable pairs:%s", desc, capNote(len(sw.Failures))))
+	if lc.Unreachable > maxDetail {
+		out = append(out, fmt.Sprintf("%s: degraded fabric unreachable pairs:%s", desc, capNote(lc.Unreachable)))
 	}
 	// The degraded fabric is routed up*/down*, so its analytical bound is
 	// 2*diameter+1 over the degraded router graph.
 	g := newRouterGraph(sub)
-	maxHops, _, _ := sw.MaxHops()
-	if v := degradedHopViolation(desc, tb.Algorithm, g, g.index[root], maxHops); v != "" {
+	if v := degradedHopViolation(desc, tb.Algorithm, g, g.index[root], lc.MaxHops); v != "" {
 		out = append(out, v)
 	}
-	if cycle, cyclic := sw.CDG().ShortestCycle(); cyclic {
-		lines := make([]string, len(cycle))
-		for i, vtx := range cycle {
-			lines[i] = vcChannelString(sub, vtx, tb.NumVC())
-		}
+	if !lc.Acyclic {
 		out = append(out, fmt.Sprintf("%s: degraded CDG has a cycle; minimal cycle (%d channels): %s",
-			desc, len(cycle), joinCycle(lines)))
+			desc, len(lc.MinimalCycle), joinCycle(lc.MinimalCycle)))
 	}
 
-	// Recompute the path-disables for the degraded fabric (§2.4: the
-	// disable registers are reloaded to match the new tables). The swept
-	// turns are exactly the new dependency structure; a mismatch here means
-	// FromSweep and the sweep disagree on the fabric's turns.
-	enabled, _ := router.FromSweep(sw, sub).Counts()
-	if used := sw.NumTurns(); enabled != used {
-		out = append(out, fmt.Sprintf("%s: recomputed disables enable %d turns but routes use %d", desc, enabled, used))
+	// §2.4: the disable registers are reloaded to match the new tables.
+	// CertifyLive derives them from the swept turns, so a mismatch here
+	// means FromSweep and the sweep disagree on the fabric's turns.
+	if enabled, _ := dis.Counts(); enabled != lc.UsedTurns {
+		out = append(out, fmt.Sprintf("%s: recomputed disables enable %d turns but routes use %d", desc, enabled, lc.UsedTurns))
 	}
 	return out
 }
@@ -255,13 +249,13 @@ func verifyComponent(net *topology.Network, c component, skipLink topology.LinkI
 // in the original addresses), and links keep their port numbers; only the
 // dense IDs change. The returned slice translates original device IDs
 // (-1 for devices outside the component).
-func rebuild(net *topology.Network, c component, skipLink topology.LinkID) (*topology.Network, []topology.DeviceID) {
+func rebuild(net *topology.Network, c Component, dead func(topology.LinkID) bool) (*topology.Network, []topology.DeviceID) {
 	sub := topology.New(net.Name + " (degraded)")
 	newID := make([]topology.DeviceID, net.NumDevices())
 	for i := range newID {
 		newID[i] = -1
 	}
-	for _, id := range c.devices {
+	for _, id := range c.Devices {
 		d := net.Device(id)
 		if d.Kind == topology.Router {
 			newID[id] = sub.AddRouter(d.Name, d.Ports)
@@ -270,8 +264,8 @@ func rebuild(net *topology.Network, c component, skipLink topology.LinkID) (*top
 		}
 	}
 	for _, l := range net.Links() {
-		if l.ID == skipLink {
-			continue // the faulted link stays down even if both ends survive
+		if dead(l.ID) {
+			continue // a faulted link stays down even if both ends survive
 		}
 		na, nb := newID[l.A.Device], newID[l.B.Device]
 		if na < 0 || nb < 0 {

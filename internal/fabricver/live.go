@@ -12,6 +12,7 @@ package fabricver
 import (
 	"repro/internal/router"
 	"repro/internal/routing"
+	"repro/internal/topology"
 )
 
 // LiveCheck is the certificate of one online recertification sweep.
@@ -37,22 +38,50 @@ func CertifyLive(tb *routing.Tables) (LiveCheck, *router.Disables) {
 	sw := tb.Sweep()
 	maxHops, _, _ := sw.MaxHops()
 	lc := LiveCheck{
-		Pairs:       sw.Pairs(),
-		Reached:     sw.Reached(),
-		Unreachable: len(sw.Failures),
-		MaxHops:     maxHops,
-		UsedTurns:   sw.NumTurns(),
-		Failures:    failureLines(sw),
+		Pairs:        sw.Pairs(),
+		Reached:      sw.Reached(),
+		Unreachable:  len(sw.Failures),
+		MaxHops:      maxHops,
+		UsedTurns:    sw.NumTurns(),
+		Failures:     failureLines(sw),
+		MinimalCycle: minimalCycle(sw.CDG(), tb.Net, tb.NumVC()),
 	}
-	numVC := tb.NumVC()
-	g := sw.CDG()
-	if cycle, cyclic := g.ShortestCycle(); cyclic {
-		lc.MinimalCycle = make([]string, len(cycle))
-		for i, vtx := range cycle {
-			lc.MinimalCycle[i] = vcChannelString(tb.Net, vtx, numVC)
-		}
-	} else {
-		lc.Acyclic = true
-	}
+	lc.Acyclic = lc.MinimalCycle == nil
 	return lc, router.FromSweep(sw, tb.Net)
+}
+
+// LiveTarget picks what an online reconfiguration routes after the links
+// dead reports fail: the component of Components with the most routers
+// (ties to the lowest router ID), rooted at its lowest-ID router, and the
+// ordered node pairs degraded tables over the whole network must reach
+// there — the Reached count CertifyLive must report. Sources are the nodes
+// whose router is in the component (tables cannot see a source's own dead
+// node link; a simulator kills those injections); destinations also need
+// their own link alive. The root is -1 when no component has a router.
+func LiveTarget(net *topology.Network, dead func(topology.LinkID) bool) (root topology.DeviceID, pairs int) {
+	var best *Component
+	for _, c := range Components(net, dead) {
+		if len(c.Routers) > 0 && (best == nil || len(c.Routers) > len(best.Routers) ||
+			len(c.Routers) == len(best.Routers) && c.Routers[0] < best.Routers[0]) {
+			best = &c
+		}
+	}
+	if best == nil {
+		return -1, 0
+	}
+	in := make([]bool, net.NumDevices())
+	for _, r := range best.Routers {
+		in[r] = true
+	}
+	sources := 0
+	for i := 0; i < net.NumNodes(); i++ {
+		nd := net.NodeByIndex(i)
+		if l, ok := net.LinkAt(nd, 0); ok && in[net.OtherEnd(l, nd).Device] {
+			sources++
+		}
+	}
+	// Every destination is also a source, so subtracting the diagonal
+	// leaves sources*dests - dests reachable ordered pairs.
+	dests := len(best.Nodes)
+	return best.Routers[0], sources*dests - dests
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -28,13 +29,9 @@ func failureLines(sw *routing.PairSweep) []string {
 func cdgCheck(sw *routing.PairSweep, net *topology.Network, numVC int, violate func(check, format string, args ...any)) CDGCheck {
 	g := sw.CDG()
 	cc := CDGCheck{Vertices: g.N(), Deps: g.M()}
-	if cycle, cyclic := g.ShortestCycle(); cyclic {
-		cc.MinimalCycle = make([]string, len(cycle))
-		for i, vtx := range cycle {
-			cc.MinimalCycle[i] = vcChannelString(net, vtx, numVC)
-		}
+	if cc.MinimalCycle = minimalCycle(g, net, numVC); cc.MinimalCycle != nil {
 		violate("cdg", "channel dependency graph has a cycle; minimal cycle (%d channels): %s",
-			len(cycle), joinCycle(cc.MinimalCycle))
+			len(cc.MinimalCycle), joinCycle(cc.MinimalCycle))
 		return cc
 	}
 	cc.Acyclic = true
@@ -120,6 +117,20 @@ func disablesCheck(sw *routing.PairSweep, sys *core.System, violate func(check, 
 	}
 	dc.OK = mismatches == 0
 	return dc
+}
+
+// minimalCycle renders the shortest cycle of a channel dependency graph
+// channel by channel, or returns nil when the graph is acyclic.
+func minimalCycle(g *graph.Digraph, net *topology.Network, numVC int) []string {
+	cycle, cyclic := g.ShortestCycle()
+	if !cyclic {
+		return nil
+	}
+	lines := make([]string, len(cycle))
+	for i, vtx := range cycle {
+		lines[i] = vcChannelString(net, vtx, numVC)
+	}
+	return lines
 }
 
 // vcChannelString renders a (channel, VC) CDG vertex with device and port

@@ -130,7 +130,10 @@ func (j JobSpec) row(point int) (json.RawMessage, error) {
 		return json.Marshal(r)
 	case "chaos":
 		c := j.Chaos
-		spec := experiments.ChaosRecoverySpec(c.Trials, c.Packets, c.Flits, c.Seed)
+		spec, err := new(experiments.Lab).ChaosRecoverySpec(c.Trials, c.Packets, c.Flits, c.Seed)
+		if err != nil {
+			return nil, err
+		}
 		tr, err := chaos.Trial(spec, point)
 		if err != nil {
 			return nil, err

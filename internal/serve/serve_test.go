@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -180,7 +181,14 @@ func TestLimiterConcurrent(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	s := startTestServer(t, Config{})
 	sweep := `{"kind":"sweep","sweep":{"specs":["ring:size=4"],"rates":[0.01],"cycles":10,"flits":1,"fifo_depth":1`
+	// A valid topology file on the server's file system: admission must
+	// refuse to open paths a request names.
+	topo := filepath.Join(t.TempDir(), "net.topo")
+	if err := os.WriteFile(topo, []byte("router a 4\nrouter b 4\nnode n0\nnode n1\nlink a b\nlink a n0\nlink b n1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, body := range []string{
+		`{"kind":"sweep","sweep":{"specs":["file:` + topo + `"],"rates":[0.1],"cycles":10,"flits":1,"fifo_depth":1}}`,
 		`{`,
 		`{"kind":"mystery"}`,
 		`{"kind":"live","live":{"spec":"fat-fract:levels=1","runs":1,"packets":1,"flits":1}}`,
