@@ -86,11 +86,9 @@ func (d *Disables) Allowed(dev topology.DeviceID, in, out int) bool {
 }
 
 // Row returns the permission row for one input port of a router: Row(dev,
-// in)[out] == Allowed(dev, in, out). The slice aliases the live matrix, so
-// later Enable/Disable calls remain visible through it — which is what lets
-// the simulator hoist the map lookup out of its per-cycle hot path without
-// caching stale permissions. Queries against non-routers panic, as Allowed
-// does.
+// in)[out] == Allowed(dev, in, out). The slice aliases the matrix, so the
+// simulator hoists the map lookup out of its per-cycle hot path without
+// copying rows. Queries against non-routers panic, as Allowed does.
 func (d *Disables) Row(dev topology.DeviceID, in int) []bool {
 	m, ok := d.allowed[dev]
 	if !ok {

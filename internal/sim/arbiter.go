@@ -38,8 +38,10 @@ type move struct {
 }
 
 // planMoves selects at most one flit movement per physical output port (and
-// per injection channel) based on start-of-cycle state. It visits only
-// non-empty buffers, records the earliest future InjectCycle among blocked
+// per injection channel) based on start-of-cycle state. It visits only the
+// non-empty buffers and sources whose head or front is not parked, parks
+// each one that finds its next buffer full or its output VC owned by
+// another worm, records the earliest future InjectCycle among blocked
 // queue fronts (for idle-cycle fast-forwarding), and allocates nothing on
 // the steady-state path.
 //
@@ -49,7 +51,7 @@ func (s *Simulator) planMoves(now int) []move {
 	v := s.cfg.VirtualChannels
 
 	for w, word := range s.activeBits {
-		for ; word != 0; word &= word - 1 {
+		for word &^= s.parked[w]; word != 0; word &= word - 1 {
 			key := w<<6 | bits.TrailingZeros64(word)
 			f := &s.bufFlits[key*s.depth+int(s.bufHead[key])]
 			p := f.pkt
@@ -76,6 +78,7 @@ func (s *Simulator) planMoves(now int) []move {
 			}
 			nextKey := int(next)*v + nextVC
 			if !s.space(nextKey) {
+				s.park(key, nextKey)
 				continue
 			}
 			// Ownership of the output VC — which is the destination buffer
@@ -89,6 +92,7 @@ func (s *Simulator) planMoves(now int) []move {
 			case own < 0 && f.idx == 0:
 				continuing = false
 			default:
+				s.park(key, nextKey)
 				continue
 			}
 			port := s.chOutPort[next]
@@ -119,12 +123,13 @@ func (s *Simulator) planMoves(now int) []move {
 	}
 	moves = s.emitGrants(moves)
 
-	// Injection: one flit per source node with a pending packet. Node
+	// Injection: one flit per unparked source with a pending packet. Node
 	// addresses ascend, so no sort is needed to reproduce the old sorted
 	// source iteration.
 	s.nextInject = s.cfg.MaxCycles
 	for src, q := range s.queues {
-		if len(q) == 0 {
+		id := s.srcBase + src
+		if len(q) == 0 || s.parked[id>>6]&(1<<(id&63)) != 0 {
 			continue
 		}
 		p := q[0]
@@ -143,9 +148,11 @@ func (s *Simulator) planMoves(now int) []move {
 			continue
 		}
 		injKey := int(p.route[0])*v + p.vcAt(0)
-		if s.space(injKey) {
-			moves = append(moves, move{from: -1, to: injKey, src: src})
+		if !s.space(injKey) {
+			s.park(id, injKey)
+			continue
 		}
+		moves = append(moves, move{from: -1, to: injKey, src: src})
 	}
 	s.moves = moves
 	return moves

@@ -63,6 +63,35 @@ func BenchmarkStepCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkLargeThinSaturated times one whole run of the paper's slowest
+// simulation point: §4's 512-node thin fractahedron, capped by its 4-link
+// bisection, under the large experiment's rate-0.03 Bernoulli load (seed
+// 1, point 2, 1500 injection cycles, 8-flit packets, FIFO 4). Past
+// saturation most worms stay blocked for many cycles, so this run
+// measures what parked heads and sources save. Building the system stays
+// off the clock; each operation builds the simulator, adds the workload
+// and runs it to the last delivery.
+func BenchmarkLargeThinSaturated(b *testing.B) {
+	const rate, point, cycles = 0.03, 2, 1500
+	sys, _, err := core.ParseSystem("thin-fract:levels=3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs := workload.Bernoulli(runner.RNG(1, point), sys.Net.NumNodes(), cycles, 8, rate)
+	simulated := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		res, err := sys.Simulate(specs, sim.Config{FIFODepth: 4, MaxCycles: 60 * cycles})
+		if err != nil || res.Deadlocked || res.Delivered != len(specs) {
+			b.Fatalf("err=%v deadlocked=%v delivered=%d of %d", err, res.Deadlocked, res.Delivered, len(specs))
+		}
+		simulated += res.Cycles
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simulated), "ns/cycle")
+}
+
 // BenchmarkSimulatorThroughput measures simulator cycles per second under a
 // steady uniform load on the 64-node fat fractahedron; the reported metric
 // is wall time per simulated workload of 1000 packets.

@@ -370,3 +370,226 @@ func TestRunResumesAfterRecoveredHookPanic(t *testing.T) {
 		t.Fatalf("resumed run delivered nothing: %+v", res)
 	}
 }
+
+// The wake-on-change scan never leaves out a head or source that could act.
+// Saturated runs with every event that can unblock a parked waiter (VC=3
+// routes, three-cycle links, timeouts with retries, a permanent link fault
+// and a transient flap on links parked heads wait to cross, and a mid-run
+// SetDisables that forbids a parked header's turn) are stepped one cycle
+// at a time, and after each cycle every head and source is re-judged from
+// scratch: one that would request a move, be dropped, or set the
+// fast-forward horizon must be in the scan, and one out of it must sit on
+// the wait list of the buffer it needs.
+func TestParkedHeadsCannotMove(t *testing.T) {
+	var parkedCycles, ownerWaits, retries, forbiddenDrops int
+	for seed := int64(1); seed <= 8; seed++ {
+		c, o, r, f := runParkedScenario(t, seed)
+		parkedCycles += c
+		ownerWaits += o
+		retries += r
+		forbiddenDrops += f
+	}
+	if parkedCycles < 1000 || ownerWaits == 0 || retries == 0 || forbiddenDrops == 0 {
+		t.Fatalf("runs too idle to test the scan: %d cycles with parked heads, %d ownership waits, %d retries, %d headers dropped by the new disables",
+			parkedCycles, ownerWaits, retries, forbiddenDrops)
+	}
+}
+
+// runParkedScenario runs one seeded scenario of TestParkedHeadsCannotMove
+// under checkScan and reports how much of the scan's machinery it reached.
+func runParkedScenario(t *testing.T, seed int64) (parkedCycles, ownerWaits, retries, forbiddenDrops int) {
+	t.Helper()
+	fm := topology.NewFullMesh(4, 6)
+	tb := routing.FullMesh(fm)
+	const vcs = 3
+	s := New(fm.Network, router.AllowAll(fm.Network), Config{
+		FIFODepth: 2, VirtualChannels: vcs, MaxCycles: 4000, LinkLatency: 3,
+		TimeoutCycles: 10, MaxRetries: 3,
+	})
+	if err := s.EnableCorruption(0.01, uint64(seed)); err != nil {
+		t.Fatal(err)
+	}
+	route := func(src, dst int) []topology.ChannelID {
+		r, err := tb.Route(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Channels
+	}
+	rng := rand.New(rand.NewSource(seed))
+	n := fm.NumNodes()
+	for cyc := 0; cyc < 400; cyc++ {
+		for src := 0; src < n; src++ {
+			// Odd sources inject sparsely, so their queues run dry and
+			// timed-out packets come back to idle sources.
+			if rng.Intn(3+20*(src%2)) != 0 {
+				continue
+			}
+			dst := rng.Intn(n - 1)
+			if dst >= src {
+				dst++
+			}
+			r := routing.Route{Src: src, Dst: dst, Channels: route(src, dst)}
+			if a, b, via := fm.RouterOfNode(src), fm.RouterOfNode(dst), rng.Intn(fm.M); a != b && via != a && via != b {
+				// A detour through a third router: the channel
+				// dependencies close cycles, so worms deadlock and only
+				// timeouts free them.
+				x := via * fm.NodesPerRouter
+				r1, r2 := route(src, x), route(x, dst)
+				r.Channels = slices.Concat(r1[:len(r1)-1], r2[1:])
+			}
+			r.VCs = make([]int, len(r.Channels))
+			for i := range r.VCs {
+				r.VCs[i] = rng.Intn(vcs)
+			}
+			spec := PacketSpec{Src: src, Dst: dst, Flits: 1 + rng.Intn(6), InjectCycle: cyc}
+			if err := s.AddPacket(spec, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// parkedHead returns the lowest buffer key whose head is parked, and
+	// that head; headers only when headerOnly is set.
+	parkedHead := func(headerOnly bool) (int, flit, bool) {
+		for key, on := range s.waitOn[:len(s.waitHead)] {
+			if f := s.bufFlits[key*s.depth+int(s.bufHead[key])]; on >= 0 && (f.idx == 0 || !headerOnly) {
+				return key, f, true
+			}
+		}
+		return 0, flit{}, false
+	}
+	dead := topology.LinkID(-1)
+	var flapped bool
+	var forbidden *packet
+	s.Start()
+	for s.Running() {
+		s.StepTo(s.Now() + 1)
+		checkScan(t, s)
+		parked := false
+		for key, on := range s.waitOn[:len(s.waitHead)] {
+			if on < 0 {
+				continue
+			}
+			parked = true
+			if own := s.owner[on]; own >= 0 && own != int32(s.bufFlits[key*s.depth+int(s.bufHead[key])].pkt.id) {
+				ownerWaits++
+			}
+		}
+		if parked {
+			parkedCycles++
+		}
+		now := s.Now()
+		switch {
+		case dead < 0 && now >= 60:
+			// Kill, from this cycle on, a link a parked head waits to cross.
+			if _, f, ok := parkedHead(false); ok {
+				dead = s.chLink[f.pkt.route[f.hop+1]]
+				if err := s.ScheduleFault(LinkFault{Cycle: now, Link: dead}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case !flapped && now >= 90:
+			// Flap another such link for 90 cycles.
+			if _, f, ok := parkedHead(false); ok && s.chLink[f.pkt.route[f.hop+1]] != dead {
+				l := s.chLink[f.pkt.route[f.hop+1]]
+				if err := s.ScheduleFault(LinkFault{Cycle: now, Link: l, RepairCycle: now + 90}); err != nil {
+					t.Fatal(err)
+				}
+				flapped = true
+			}
+		case forbidden == nil && now >= 120:
+			// Forbid the turn a parked header waits to take: the next
+			// scan must see it and drop the worm.
+			if key, f, ok := parkedHead(true); ok {
+				in := fm.ChannelDst(topology.ChannelID(key / vcs))
+				dis := router.AllowAll(fm.Network)
+				dis.Disable(in.Device, in.Port, int(s.chSrcPort[f.pkt.route[f.hop+1]]))
+				s.SetDisables(dis)
+				checkScan(t, s)
+				forbidden = f.pkt
+			}
+		}
+	}
+	res := s.Finish()
+	if forbidden != nil && forbidden.retired {
+		forbiddenDrops = 1
+	}
+	return parkedCycles, ownerWaits, res.Retries, forbiddenDrops
+}
+
+// checkScan fails the test if a head or source that planMoves would act on
+// is parked, or if the parked bits and wait lists disagree.
+func checkScan(t *testing.T, s *Simulator) {
+	t.Helper()
+	v := s.cfg.VirtualChannels
+	now := s.Now()
+	parked := 0
+	for w, on := range s.waitOn {
+		if bit := s.parked[w>>6]&(1<<(w&63)) != 0; bit != (on >= 0) {
+			t.Fatalf("cycle %d: waiter %d has parked bit %v but waits on %d", now, w, bit, on)
+		}
+		if on >= 0 {
+			parked++
+		}
+	}
+	for key, on := range s.waitOn[:len(s.waitHead)] {
+		if on < 0 {
+			continue
+		}
+		if s.bufLen[key] == 0 {
+			t.Fatalf("cycle %d: empty buffer %d is parked on %d", now, key, on)
+		}
+		f := s.bufFlits[key*s.depth+int(s.bufHead[key])]
+		p := f.pkt
+		next := p.route[f.hop+1]
+		nextKey := int(next)*v + p.vcAt(f.hop+1)
+		if int(on) != nextKey {
+			t.Fatalf("cycle %d: head of buffer %d is parked on %d but needs %d", now, key, on, nextKey)
+		}
+		if p.dropped {
+			continue // the full scan skips it too
+		}
+		own := s.owner[nextKey]
+		switch {
+		case f.idx == 0 && !s.chAllowed[key/v][s.chSrcPort[next]]:
+			t.Fatalf("cycle %d: parked header of packet %d in buffer %d takes a disabled turn", now, p.id, key)
+		case s.deadCount[s.chLink[next]] > 0:
+			t.Fatalf("cycle %d: parked head of packet %d in buffer %d is aimed at a dead link", now, p.id, key)
+		case s.space(nextKey) && (own == int32(p.id) || own < 0 && f.idx == 0):
+			t.Fatalf("cycle %d: parked head of packet %d in buffer %d could move to %d", now, p.id, key, nextKey)
+		}
+	}
+	for src, q := range s.queues {
+		on := s.waitOn[s.srcBase+src]
+		if on < 0 {
+			continue
+		}
+		if len(q) == 0 {
+			t.Fatalf("cycle %d: idle source %d is parked on %d", now, src, on)
+		}
+		p := q[0]
+		injKey := int(p.route[0])*v + p.vcAt(0)
+		switch {
+		case int(on) != injKey:
+			t.Fatalf("cycle %d: source %d is parked on %d but needs %d", now, src, on, injKey)
+		case p.spec.InjectCycle > now:
+			t.Fatalf("cycle %d: source %d is parked with a front due at cycle %d", now, src, p.spec.InjectCycle)
+		case p.dropped:
+		case s.deadCount[s.chLink[p.route[0]]] > 0 || s.space(injKey):
+			t.Fatalf("cycle %d: parked source %d could act on packet %d", now, src, p.id)
+		}
+	}
+	listed := 0
+	for key, w := range s.waitHead {
+		for ; w >= 0; w = s.waitNext[w] {
+			if int(s.waitOn[w]) != key {
+				t.Fatalf("cycle %d: waiter %d on key %d's list waits on %d", now, w, key, s.waitOn[w])
+			}
+			listed++
+		}
+	}
+	if listed != parked {
+		t.Fatalf("cycle %d: %d waiters parked, %d on wait lists", now, parked, listed)
+	}
+}

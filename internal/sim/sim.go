@@ -322,7 +322,9 @@ func (s *Simulator) land(p pendingFlit) {
 	f := p.f
 	f.pkt.flitsWire--
 	if !s.chDstIsNode[p.key/s.cfg.VirtualChannels] {
-		if !f.pkt.dropped {
+		if f.pkt.dropped {
+			s.wake(p.key) // the flit vanishes and frees its slot
+		} else {
 			s.bufPush(p.key, f)
 		}
 		return
@@ -370,6 +372,7 @@ func (s *Simulator) stepCycle(limit int) {
 		s.deadCount[ev.link] += int32(ev.delta)
 		if (s.deadCount[ev.link] > 0) != wasDead {
 			s.faultRev++
+			s.wakeAll()
 		}
 		s.evCursor++
 	}
@@ -406,6 +409,7 @@ func (s *Simulator) stepCycle(limit int) {
 			}
 		} else {
 			f = s.bufPop(mv.from)
+			s.wake(mv.from)
 			f.hop++
 			f.pkt.stall = 0
 			// Ownership transitions at the output VC just crossed —
@@ -561,13 +565,19 @@ func (s *Simulator) applyTimeouts() {
 func (s *Simulator) reapDropped(res *Result, now int) int {
 	// Drain dropped worms' flits at buffer heads. Each word is scanned
 	// from a copy, so a buffer emptied here clears only its own, already
-	// visited, bit.
+	// visited, bit. A drained buffer leaves its wait list, since its head
+	// changes, and wakes the waiters on its space.
 	for w, word := range s.activeBits {
 		for ; word != 0; word &= word - 1 {
 			key := w<<6 | bits.TrailingZeros64(word)
+			if !s.bufFlits[key*s.depth+int(s.bufHead[key])].pkt.dropped {
+				continue
+			}
+			s.unpark(key)
 			for s.bufLen[key] > 0 && s.bufFlits[key*s.depth+int(s.bufHead[key])].pkt.dropped {
 				s.bufPop(key)
 			}
+			s.wake(key)
 		}
 	}
 	// Cut dropped packets off at the source.
@@ -575,6 +585,7 @@ func (s *Simulator) reapDropped(res *Result, now int) int {
 		if q := s.queues[p.spec.Src]; len(q) > 0 && q[0] == p {
 			p.injected = p.spec.Flits
 			s.queues[p.spec.Src] = q[1:]
+			s.unpark(s.srcBase + p.spec.Src)
 		}
 	}
 	// Retire and retry in packet-id order — the order the old
@@ -590,6 +601,7 @@ func (s *Simulator) reapDropped(res *Result, now int) int {
 		for _, k := range p.owned {
 			if s.owner[k] == int32(p.id) {
 				s.owner[k] = -1
+				s.wake(int(k))
 			}
 		}
 		p.owned = p.owned[:0]

@@ -59,6 +59,21 @@ type Simulator struct {
 	activeBits    []uint64
 	totalBuffered int
 
+	// Wake-on-change scan. A waiter is a buffer key's head flit (waiter id
+	// = key) or a source node's queue front (id = srcBase + node). A head
+	// or front that fails its space or ownership check parks on the buffer
+	// key it needs: its bit in parked is set and it joins that key's
+	// intrusive wait list. planMoves skips parked waiters, and every event
+	// that could let one move clears its bit again (see the callers of
+	// wake, unpark and wakeAll). A parked key is always non-empty, and
+	// appending to a queue never unblocks its front, so neither bufPush
+	// nor AddPacket touches this state.
+	parked   []uint64
+	srcBase  int     // first source waiter id: the number of buffer keys
+	waitHead []int32 // per buffer key: first waiter parked on it, -1 when none
+	waitNext []int32 // per waiter: next waiter on the same list, -1 at the end
+	waitOn   []int32 // per waiter: the key it is parked on, -1 when not parked
+
 	// pend is a circular FIFO of flits propagating on wires. Every wire
 	// has the same delay (LinkLatency), so landing order equals push order
 	// and arrivals pop off the front.
@@ -251,11 +266,12 @@ func (s *Simulator) corrupted(id, retries, idx, hop int) bool {
 }
 
 // SetDisables hot-swaps the path-disable matrix, e.g. after an external
-// recovery controller recomputes routing for a degraded topology. Safe
-// between cycles: the per-channel rows are re-aliased in place, and from
-// the next planMoves every header decision consults the new matrix (worms
-// already holding outputs keep them — §2.4's argument covers old-route
-// traffic as long as the new enabled-turn set is acyclic).
+// recovery controller recomputes routing for a degraded topology. It is
+// the only way to change disables mid-run. Safe between cycles: the
+// per-channel rows are re-aliased in place, every parked head is woken,
+// and from the next planMoves every header decision consults the new
+// matrix (worms already holding outputs keep them — §2.4's argument covers
+// old-route traffic as long as the new enabled-turn set is acyclic).
 func (s *Simulator) SetDisables(dis *router.Disables) {
 	s.dis = dis
 	for c := 0; c < s.net.NumChannels(); c++ {
@@ -264,6 +280,7 @@ func (s *Simulator) SetDisables(dis *router.Disables) {
 			s.chAllowed[c] = dis.Row(dst.Device, dst.Port)
 		}
 	}
+	s.wakeAll()
 }
 
 // FaultRevision counts up/down state flips applied so far: it changes
@@ -284,11 +301,14 @@ func (s *Simulator) DeadLinks() []topology.LinkID {
 }
 
 // New creates a simulator over a network with the given disable matrix
-// (use router.AllowAll for an unrestricted crossbar).
+// (use router.AllowAll for an unrestricted crossbar). The matrix must not
+// change while the simulator runs: parked headers would not see the
+// change. Use SetDisables to swap in a new one mid-run.
 func New(net *topology.Network, dis *router.Disables, cfg Config) *Simulator {
 	cfg = cfg.withDefaults()
 	numCh := net.NumChannels()
 	numKeys := numCh * cfg.VirtualChannels
+	waiters := numKeys + net.NumNodes()
 	s := &Simulator{
 		net:         net,
 		dis:         dis,
@@ -309,9 +329,20 @@ func New(net *topology.Network, dis *router.Disables, cfg Config) *Simulator {
 		deadCount:   make([]int32, net.NumLinks()),
 		busyCh:      make([]int, numCh),
 		activeBits:  make([]uint64, (numKeys+63)/64),
+		parked:      make([]uint64, (waiters+63)/64),
+		srcBase:     numKeys,
+		waitHead:    make([]int32, numKeys),
+		waitNext:    make([]int32, waiters),
+		waitOn:      make([]int32, waiters),
 	}
 	for i := range s.owner {
 		s.owner[i] = -1
+	}
+	for i := range s.waitHead {
+		s.waitHead[i] = -1
+	}
+	for i := range s.waitOn {
+		s.waitOn[i] = -1
 	}
 	// Global output-port index: ports numbered by (device, port) ascending.
 	// Granted ports visited in this index order reproduce the old
@@ -334,8 +365,6 @@ func New(net *topology.Network, dis *router.Disables, cfg Config) *Simulator {
 		if net.Device(dst.Device).Kind == topology.Node {
 			s.chDstIsNode[c] = true
 		} else {
-			// The row aliases the live disable matrix, so Enable/Disable
-			// calls made after New remain visible.
 			s.chAllowed[c] = dis.Row(dst.Device, dst.Port)
 		}
 	}
@@ -464,7 +493,8 @@ func (s *Simulator) bufPush(key int, f flit) {
 }
 
 // bufPop removes a buffer's head flit, deactivating the buffer on the
-// 1 -> 0 transition.
+// 1 -> 0 transition. The caller wakes the waiters parked on the space it
+// freed, and unparks the buffer first if its head was parked.
 func (s *Simulator) bufPop(key int) flit {
 	f := s.bufFlits[key*s.depth+int(s.bufHead[key])]
 	h := s.bufHead[key] + 1
@@ -523,8 +553,57 @@ func (s *Simulator) release(p *packet, out int32) {
 		if k == out {
 			s.owner[out] = -1
 			p.owned = append(p.owned[:i], p.owned[i+1:]...)
+			s.wake(int(out))
 			return
 		}
+	}
+}
+
+// park takes waiter w out of the scan and puts it at the front of key's
+// wait list. Only a waiter in the scan parks, so w is on no list.
+func (s *Simulator) park(w, key int) {
+	s.parked[w>>6] |= 1 << (w & 63)
+	s.waitOn[w] = int32(key)
+	s.waitNext[w] = s.waitHead[key]
+	s.waitHead[key] = int32(w)
+}
+
+// unpark returns waiter w to the scan if it is parked, unlinking it from
+// its list: its own head flit or queue front is about to change. Only a
+// reap does that to a parked waiter, so walking the list is cheap enough.
+func (s *Simulator) unpark(w int) {
+	on := s.waitOn[w]
+	if on < 0 {
+		return
+	}
+	s.parked[w>>6] &^= 1 << (w & 63)
+	s.waitOn[w] = -1
+	link := &s.waitHead[on]
+	for *link != int32(w) {
+		link = &s.waitNext[*link]
+	}
+	*link = s.waitNext[w]
+}
+
+// wake returns every waiter parked on key to the scan: the key gained
+// space or its output VC was freed.
+func (s *Simulator) wake(key int) {
+	for w := s.waitHead[key]; w >= 0; w = s.waitNext[w] {
+		s.parked[w>>6] &^= 1 << (w & 63)
+		s.waitOn[w] = -1
+	}
+	s.waitHead[key] = -1
+}
+
+// wakeAll returns every parked waiter to the scan. A link's state flip or
+// a new disable matrix can turn any parked head's wait into a drop.
+func (s *Simulator) wakeAll() {
+	clear(s.parked)
+	for w := range s.waitOn {
+		s.waitOn[w] = -1
+	}
+	for k := range s.waitHead {
+		s.waitHead[k] = -1
 	}
 }
 
