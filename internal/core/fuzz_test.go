@@ -22,6 +22,8 @@ func FuzzParseSystem(f *testing.F) {
 		"ring:size=999999999",
 		"fat-fract:levels=2,populate=-5",
 		"junk:::,,,===",
+		"ring:size=1,bogus=1",
+		"fat-fract:levels=4,bogus=1",
 	} {
 		f.Add(seed)
 	}

@@ -27,11 +27,11 @@ import (
 //	file:PATH                       (custom topology file, up*/down* tables;
 //	                                 see topology.Parse for the format)
 //
-// Unknown keys are rejected. The returned description names the built
-// network for display. The builders panic on out-of-range parameters;
-// ParseSystem returns those panics as errors, because a spec arrives from
-// a flag or an HTTP request and a bad one is a rejected input, not a
-// crash.
+// Unknown keys are rejected before anything is built. The returned
+// description names the built network for display. The builders panic on
+// out-of-range parameters; ParseSystem returns those panics as errors,
+// because a spec arrives from a flag or an HTTP request and a bad one is
+// a rejected input, not a crash.
 func ParseSystem(spec string) (sys *System, desc string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -63,6 +63,9 @@ func ParseSystem(spec string) (sys *System, desc string, err error) {
 		}
 		return false
 	}
+	// Every kind takes its arguments first, so an unknown key is refused
+	// before anything is built.
+	var build func() (*System, error)
 	switch kind {
 	case "fat-fract", "thin-fract":
 		cfg := topology.FractConfig{
@@ -77,28 +80,33 @@ func ParseSystem(spec string) (sys *System, desc string, err error) {
 		if cfg.FanoutDepth > 0 {
 			cfg.Fanout = true
 		}
-		sys, _, err = NewFractahedron(cfg)
+		build = func() (*System, error) { return first(NewFractahedron(cfg)) }
 	case "fattree":
-		sys, _, err = NewFatTree(get("d", 4), get("u", 2), get("nodes", 64))
+		d, u, nodes := get("d", 4), get("u", 2), get("nodes", 64)
+		build = func() (*System, error) { return first(NewFatTree(d, u, nodes)) }
 	case "tree":
-		sys, _, err = NewFatTree(get("d", 4), 1, get("nodes", 16))
+		d, nodes := get("d", 4), get("nodes", 16)
+		build = func() (*System, error) { return first(NewFatTree(d, 1, nodes)) }
 	case "mesh":
-		sys, _, err = NewMesh(get("cols", 4), get("rows", 4), get("nodes", 2))
+		cols, rows, nodes := get("cols", 4), get("rows", 4), get("nodes", 2)
+		build = func() (*System, error) { return first(NewMesh(cols, rows, nodes)) }
 	case "hypercube":
-		sys, _, err = NewHypercube(get("dim", 3), get("nodes", 1), flag("updown"))
+		dim, nodes, updown := get("dim", 3), get("nodes", 1), flag("updown")
+		build = func() (*System, error) { return first(NewHypercube(dim, nodes, updown)) }
 	case "ring":
-		sys, _, err = NewRing(get("size", 4), get("nodes", 1), !flag("unsafe"))
+		size, nodes, safe := get("size", 4), get("nodes", 1), !flag("unsafe")
+		build = func() (*System, error) { return first(NewRing(size, nodes, safe)) }
 	case "fullmesh":
-		sys, _, err = NewFullMesh(get("m", 4), get("ports", 6))
+		m, ports := get("m", 4), get("ports", 6)
+		build = func() (*System, error) { return first(NewFullMesh(m, ports)) }
 	case "ccc":
-		sys, _, err = NewCCC(get("dim", 3))
+		dim := get("dim", 3)
+		build = func() (*System, error) { return first(NewCCC(dim)) }
 	case "shuffle":
-		sys, _, err = NewShuffleExchange(get("dim", 4))
+		dim := get("dim", 4)
+		build = func() (*System, error) { return first(NewShuffleExchange(dim)) }
 	default:
 		return nil, "", fmt.Errorf("core: unknown topology kind %q (spec %q)", kind, spec)
-	}
-	if err != nil {
-		return nil, "", err
 	}
 	if len(opts) > 0 {
 		// Report the alphabetically first unknown key so the error message
@@ -110,8 +118,14 @@ func ParseSystem(spec string) (sys *System, desc string, err error) {
 		sort.Strings(keys)
 		return nil, "", fmt.Errorf("core: unknown option %q in spec %q", keys[0], spec)
 	}
+	if sys, err = build(); err != nil {
+		return nil, "", err
+	}
 	return sys, sys.Net.Name, nil
 }
+
+// first drops a builder's concrete topology.
+func first[T any](sys *System, _ T, err error) (*System, error) { return sys, err }
 
 // loadSystemFile builds a System from a topology description file, routed
 // with generic up*/down* tables rooted at the first router.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -58,6 +59,15 @@ func TestParseSystemRejects(t *testing.T) {
 		if _, _, err := ParseSystem(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
+	}
+}
+
+// TestParseSystemUnknownKeyFirst pins the order of the checks: an unknown
+// key is reported before the builder sees its out-of-range arguments.
+func TestParseSystemUnknownKeyFirst(t *testing.T) {
+	_, _, err := ParseSystem("ring:size=1,bogus=1")
+	if err == nil || !strings.Contains(err.Error(), `unknown option "bogus"`) {
+		t.Fatalf("err = %v, want unknown option \"bogus\"", err)
 	}
 }
 

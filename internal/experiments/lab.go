@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"sync"
+
 	"repro/internal/core"
 	"repro/internal/runner"
 )
@@ -12,9 +14,10 @@ import (
 // once-only contention and bisection are shared too. Two spellings of one
 // system are two entries. The zero Lab is ready to use.
 //
-// A Lab is not safe for concurrent use: an experiment takes its systems
-// before it fans work out over runner.Map. A Lab lives as long as its run;
-// there is no process-wide cache.
+// A Lab is safe for concurrent use, so experiments can run side by side:
+// callers of one spec wait for its single build and share its system, or
+// its error. A Lab lives as long as its run; there is no process-wide
+// cache.
 type Lab struct {
 	// Workers is the worker-pool size of every fan-out; <= 0 means
 	// GOMAXPROCS. Rows are identical for any value.
@@ -22,23 +25,31 @@ type Lab struct {
 	// Stats, when non-nil, accumulates the cost of every simulation run.
 	Stats *runner.Stats
 
-	built map[string]*core.System
+	mu    sync.Mutex
+	built map[string]*labEntry
+}
+
+// labEntry is one spec's build, done once however many callers race to it.
+type labEntry struct {
+	once sync.Once
+	sys  *core.System
+	err  error
 }
 
 // System returns the system spec builds, building it on the first call.
 func (l *Lab) System(spec string) (*core.System, error) {
-	if sys, ok := l.built[spec]; ok {
-		return sys, nil
+	l.mu.Lock()
+	e, ok := l.built[spec]
+	if !ok {
+		if l.built == nil {
+			l.built = make(map[string]*labEntry)
+		}
+		e = new(labEntry)
+		l.built[spec] = e
 	}
-	sys, _, err := core.ParseSystem(spec)
-	if err != nil {
-		return nil, err
-	}
-	if l.built == nil {
-		l.built = make(map[string]*core.System)
-	}
-	l.built[spec] = sys
-	return sys, nil
+	l.mu.Unlock()
+	e.once.Do(func() { e.sys, _, e.err = core.ParseSystem(spec) })
+	return e.sys, e.err
 }
 
 // namedSpec is a system under the display name an experiment prints.
