@@ -1,20 +1,23 @@
-// Package deadlock analyzes routing algorithms for deadlock freedom using
-// the channel dependency graph (CDG) method of Dally and Seitz, which the
-// paper's §2 builds on: a wormhole-routed network is deadlock-free iff the
-// directed graph whose vertices are unidirectional channels and whose edges
-// join consecutively-used channels is acyclic.
+// Package deadlock decides deadlock freedom with the channel dependency
+// graph (CDG) method of Dally and Seitz, which the paper's §2 builds on: a
+// wormhole-routed network is deadlock-free iff the directed graph whose
+// vertices are (unidirectional channel, virtual channel) pairs and whose
+// edges join consecutively used ones is acyclic. With one VC the vertices
+// are the physical channels; with more, a physically cyclic topology is
+// deadlock-free when the VC assignment breaks every loop — the §2
+// alternative the paper weighs against topology-based avoidance.
 //
-// Because every routing algorithm in this repository is destination-based
-// and table-driven, the CDG's edge set coincides exactly with the set of
-// router turns the routes use; the package verifies that equivalence, which
-// is what lets ServerNet's path-disable registers (§2.4) enforce the
-// analyzed dependency structure in hardware even against corrupted routing
-// tables.
+// Check is the repository's one acyclicity verdict: the experiments, the
+// fabric verifier's certificates and fault enumeration, and the chaos
+// harness's online recertification all read it. Because every routing
+// algorithm here is destination-based and table-driven, the CDG's edges
+// are exactly the router turns the routes use, which is what lets
+// ServerNet's path-disable registers (§2.4) enforce the analyzed
+// dependency structure in hardware even against corrupted routing tables.
 package deadlock
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -26,119 +29,95 @@ import (
 type Report struct {
 	Net       *topology.Network
 	Algorithm string
-	Free      bool                 // true iff the CDG is acyclic
-	Cycle     []topology.ChannelID // a witness dependency cycle when !Free
-	Channels  int                  // CDG vertices (all network channels)
-	Deps      int                  // CDG edges (distinct channel dependencies)
+	NumVC     int
+	Free      bool // true iff the CDG is acyclic
+	Vertices  int  // CDG vertices: channels × VCs
+	Deps      int  // CDG edges: distinct dependencies
 
-	// Order is a Dally–Seitz certificate when Free: a numbering of channels
-	// such that every dependency goes from a lower number to a higher one.
-	Order []int
+	// Cycle is a minimal dependency cycle when !Free, as CDG vertices
+	// (channel*NumVC + vc). Among equal-length cycles it is the one
+	// through the lowest vertex, so it is reproducible.
+	Cycle []int
+
+	// PhysicalCyclic reports, for NumVC > 1, whether the projection onto
+	// physical channels alone is cyclic — true for dateline rings, where
+	// the VC assignment is doing the work. It is left false for a single
+	// VC, where Free already is the physical verdict.
+	PhysicalCyclic bool
 }
 
-// BuildCDG routes every ordered node pair through the tables and returns
-// the channel dependency graph: vertex i is channel i, and an edge c1 -> c2
-// means some route crosses c1 immediately followed by c2. Edges are
-// inserted in ascending order, so the graph (and any witness cycle
-// extracted from it) is reproducible. When some pair does not route it
-// returns Tables.Verify's error.
-func BuildCDG(t *routing.Tables) (*graph.Digraph, error) {
-	sw := t.Sweep()
-	if err := sw.Err(); err != nil {
-		return nil, err
-	}
-	v := t.NumVC()
-	if v == 1 {
-		return sw.CDG(), nil
-	}
-	// Project (channel, VC) vertices onto their physical channels.
-	deps := sw.Deps()
-	for i := range deps {
-		deps[i] = [2]int{deps[i][0] / v, deps[i][1] / v}
-	}
-	slices.SortFunc(deps, routing.CompareEdges)
-	g := graph.NewDigraph(t.Net.NumChannels())
-	for _, e := range slices.Compact(deps) {
-		g.AddEdge(e[0], e[1])
-	}
-	return g, nil
-}
-
-// Analyze builds the CDG for a routing and reports whether it is
-// deadlock-free, with either a witness cycle or a numbering certificate.
-func Analyze(t *routing.Tables) (Report, error) {
-	g, err := BuildCDG(t)
-	if err != nil {
-		return Report{}, err
-	}
+// Check decides acyclicity of the dependency graph of the routes a sweep
+// found. Pairs that do not route contribute no dependencies, so Check also
+// serves the fabric verifier's damaged tables; Analyze is the form that
+// requires every pair to route.
+func Check(sw *routing.PairSweep) Report {
+	tb := sw.Tables()
+	g := sw.CDG()
 	rep := Report{
-		Net:       t.Net,
-		Algorithm: t.Algorithm,
-		Channels:  g.N(),
+		Net:       tb.Net,
+		Algorithm: tb.Algorithm,
+		NumVC:     tb.NumVC(),
+		Vertices:  g.N(),
 		Deps:      g.M(),
 	}
-	if cyc, cyclic := g.FindCycle(); cyclic {
-		rep.Cycle = make([]topology.ChannelID, len(cyc))
-		for i, c := range cyc {
-			rep.Cycle[i] = topology.ChannelID(c)
+	var cyclic bool
+	rep.Cycle, cyclic = g.ShortestCycle()
+	rep.Free = !cyclic
+	if rep.NumVC > 1 {
+		phys := graph.NewDigraph(tb.Net.NumChannels())
+		for _, e := range sw.Deps() {
+			phys.AddEdge(e[0]/rep.NumVC, e[1]/rep.NumVC)
 		}
-		return rep, nil
+		_, rep.PhysicalCyclic = phys.ShortestCycle()
 	}
-	rep.Free = true
-	order, ok := g.TopoSort()
-	if !ok {
-		return Report{}, fmt.Errorf("deadlock: graph acyclic but unsortable (internal error)")
+	return rep
+}
+
+// Analyze is Check for tables that must route every ordered node pair:
+// when one does not, it returns Tables.Verify's error.
+func Analyze(t *routing.Tables) (Report, error) {
+	sw := t.Sweep()
+	if err := sw.Err(); err != nil {
+		return Report{}, err
 	}
-	rep.Order = make([]int, g.N())
-	for pos, c := range order {
-		rep.Order[c] = pos
+	return Check(sw), nil
+}
+
+// CycleLines renders the witness cycle one vertex per line with device and
+// port names, or nil when the graph is acyclic. The " vcN" suffix appears
+// only when the routing has more than one VC.
+func (r Report) CycleLines() []string {
+	var lines []string
+	for _, v := range r.Cycle {
+		line := r.Net.ChannelString(topology.ChannelID(v / r.NumVC))
+		if r.NumVC > 1 {
+			line += fmt.Sprintf(" vc%d", v%r.NumVC)
+		}
+		lines = append(lines, line)
 	}
-	return rep, nil
+	return lines
 }
 
 // String renders the report for command-line output.
 func (r Report) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s on %s: %d channels, %d dependencies: ",
-		r.Algorithm, r.Net.Name, r.Channels, r.Deps)
+	fmt.Fprintf(&sb, "%s on %s: ", r.Algorithm, r.Net.Name)
+	if r.NumVC > 1 {
+		fmt.Fprintf(&sb, "%d VCs, %d vc-channels", r.NumVC, r.Vertices)
+	} else {
+		fmt.Fprintf(&sb, "%d channels", r.Vertices)
+	}
+	fmt.Fprintf(&sb, ", %d dependencies: ", r.Deps)
 	if r.Free {
-		sb.WriteString("DEADLOCK-FREE (acyclic CDG, numbering certificate available)")
+		sb.WriteString("DEADLOCK-FREE (acyclic CDG: every strongly connected component is a single vertex)")
+		if r.PhysicalCyclic {
+			sb.WriteString(" (physical channel graph IS cyclic; the VC assignment breaks the loops)")
+		}
 		return sb.String()
 	}
-	fmt.Fprintf(&sb, "DEADLOCK POSSIBLE; dependency cycle of length %d:\n", len(r.Cycle))
-	for _, c := range r.Cycle {
-		fmt.Fprintf(&sb, "  %s\n", r.Net.ChannelString(c))
+	fmt.Fprintf(&sb, "DEADLOCK POSSIBLE; minimal dependency cycle of length %d:", len(r.Cycle))
+	for _, line := range r.CycleLines() {
+		fmt.Fprintf(&sb, "\n  %s", line)
 	}
-	return strings.TrimRight(sb.String(), "\n")
-}
-
-// VerifyTurnEquivalence checks that the CDG's edges are exactly the turns
-// the routes use (one dependency per used turn per router). This is the
-// property that makes §2.4's path-disable enforcement exact: disabling all
-// unused turns permits precisely the analyzed dependencies and nothing
-// more.
-func VerifyTurnEquivalence(t *routing.Tables) error {
-	g, err := BuildCDG(t)
-	if err != nil {
-		return err
-	}
-	sw := t.Sweep()
-	if turns := sw.NumTurns(); g.M() != turns {
-		return fmt.Errorf("deadlock: %d CDG dependencies != %d used turns", g.M(), turns)
-	}
-	// Every CDG edge corresponds to an enabled turn.
-	for c := 0; c < g.N(); c++ {
-		for _, c2 := range g.Out(c) {
-			dev := t.Net.ChannelDst(topology.ChannelID(c)).Device
-			in := t.Net.ChannelDst(topology.ChannelID(c)).Port
-			out := t.Net.ChannelSrc(topology.ChannelID(c2)).Port
-			if !sw.TurnUsed(dev, in, out) {
-				return fmt.Errorf("deadlock: dependency %s => %s uses a disabled turn (%d->%d at %s)",
-					t.Net.ChannelString(topology.ChannelID(c)),
-					t.Net.ChannelString(topology.ChannelID(c2)),
-					in, out, t.Net.Device(dev).Name)
-			}
-		}
-	}
-	return nil
+	return sb.String()
 }

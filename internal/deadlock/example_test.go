@@ -22,18 +22,18 @@ func ExampleAnalyze() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("clockwise free: %v (cycle length %d)\n", bad.Free, len(bad.Cycle))
+	fmt.Printf("clockwise free: %v (minimal cycle length %d)\n", bad.Free, len(bad.Cycle))
 	fmt.Printf("seamless free: %v\n", good.Free)
 	// Output:
-	// clockwise free: false (cycle length 4)
+	// clockwise free: false (minimal cycle length 4)
 	// seamless free: true
 }
 
 // Virtual channels make the physically cyclic ring safe: the (channel, VC)
 // dependency graph of the dateline discipline is acyclic.
-func ExampleAnalyzeVC() {
+func ExampleAnalyze_virtualChannels() {
 	ring := topology.NewRing(4, 1)
-	rep, err := deadlock.AnalyzeVC(routing.RingDateline(ring))
+	rep, err := deadlock.Analyze(routing.RingDateline(ring))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func (l *Lab) DeadlockAvoidanceComparison(flits int) ([]AvoidanceRow, error) {
 	// space may dominate the area of a typical router" (§2).
 	ring := topology.NewRing(4, 1)
 	dl := routing.RingDateline(ring)
-	rep, err := deadlock.AnalyzeVC(dl)
+	rep, err := deadlock.Analyze(dl)
 	if err != nil {
 		return nil, err
 	}

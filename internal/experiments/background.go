@@ -73,19 +73,9 @@ func BackgroundTopologies() ([]BackgroundRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.name, err)
 		}
-		free := false
-		if e.tb.NumVC() > 1 {
-			rep, err := deadlock.AnalyzeVC(e.tb)
-			if err != nil {
-				return nil, err
-			}
-			free = rep.Free
-		} else {
-			rep, err := deadlock.Analyze(e.tb)
-			if err != nil {
-				return nil, err
-			}
-			free = rep.Free
+		rep, err := deadlock.Analyze(e.tb)
+		if err != nil {
+			return nil, err
 		}
 		bis := metrics.Bisection(e.net, 2, 1)
 		stretch, err := metrics.Stretch(e.tb)
@@ -102,7 +92,7 @@ func BackgroundTopologies() ([]BackgroundRow, error) {
 			Stretch:      stretch.Max,
 			Contention:   cont.Max,
 			Bisection:    bis.Cut,
-			DeadlockFree: free,
+			DeadlockFree: rep.Free,
 		})
 	}
 	return rows, nil

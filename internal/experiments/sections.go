@@ -246,7 +246,7 @@ func DeadlockSummary() ([]DeadlockRow, error) {
 		rows = append(rows, DeadlockRow{
 			Topology:  e.name,
 			Algorithm: e.tb.Algorithm,
-			Channels:  rep.Channels,
+			Channels:  rep.Vertices,
 			Deps:      rep.Deps,
 			Free:      rep.Free,
 		})

@@ -106,7 +106,7 @@ type CDGCheck struct {
 	Vertices        int      `json:"vertices"`
 	Deps            int      `json:"dependencies"`
 	Acyclic         bool     `json:"acyclic"`
-	CertificateSize int      `json:"certificate_size"` // channels in the Dally–Seitz numbering; 0 when cyclic
+	CertificateSize int      `json:"certificate_size"` // vertices an acyclic verdict covers; 0 when cyclic
 	MinimalCycle    []string `json:"minimal_cycle,omitempty"`
 }
 
@@ -191,7 +191,7 @@ func Verify(sys *core.System, spec string, opt Options) Certificate {
 	// reachability and worst hops together.
 	sw := sys.Tables.Sweep()
 	cert.Reach = reachCheck(sw, net, cert.HopBound, violate)
-	cert.CDG = cdgCheck(sw, net, sys.Tables.NumVC(), violate)
+	cert.CDG = cdgCheck(sw, violate)
 	cert.Disables = disablesCheck(sw, sys, violate)
 
 	// 3. Single-fault enumeration over every link and every router.

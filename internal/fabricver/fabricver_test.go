@@ -43,7 +43,7 @@ func TestAllBuiltinSpecs(t *testing.T) {
 					cert.Reach.MaxHops, cert.HopBound, cert.HopBoundRule)
 			}
 			if cert.CDG.CertificateSize != cert.CDG.Vertices {
-				t.Fatalf("Dally–Seitz numbering covers %d of %d vertices",
+				t.Fatalf("acyclic verdict covers %d of %d vertices",
 					cert.CDG.CertificateSize, cert.CDG.Vertices)
 			}
 			if !opt.SkipFaults {

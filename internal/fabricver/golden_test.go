@@ -13,7 +13,9 @@ var update = flag.Bool("update", false, "rewrite the golden certificate fixtures
 
 // goldenSpecs are the specs whose full JSON certificates (faults included)
 // are pinned byte for byte: the paper's tetrahedron building block, the
-// two-level fractahedron, and the 4-2 fat tree it is compared against.
+// two-level fractahedron, the 4-2 fat tree it is compared against, and
+// the Figure 1 unsafe ring, whose cyclic certificate pins the minimal
+// cycle and violation bytes.
 // The level-3 fractahedra's goldens in the same directory take minutes to
 // certify, too slow for the race-detector suite; CI's fabricver job
 // compares the compiled binary's certificates against them instead.
@@ -21,9 +23,10 @@ var goldenSpecs = []string{
 	"fat-fract:levels=1",
 	"fat-fract:levels=2",
 	"fattree:d=4,u=2,nodes=64",
+	"ring:size=4,unsafe",
 }
 
-// TestGoldenCertificates pins the exact certificate bytes for the three
+// TestGoldenCertificates pins the exact certificate bytes for the
 // reference fabrics and proves the determinism contract the schema
 // promises: the encoding is identical across runs and across fault-pool
 // worker counts.

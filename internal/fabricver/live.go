@@ -10,6 +10,7 @@ package fabricver
 // actually routed.
 
 import (
+	"repro/internal/deadlock"
 	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -38,15 +39,15 @@ func CertifyLive(tb *routing.Tables) (LiveCheck, *router.Disables) {
 	sw := tb.Sweep()
 	maxHops, _, _ := sw.MaxHops()
 	lc := LiveCheck{
-		Pairs:        sw.Pairs(),
-		Reached:      sw.Reached(),
-		Unreachable:  len(sw.Failures),
-		MaxHops:      maxHops,
-		UsedTurns:    sw.NumTurns(),
-		Failures:     failureLines(sw),
-		MinimalCycle: minimalCycle(sw.CDG(), tb.Net, tb.NumVC()),
+		Pairs:       sw.Pairs(),
+		Reached:     sw.Reached(),
+		Unreachable: len(sw.Failures),
+		MaxHops:     maxHops,
+		UsedTurns:   sw.NumTurns(),
+		Failures:    failureLines(sw),
 	}
-	lc.Acyclic = lc.MinimalCycle == nil
+	rep := deadlock.Check(sw)
+	lc.Acyclic, lc.MinimalCycle = rep.Free, rep.CycleLines()
 	return lc, router.FromSweep(sw, tb.Net)
 }
 

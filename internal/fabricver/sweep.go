@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/graph"
+	"repro/internal/deadlock"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -22,26 +22,18 @@ func failureLines(sw *routing.PairSweep) []string {
 	return lines
 }
 
-// cdgCheck proves deadlock freedom by CDG acyclicity. When the graph is
-// cyclic the minimal dependency cycle is rendered channel by channel as
-// the counterexample; when acyclic, the Dally–Seitz numbering's size is
-// recorded as the certificate.
-func cdgCheck(sw *routing.PairSweep, net *topology.Network, numVC int, violate func(check, format string, args ...any)) CDGCheck {
-	g := sw.CDG()
-	cc := CDGCheck{Vertices: g.N(), Deps: g.M()}
-	if cc.MinimalCycle = minimalCycle(g, net, numVC); cc.MinimalCycle != nil {
+// cdgCheck renders the deadlock package's CDG verdict. When the graph is
+// cyclic the minimal dependency cycle is the counterexample; when acyclic,
+// the certificate covers every (channel, VC) vertex.
+func cdgCheck(sw *routing.PairSweep, violate func(check, format string, args ...any)) CDGCheck {
+	rep := deadlock.Check(sw)
+	cc := CDGCheck{Vertices: rep.Vertices, Deps: rep.Deps, Acyclic: rep.Free, MinimalCycle: rep.CycleLines()}
+	if rep.Free {
+		cc.CertificateSize = rep.Vertices
+	} else {
 		violate("cdg", "channel dependency graph has a cycle; minimal cycle (%d channels): %s",
 			len(cc.MinimalCycle), joinCycle(cc.MinimalCycle))
-		return cc
 	}
-	cc.Acyclic = true
-	order, ok := g.TopoSort()
-	if !ok {
-		// Unreachable: ShortestCycle and TopoSort agree on acyclicity.
-		violate("cdg", "internal error: acyclic graph failed to topo-sort")
-		return cc
-	}
-	cc.CertificateSize = len(order)
 	return cc
 }
 
@@ -117,30 +109,6 @@ func disablesCheck(sw *routing.PairSweep, sys *core.System, violate func(check, 
 	}
 	dc.OK = mismatches == 0
 	return dc
-}
-
-// minimalCycle renders the shortest cycle of a channel dependency graph
-// channel by channel, or returns nil when the graph is acyclic.
-func minimalCycle(g *graph.Digraph, net *topology.Network, numVC int) []string {
-	cycle, cyclic := g.ShortestCycle()
-	if !cyclic {
-		return nil
-	}
-	lines := make([]string, len(cycle))
-	for i, vtx := range cycle {
-		lines[i] = vcChannelString(net, vtx, numVC)
-	}
-	return lines
-}
-
-// vcChannelString renders a (channel, VC) CDG vertex with device and port
-// names; the VC suffix is omitted for single-VC routings.
-func vcChannelString(net *topology.Network, vertex, numVC int) string {
-	ch := topology.ChannelID(vertex / numVC)
-	if numVC == 1 {
-		return net.ChannelString(ch)
-	}
-	return fmt.Sprintf("%s vc%d", net.ChannelString(ch), vertex%numVC)
 }
 
 func joinCycle(lines []string) string {

@@ -58,12 +58,6 @@ func (g *Digraph) FindCycle() (cycle []int, ok bool) {
 	return nil, false
 }
 
-// Acyclic reports whether the directed graph contains no cycle.
-func (g *Digraph) Acyclic() bool {
-	_, cyclic := g.FindCycle()
-	return !cyclic
-}
-
 // TopoSort returns a topological ordering of the directed graph, or ok =
 // false if the graph contains a cycle.
 func (g *Digraph) TopoSort() (order []int, ok bool) {

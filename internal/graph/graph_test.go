@@ -102,9 +102,6 @@ func TestFindCycleOnDAG(t *testing.T) {
 	if cyc, ok := g.FindCycle(); ok {
 		t.Errorf("DAG reported cycle %v", cyc)
 	}
-	if !g.Acyclic() {
-		t.Error("Acyclic() = false on a DAG")
-	}
 }
 
 func TestFindCycleReturnsRealCycle(t *testing.T) {
@@ -214,7 +211,7 @@ func TestAcyclicPropertyRandomDAG(t *testing.T) {
 			v := u + 1 + rng.Intn(n-u-1)
 			g.AddEdge(u, v)
 		}
-		if !g.Acyclic() {
+		if _, cyclic := g.FindCycle(); cyclic {
 			return false
 		}
 		// Close a cycle along an existing path if one exists.
@@ -222,7 +219,8 @@ func TestAcyclicPropertyRandomDAG(t *testing.T) {
 		for v := n - 1; v > 0; v-- {
 			if d[v] > 0 {
 				g.AddEdge(v, 0)
-				return !g.Acyclic()
+				_, cyclic := g.FindCycle()
+				return cyclic
 			}
 		}
 		return true

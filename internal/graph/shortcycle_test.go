@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 func TestShortestCycleAcyclic(t *testing.T) {
@@ -78,5 +80,45 @@ func TestCycleThroughOrientation(t *testing.T) {
 	}
 	if _, ok := g.CycleThrough(0, 2); ok {
 		t.Fatal("0->2 is not an edge, want ok=false")
+	}
+}
+
+// Property: on random digraphs, self-loops and parallel edges included,
+// ShortestCycle reports a cycle exactly when TopoSort fails; the cycle is
+// real (every edge exists, no vertex repeats) and no longer than the one
+// FindCycle's depth-first search closes.
+func TestShortestCycleProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(30)
+		g := NewDigraph(n)
+		for m := rng.Intn(2 * n); m > 0; m-- {
+			g.AddEdge(rng.Intn(n), rng.Intn(n))
+		}
+		cycle, cyclic := g.ShortestCycle()
+		if _, sortable := g.TopoSort(); cyclic == sortable {
+			t.Logf("seed %d: ShortestCycle cyclic=%v, TopoSort sortable=%v", seed, cyclic, sortable)
+			return false
+		}
+		if !cyclic {
+			return cycle == nil
+		}
+		seen := make(map[int]bool)
+		for i, v := range cycle {
+			if seen[v] || !g.HasEdge(v, cycle[(i+1)%len(cycle)]) {
+				t.Logf("seed %d: %v is not a simple cycle", seed, cycle)
+				return false
+			}
+			seen[v] = true
+		}
+		dfs, _ := g.FindCycle()
+		if len(cycle) > len(dfs) {
+			t.Logf("seed %d: shortest cycle %v longer than FindCycle's %v", seed, cycle, dfs)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

@@ -321,6 +321,9 @@ func (sw *PairSweep) Err() error {
 	return fmt.Errorf("routing[%s]: %d -> %d: %s", sw.tables.Algorithm, f.Src, f.Dst, f.Reason)
 }
 
+// Tables returns the tables the sweep routed.
+func (sw *PairSweep) Tables() *Tables { return sw.tables }
+
 // Pairs reports the number of ordered node pairs swept.
 func (sw *PairSweep) Pairs() int { return sw.n * (sw.n - 1) }
 

@@ -23,7 +23,7 @@ func TestRingDatelineCDG(t *testing.T) {
 	if err := tb.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := deadlock.AnalyzeVC(tb)
+	rep, err := deadlock.Analyze(tb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,17 +42,23 @@ func TestRingDatelineCDG(t *testing.T) {
 // rides VC 0 and the extended graph keeps the cycle.
 func TestPlainClockwiseStaysCyclicUnderVCs(t *testing.T) {
 	rg := topology.NewRing(4, 1)
-	tb := routing.RingClockwise(rg)
-	rep, err := deadlock.AnalyzeVC(tb)
+	tb := routing.RingClockwise(rg).WithVCs(2, func(topology.DeviceID, int) int { return 0 })
+	rep, err := deadlock.Analyze(tb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Free {
-		t.Error("clockwise ring reported free under AnalyzeVC")
+	if rep.Free || !rep.PhysicalCyclic {
+		t.Errorf("clockwise ring on 2 VCs: free=%v physically cyclic=%v", rep.Free, rep.PhysicalCyclic)
 	}
-	for _, c := range rep.Cycle {
-		if c.VC != 0 {
-			t.Errorf("cycle uses VC %d, expected all VC 0", c.VC)
+	if len(rep.Cycle) != 4 {
+		t.Errorf("minimal cycle length = %d, want 4", len(rep.Cycle))
+	}
+	for i, v := range rep.Cycle {
+		if vc := v % rep.NumVC; vc != 0 {
+			t.Errorf("cycle uses VC %d, expected all VC 0", vc)
+		}
+		if line := rep.CycleLines()[i]; !strings.HasSuffix(line, " vc0") {
+			t.Errorf("cycle line %q lacks its vc0 suffix", line)
 		}
 	}
 }
@@ -63,7 +69,7 @@ func TestTorusDatelineCDG(t *testing.T) {
 	if err := tb.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := deadlock.AnalyzeVC(tb)
+	rep, err := deadlock.Analyze(tb)
 	if err != nil {
 		t.Fatal(err)
 	}
