@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -45,9 +46,41 @@ func ParseSystem(spec string) (sys *System, desc string, err error) {
 	if path, ok := strings.CutPrefix(spec, "file:"); ok {
 		return loadSystemFile(path)
 	}
-	kind, opts, err := splitSpec(spec)
+	build, _, err := parseSpec(spec)
 	if err != nil {
 		return nil, "", err
+	}
+	if sys, err = build(); err != nil {
+		return nil, "", err
+	}
+	return sys, sys.Net.Name, nil
+}
+
+// SpecDevices reports how many devices, routers and end nodes, a built-in
+// spec builds, from its arguments alone: nothing is built, so a caller
+// taking specs from outside can refuse an oversized one before paying for
+// a build whose time grows faster than its size. A fractahedron is counted
+// fully populated, so populate= makes the count an upper bound. The count
+// saturates instead of wrapping on absurd arguments. An unknown kind or
+// key fails as in ParseSystem; a file: spec has no size before it is read
+// and fails too.
+func SpecDevices(spec string) (int, error) {
+	if strings.HasPrefix(spec, "file:") {
+		return 0, fmt.Errorf("core: spec %q: a file: spec has no size before it is read", spec)
+	}
+	_, devices, err := parseSpec(spec)
+	if !(devices <= math.MaxInt32) { // also NaN, from arguments no builder accepts
+		return math.MaxInt32, err
+	}
+	return int(devices), err
+}
+
+// parseSpec takes a built-in spec's arguments and returns its builder and
+// the number of devices it builds (see SpecDevices).
+func parseSpec(spec string) (build func() (*System, error), devices float64, err error) {
+	kind, opts, err := splitSpec(spec)
+	if err != nil {
+		return nil, 0, err
 	}
 	get := func(key string, def int) int {
 		if v, ok := opts[key]; ok {
@@ -63,9 +96,9 @@ func ParseSystem(spec string) (sys *System, desc string, err error) {
 		}
 		return false
 	}
+	pow := func(base, exp int) float64 { return math.Pow(float64(base), float64(exp)) }
 	// Every kind takes its arguments first, so an unknown key is refused
 	// before anything is built.
-	var build func() (*System, error)
 	switch kind {
 	case "fat-fract", "thin-fract":
 		cfg := topology.FractConfig{
@@ -81,32 +114,63 @@ func ParseSystem(spec string) (sys *System, desc string, err error) {
 			cfg.Fanout = true
 		}
 		build = func() (*System, error) { return first(NewFractahedron(cfg)) }
-	case "fattree":
-		d, u, nodes := get("d", 4), get("u", 2), get("nodes", 64)
+		// Each level-l ensemble has Layers(l) layers of Group routers.
+		addrs := pow(cfg.Children(), cfg.Levels)
+		for level := 1; level <= min(cfg.Levels, 64); level++ {
+			layers := 1.0
+			if cfg.Fat && level > 1 {
+				layers = pow(cfg.Group, level-1)
+			}
+			devices += pow(cfg.Children(), cfg.Levels-level) * layers * float64(cfg.Group)
+		}
+		if cfg.Fanout {
+			// A k-ary fan-out tree per address: k^depth nodes under
+			// (k^depth - 1) / (k - 1) routers.
+			k := float64(cfg.FanoutNodesOrDefault())
+			leaves := math.Pow(k, float64(cfg.FanoutDepthOrDefault()))
+			devices += addrs * (leaves + (leaves-1)/(k-1))
+		} else {
+			devices += addrs
+		}
+	case "fattree", "tree":
+		d, u, nodes := get("d", 4), 1, 16
+		if kind == "fattree" {
+			u, nodes = get("u", 2), 64
+		}
+		nodes = get("nodes", nodes)
 		build = func() (*System, error) { return first(NewFatTree(d, u, nodes)) }
-	case "tree":
-		d, nodes := get("d", 4), get("nodes", 16)
-		build = func() (*System, error) { return first(NewFatTree(d, 1, nodes)) }
+		// Level l holds ceil(nodes / d^l) instances of u^(l-1) routers,
+		// up to the level whose d^l covers every node.
+		devices = float64(nodes)
+		for l := 1; d >= 1 && (l == 1 || d >= 2 && pow(d, l-1) < float64(nodes)); l++ {
+			devices += math.Ceil(float64(nodes)/pow(d, l)) * pow(u, l-1)
+		}
 	case "mesh":
 		cols, rows, nodes := get("cols", 4), get("rows", 4), get("nodes", 2)
 		build = func() (*System, error) { return first(NewMesh(cols, rows, nodes)) }
+		devices = float64(cols) * float64(rows) * float64(1+nodes)
 	case "hypercube":
 		dim, nodes, updown := get("dim", 3), get("nodes", 1), flag("updown")
 		build = func() (*System, error) { return first(NewHypercube(dim, nodes, updown)) }
+		devices = pow(2, dim) * float64(1+nodes)
 	case "ring":
 		size, nodes, safe := get("size", 4), get("nodes", 1), !flag("unsafe")
 		build = func() (*System, error) { return first(NewRing(size, nodes, safe)) }
+		devices = float64(size) * float64(1+nodes)
 	case "fullmesh":
 		m, ports := get("m", 4), get("ports", 6)
 		build = func() (*System, error) { return first(NewFullMesh(m, ports)) }
+		devices = float64(m) * float64(1+ports-m+1)
 	case "ccc":
 		dim := get("dim", 3)
 		build = func() (*System, error) { return first(NewCCC(dim)) }
+		devices = 2 * float64(dim) * pow(2, dim) // one node per router
 	case "shuffle":
 		dim := get("dim", 4)
 		build = func() (*System, error) { return first(NewShuffleExchange(dim)) }
+		devices = 2 * pow(2, dim) // one node per router
 	default:
-		return nil, "", fmt.Errorf("core: unknown topology kind %q (spec %q)", kind, spec)
+		return nil, 0, fmt.Errorf("core: unknown topology kind %q (spec %q)", kind, spec)
 	}
 	if len(opts) > 0 {
 		// Report the alphabetically first unknown key so the error message
@@ -116,12 +180,9 @@ func ParseSystem(spec string) (sys *System, desc string, err error) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		return nil, "", fmt.Errorf("core: unknown option %q in spec %q", keys[0], spec)
+		return nil, 0, fmt.Errorf("core: unknown option %q in spec %q", keys[0], spec)
 	}
-	if sys, err = build(); err != nil {
-		return nil, "", err
-	}
-	return sys, sys.Net.Name, nil
+	return build, devices, nil
 }
 
 // first drops a builder's concrete topology.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -18,6 +19,9 @@ func TestParseSystemKinds(t *testing.T) {
 		{"fat-fract:levels=2,group=3", 36, 27},
 		{"fattree:d=4,u=2,nodes=64", 64, 28},
 		{"fattree:d=3,u=3,nodes=64", 64, 100},
+		{"fattree:d=4,u=2,nodes=23", 23, 14},
+		{"fattree:d=4,u=2", 64, 28},
+		{"tree:d=4", 16, 5},
 		{"tree:d=4,nodes=16", 16, 5},
 		{"mesh:cols=3,rows=3,nodes=1", 9, 9},
 		{"hypercube:dim=3", 8, 8},
@@ -117,5 +121,44 @@ func TestThinFractahedronConstructor(t *testing.T) {
 	}
 	if f.NumRouters() != 36 || sys.Tables.Algorithm != "fractahedron-thin" {
 		t.Errorf("routers=%d alg=%s", f.NumRouters(), sys.Tables.Algorithm)
+	}
+}
+
+// SpecDevices counts exactly the devices a spec builds, for every
+// built-in spec and the kinds' other shapes; populate= makes it an upper
+// bound. Absurd arguments saturate, and specs ParseSystem refuses for
+// their kind or keys are refused the same way.
+func TestSpecDevices(t *testing.T) {
+	specs := append(BuiltinSpecs(),
+		"fat-fract:levels=1,fanout-depth=2", "thin-fract:levels=2,fanout", "fat-fract:levels=2,down=3",
+		"fattree:d=2,u=3,nodes=9", "fattree:d=4,u=2,nodes=1", "tree:d=3,nodes=28",
+		"mesh:cols=3,rows=2,nodes=0", "hypercube:dim=2,nodes=3", "ring:size=7,nodes=2",
+		"fullmesh:m=3,ports=3", "ccc:dim=4", "shuffle:dim=3", "ring:size=4,unsafe")
+	for _, spec := range specs {
+		sys, _, err := ParseSystem(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		n, err := SpecDevices(spec)
+		built := sys.Net.NumDevices()
+		switch {
+		case err != nil:
+			t.Errorf("%s: %v", spec, err)
+		case strings.Contains(spec, "populate=") && n < built:
+			t.Errorf("%s: SpecDevices %d below the %d built", spec, n, built)
+		case !strings.Contains(spec, "populate=") && n != built:
+			t.Errorf("%s: SpecDevices %d, built %d", spec, n, built)
+		}
+	}
+	for _, spec := range []string{"fat-fract:levels=100000", "hypercube:dim=100000,nodes=5", "ccc:dim=1000",
+		"fattree:d=2,u=100,nodes=100000000", "ring:size=100000000000,nodes=100000000000"} {
+		if n, err := SpecDevices(spec); err != nil || n != math.MaxInt32 {
+			t.Errorf("%s: SpecDevices = %d, %v; want it saturated", spec, n, err)
+		}
+	}
+	for _, spec := range []string{"", "nosuch:levels=2", "fat-fract:levels=2,bogus=1", "file:net.topo"} {
+		if _, err := SpecDevices(spec); err == nil {
+			t.Errorf("SpecDevices(%q) succeeded", spec)
+		}
 	}
 }

@@ -59,10 +59,17 @@ type SweepPointRow struct {
 // campaignd worker instead of failing validation. They sit far above what
 // the paper's experiments run (FIFOs of 1 to 16 flits, at most 3 VCs, a
 // few thousand cycles).
+//
+// maxSweepDevices bounds a spec's routers plus end nodes, counted from its
+// arguments before anything is built: twice the largest built-in system
+// (fat-fract:levels=3, 960 devices), where a build takes about 65 ms on a
+// 2-vCPU Xeon, while ring:size=5000 (10,000 devices) took 1.4 s and
+// fat-fract:levels=4 1.36 s.
 const (
 	maxSweepFIFODepth  = 256
 	maxSweepVCs        = 8
 	maxSweepInjections = 1 << 24 // cycles × nodes
+	maxSweepDevices    = 2048
 )
 
 // Points is the campaign size: every (spec, rate) pair.
@@ -71,7 +78,8 @@ func (s SweepSpec) Points() int { return len(s.Specs) * len(s.Rates) }
 // Validate rejects empty or nonsensical sweeps up front, parsing every
 // topology spec so a bad job fails at admission, not at point 17. A sweep
 // arrives over HTTP, so file: specs, which would make the server open a
-// path the request names, are refused before anything is built.
+// path the request names, and specs over maxSweepDevices are refused
+// before anything is built.
 func (s SweepSpec) Validate() error {
 	if len(s.Specs) == 0 {
 		return fmt.Errorf("sweep: no topology specs")
@@ -94,6 +102,9 @@ func (s SweepSpec) Validate() error {
 	for _, spec := range s.Specs {
 		if strings.HasPrefix(spec, "file:") {
 			return fmt.Errorf("sweep: %s: file: specs are not accepted", spec)
+		}
+		if n, err := core.SpecDevices(spec); err == nil && n > maxSweepDevices {
+			return fmt.Errorf("sweep: %s builds %d devices, more than %d", spec, n, maxSweepDevices)
 		}
 		sys, _, err := core.ParseSystem(spec)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/runner"
 )
 
@@ -79,6 +80,21 @@ func TestSweepSpecPoints(t *testing.T) {
 	}
 	if _, err := spec.Row(spec.Points(), 0); err == nil {
 		t.Error("out-of-range point accepted")
+	}
+	// Too many devices to build on an HTTP handler: refused by the device
+	// bound, before anything is built. Without the bound Validate built
+	// each, and admitted the first two; a mesh of routers alone has no
+	// nodes to count.
+	for _, topo := range []string{"ring:size=5000", "fat-fract:levels=4", "mesh:cols=3000,rows=3000,nodes=0"} {
+		s := SweepSpec{Specs: []string{topo}, Rates: []float64{0.1}, Cycles: 10, Flits: 1, FIFODepth: 1}
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "devices, more than") {
+			t.Errorf("%s: Validate = %v, want the device bound's error", topo, err)
+		}
+	}
+	// The device bound admits every built-in spec.
+	builtins := SweepSpec{Specs: core.BuiltinSpecs(), Rates: []float64{0.1}, Cycles: 10, Flits: 1, FIFODepth: 1}
+	if err := builtins.Validate(); err != nil {
+		t.Errorf("built-in specs rejected: %v", err)
 	}
 	// The bounds admit their own limits.
 	edge := SweepSpec{Specs: []string{"ring:size=4"}, Rates: []float64{0.1}, Flits: 1,

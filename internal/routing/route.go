@@ -161,48 +161,79 @@ func (t *Tables) SetOutPort(router topology.DeviceID, dst, port int) {
 // Route walks the tables from node address src to node address dst and
 // returns the resulting path. It fails if a table entry is missing, leads
 // through an unwired port, or the walk exceeds the device count (a routing
-// loop).
+// loop). It is AppendRoute's walk, with Devices derived from the channels.
 func (t *Tables) Route(src, dst int) (Route, error) {
-	if src == dst {
-		return Route{}, fmt.Errorf("routing: src == dst == %d", src)
+	chs, vcs, err := t.AppendRoute(nil, nil, src, dst)
+	if err != nil {
+		return Route{}, err
 	}
-	r := Route{Src: src, Dst: dst}
+	return Route{Src: src, Dst: dst, Channels: chs, Devices: t.devicesOf(src, chs), VCs: vcs}, nil
+}
+
+// AppendRoute is the route walker: it walks the tables from node address
+// src to node address dst, appends the channels crossed to chs and, when
+// the tables carry a VC assignment, each channel's virtual channel to vcs
+// (left untouched otherwise), and returns both. It allocates nothing when
+// the slices have room, so a caller routing many packets can walk them all
+// into one arena. On failure it returns the slices as they were passed,
+// with Route's error.
+func (t *Tables) AppendRoute(chs []topology.ChannelID, vcs []int, src, dst int) ([]topology.ChannelID, []int, error) {
+	if src == dst {
+		return chs, vcs, fmt.Errorf("routing: src == dst == %d", src)
+	}
+	c0, v0 := len(chs), len(vcs)
+	fail := func(format string, args ...any) ([]topology.ChannelID, []int, error) {
+		return chs[:c0], vcs[:v0], fmt.Errorf(format, args...)
+	}
 	cur := t.Net.NodeByIndex(src)
 	dstDev := t.Net.NodeByIndex(dst)
 	port := 0 // end nodes have a single port
 	for steps := 0; ; steps++ {
 		if steps > t.Net.NumDevices() {
-			return Route{}, fmt.Errorf("routing[%s]: loop routing %d -> %d (path %v)",
-				t.Algorithm, src, dst, r.Devices)
+			// The path so far: every device entered, less the one the
+			// last channel leads to.
+			return fail("routing[%s]: loop routing %d -> %d (path %v)",
+				t.Algorithm, src, dst, t.devicesOf(src, chs[c0:len(chs)-1]))
 		}
-		r.Devices = append(r.Devices, cur)
 		if cur == dstDev {
-			return r, nil
+			return chs, vcs, nil
 		}
 		if steps > 0 {
 			// Routers consult their table; the source node injected on its
 			// only port (port 0) at step zero.
-			if t.Net.Device(cur).Kind != topology.Router {
-				return Route{}, fmt.Errorf("routing[%s]: walked into end node %s while routing %d -> %d",
+			ri := t.rix[cur]
+			if ri < 0 {
+				return fail("routing[%s]: walked into end node %s while routing %d -> %d",
 					t.Algorithm, t.Net.Device(cur).Name, src, dst)
 			}
-			port = t.OutPort(cur, dst)
+			port = t.port(dst*len(t.routers) + int(ri))
 			if port < 0 {
-				return Route{}, fmt.Errorf("routing[%s]: no table entry at %s for dst %d",
+				return fail("routing[%s]: no table entry at %s for dst %d",
 					t.Algorithm, t.Net.Device(cur).Name, dst)
 			}
 		}
 		ch, ok := t.Net.ChannelFromPort(cur, port)
 		if !ok {
-			return Route{}, fmt.Errorf("routing[%s]: %s port %d unwired (dst %d)",
+			return fail("routing[%s]: %s port %d unwired (dst %d)",
 				t.Algorithm, t.Net.Device(cur).Name, port, dst)
 		}
-		r.Channels = append(r.Channels, ch)
+		chs = append(chs, ch)
 		if t.vc != nil {
-			r.VCs = append(r.VCs, t.vcAt(cur, dst))
+			vcs = append(vcs, t.vcAt(cur, dst))
 		}
 		cur = t.Net.ChannelDst(ch).Device
 	}
+}
+
+// devicesOf returns the devices a walk from node address src over chs
+// visits: the source node, then the device each channel leads to.
+func (t *Tables) devicesOf(src int, chs []topology.ChannelID) []topology.DeviceID {
+	devs := make([]topology.DeviceID, 0, len(chs)+1)
+	devs = append(devs, t.Net.NodeByIndex(src))
+	for _, ch := range chs {
+		devs = append(devs, t.Net.ChannelDst(ch).Device)
+	}
+	return devs
 }
 
 // Next performs a single step of the walk Route performs: the channel (and

@@ -336,7 +336,8 @@ func TestBrokenTableErrorIndependentOfGOMAXPROCS(t *testing.T) {
 // FuzzSweepVsRoute mutates up to two table entries — a hole, an unwired or
 // wrong port, or a port that loops back — and requires the sweep-backed
 // analyses to agree with the route walk: equal outputs whenever Verify
-// passes, Verify's error whenever it fails.
+// passes, Verify's error whenever it fails. Route, AppendRoute and the old
+// per-device walk must give every pair the same path or the same error.
 func FuzzSweepVsRoute(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(1), int8(-1), uint8(3), uint8(2), int8(0))
 	f.Add(uint8(1), uint8(2), uint8(5), int8(4), uint8(0), uint8(0), int8(-1))
@@ -376,6 +377,7 @@ func FuzzSweepVsRoute(f *testing.F) {
 		mutate(r1, d1, p1)
 		mutate(r2, d2, p2)
 		checkAgainstReference(t, spec, tb)
+		checkWalker(t, spec, tb)
 	})
 }
 

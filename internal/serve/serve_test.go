@@ -202,6 +202,9 @@ func TestSubmitValidation(t *testing.T) {
 		`{"kind":"sweep","sweep":{"specs":["ring:size=4"],"rates":[0.1],"cycles":10,"flits":1,"fifo_depth":1125899906842624}}`,
 		`{"kind":"sweep","sweep":{"specs":["ring:size=4"],"rates":[0.1],"cycles":10,"flits":1,"fifo_depth":1,"vcs":1125899906842624}}`,
 		`{"kind":"sweep","sweep":{"specs":["mesh:cols=0"],"rates":[0.1],"cycles":10,"flits":1,"fifo_depth":1}}`,
+		// Over the device bound: refused unbuilt, where it used to be
+		// built (1.4 s) and then admitted.
+		`{"kind":"sweep","sweep":{"specs":["ring:size=5000"],"rates":[0.1],"cycles":10,"flits":1,"fifo_depth":1}}`,
 	} {
 		resp, err := http.Post("http://"+s.Addr()+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -38,17 +38,21 @@ type move struct {
 }
 
 // planMoves selects at most one flit movement per physical output port (and
-// per injection channel) based on start-of-cycle state. It visits only the
-// non-empty buffers and sources whose head or front is not parked, parks
-// each one that finds its next buffer full or its output VC owned by
-// another worm, records the earliest future InjectCycle among blocked
-// queue fronts (for idle-cycle fast-forwarding), and allocates nothing on
-// the steady-state path.
+// per injection channel) based on start-of-cycle state. It first moves the
+// sources whose queue fronts have come due off the wait heap into the due
+// set, then visits only the non-empty buffers and due sources whose head or
+// front is not parked, parks each one that finds its next buffer full or
+// its output VC owned by another worm, and allocates nothing on the
+// steady-state path.
 //
 //simlint:hotpath
 func (s *Simulator) planMoves(now int) []move {
 	moves := s.moves[:0]
 	v := s.cfg.VirtualChannels
+	for len(s.srcHeap) > 0 && s.srcHeap[0].cycle <= now {
+		src := s.popWait()
+		s.due[src>>6] |= 1 << (src & 63)
+	}
 
 	for w, word := range s.activeBits {
 		for word &^= s.parked[w]; word != 0; word &= word - 1 {
@@ -123,36 +127,32 @@ func (s *Simulator) planMoves(now int) []move {
 	}
 	moves = s.emitGrants(moves)
 
-	// Injection: one flit per unparked source with a pending packet. Node
-	// addresses ascend, so no sort is needed to reproduce the old sorted
-	// source iteration.
-	s.nextInject = s.cfg.MaxCycles
-	for src, q := range s.queues {
-		id := s.srcBase + src
-		if len(q) == 0 || s.parked[id>>6]&(1<<(id&63)) != 0 {
-			continue
-		}
-		p := q[0]
-		if p.spec.InjectCycle > now {
-			if p.spec.InjectCycle < s.nextInject {
-				s.nextInject = p.spec.InjectCycle
+	// Injection: one flit per unparked due source. Scanning the due
+	// bitset visits node addresses in ascending order, so no sort is
+	// needed to reproduce the old sorted source iteration.
+	for w, word := range s.due {
+		for ; word != 0; word &= word - 1 {
+			src := w<<6 | bits.TrailingZeros64(word)
+			id := s.srcBase + src
+			if s.parked[id>>6]&(1<<(id&63)) != 0 {
+				continue
 			}
-			continue
+			p := s.queues[src][0]
+			if p.dropped {
+				continue
+			}
+			if s.deadCount[s.chLink[p.route[0]]] > 0 {
+				p.dropped = true
+				s.markDropped(p)
+				continue
+			}
+			injKey := int(p.route[0])*v + p.vcAt(0)
+			if !s.space(injKey) {
+				s.park(id, injKey)
+				continue
+			}
+			moves = append(moves, move{from: -1, to: injKey, src: src})
 		}
-		if p.dropped {
-			continue
-		}
-		if s.deadCount[s.chLink[p.route[0]]] > 0 {
-			p.dropped = true
-			s.markDropped(p)
-			continue
-		}
-		injKey := int(p.route[0])*v + p.vcAt(0)
-		if !s.space(injKey) {
-			s.park(id, injKey)
-			continue
-		}
-		moves = append(moves, move{from: -1, to: injKey, src: src})
 	}
 	s.moves = moves
 	return moves

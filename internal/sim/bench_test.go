@@ -63,6 +63,36 @@ func BenchmarkStepCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkAddBatch times a simulator's intake of the end-to-end
+// benchmark's heaviest fract sweep point: the 512-node level-3 fat
+// fractahedron's rate-0.032 Bernoulli workload (seed 1, point 3, 2000
+// injection cycles, 8-flit packets) routed through its tables and
+// scheduled by one AddBatch. Building the empty simulator stays off the
+// clock. After the loop the last simulator runs to the last delivery.
+func BenchmarkAddBatch(b *testing.B) {
+	const rate, point = 0.032, 3
+	sys, _, err := core.ParseSystem("fat-fract:levels=3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs := workload.Bernoulli(runner.RNG(1, point), sys.Net.NumNodes(), 2000, 8, rate)
+	var s *sim.Simulator
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		s = sim.New(sys.Net, sys.Disables, sim.Config{})
+		b.StartTimer()
+		if err := s.AddBatch(sys.Tables, specs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if res := s.Run(); res.Deadlocked || res.Delivered != len(specs) {
+		b.Fatalf("deadlocked=%v delivered=%d of %d", res.Deadlocked, res.Delivered, len(specs))
+	}
+}
+
 // BenchmarkLargeThinSaturated times one whole run of the paper's slowest
 // simulation point: §4's 512-node thin fractahedron, capped by its 4-link
 // bisection, under the large experiment's rate-0.03 Bernoulli load (seed

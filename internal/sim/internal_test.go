@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -449,6 +451,18 @@ func runParkedScenario(t *testing.T, seed int64) (parkedCycles, ownerWaits, retr
 		}
 	}
 
+	// Deliveries to even nodes are answered after a short delay, so the
+	// hook fills queues that are empty as often as busy ones, with fronts
+	// due now and later.
+	s.OnDelivered(func(spec PacketSpec, now int) {
+		if spec.Dst%2 == 0 && now < 600 {
+			r := routing.Route{Src: spec.Dst, Dst: spec.Src, Channels: route(spec.Dst, spec.Src)}
+			if err := s.AddPacket(PacketSpec{Src: spec.Dst, Dst: spec.Src, Flits: 2, InjectCycle: now + spec.Flits%3}, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+
 	// parkedHead returns the lowest buffer key whose head is parked, and
 	// that head; headers only when headerOnly is set.
 	parkedHead := func(headerOnly bool) (int, flit, bool) {
@@ -466,6 +480,21 @@ func runParkedScenario(t *testing.T, seed int64) (parkedCycles, ownerWaits, retr
 	for s.Running() {
 		s.StepTo(s.Now() + 1)
 		checkScan(t, s)
+		checkDue(t, s)
+		if now := s.Now(); now < 600 && now%7 == 0 {
+			// Between cycles, fill an empty queue for now or a later cycle.
+			for src, q := range s.queues {
+				if len(q) == 0 {
+					dst := (src + 1) % n
+					r := routing.Route{Src: src, Dst: dst, Channels: route(src, dst)}
+					if err := s.AddPacket(PacketSpec{Src: src, Dst: dst, Flits: 3, InjectCycle: now + now%3}, r); err != nil {
+						t.Fatal(err)
+					}
+					checkDue(t, s)
+					break
+				}
+			}
+		}
 		parked := false
 		for key, on := range s.waitOn[:len(s.waitHead)] {
 			if on < 0 {
@@ -516,6 +545,48 @@ func runParkedScenario(t *testing.T, seed int64) (parkedCycles, ownerWaits, retr
 		forbiddenDrops = 1
 	}
 	return parkedCycles, ownerWaits, res.Retries, forbiddenDrops
+}
+
+// checkDue fails the test unless every source with a queued packet is
+// filed exactly once by its front: due (its bit set, the front's
+// InjectCycle come) or on the wait heap, keyed by the front's InjectCycle,
+// which cannot already have passed; and unless the heap is ordered and no
+// due bit or heap entry belongs to an empty queue.
+func checkDue(t *testing.T, s *Simulator) {
+	t.Helper()
+	now := s.Now()
+	onHeap := make(map[int]int)
+	for i, w := range s.srcHeap {
+		if i > 0 && w.less(s.srcHeap[(i-1)/2]) {
+			t.Fatalf("cycle %d: heap entry %d %+v sorts before its parent", now, i, w)
+		}
+		onHeap[w.src]++
+		q := s.queues[w.src]
+		switch {
+		case len(q) == 0:
+			t.Fatalf("cycle %d: empty source %d is on the heap", now, w.src)
+		case w.cycle != q[0].spec.InjectCycle:
+			t.Fatalf("cycle %d: source %d is on the heap for cycle %d but its front is due at %d",
+				now, w.src, w.cycle, q[0].spec.InjectCycle)
+		case w.cycle < now:
+			t.Fatalf("cycle %d: source %d is still on the heap for cycle %d", now, w.src, w.cycle)
+		}
+	}
+	for src, q := range s.queues {
+		due := s.due[src>>6]&(1<<(src&63)) != 0
+		switch {
+		case len(q) == 0 && due:
+			t.Fatalf("cycle %d: empty source %d is due", now, src)
+		case len(q) == 0:
+		case due && onHeap[src] > 0:
+			t.Fatalf("cycle %d: source %d is due and on the heap", now, src)
+		case due && q[0].spec.InjectCycle > now:
+			t.Fatalf("cycle %d: source %d is due with a front due at cycle %d", now, src, q[0].spec.InjectCycle)
+		case !due && onHeap[src] != 1:
+			t.Fatalf("cycle %d: source %d with a front due at cycle %d is on the heap %d times",
+				now, src, q[0].spec.InjectCycle, onHeap[src])
+		}
+	}
 }
 
 // checkScan fails the test if a head or source that planMoves would act on
@@ -591,5 +662,93 @@ func checkScan(t *testing.T, s *Simulator) {
 	}
 	if listed != parked {
 		t.Fatalf("cycle %d: %d waiters parked, %d on wait lists", now, parked, listed)
+	}
+}
+
+// AddBatch schedules exactly what AddPacket does spec by spec, errors
+// and all, while every packet's route, VC list and owned list are carved
+// with their capacity cut at the route's length, so no packet can append
+// into its neighbour's memory.
+func TestAddBatchSlabs(t *testing.T) {
+	fm := topology.NewFullMesh(4, 6)
+	torus := topology.NewTorus(3, 3, 2)
+	for _, c := range []struct {
+		name string
+		net  *topology.Network
+		tb   *routing.Tables
+		vcs  int
+	}{
+		{"fullmesh", fm.Network, routing.FullMesh(fm), 1},
+		{"torus-dateline", torus.Network, routing.TorusDateline(torus), 2},
+	} {
+		n := c.net.NumNodes()
+		rng := rand.New(rand.NewSource(5))
+		var specs []PacketSpec
+		for i := 0; i < 300; i++ {
+			src, dst := rng.Intn(n), rng.Intn(n-1)
+			if dst >= src {
+				dst++
+			}
+			specs = append(specs, PacketSpec{Src: src, Dst: dst, Flits: 1 + rng.Intn(5), InjectCycle: rng.Intn(60)})
+		}
+		bad := slices.Clone(specs)
+		bad[200].Flits = 0          // refused by AddPacket's checks
+		bad[250].Dst = bad[250].Src // refused by the route walk
+		badRoute := slices.Clone(specs)
+		badRoute[120].Dst = badRoute[120].Src
+		for _, batch := range [][]PacketSpec{specs, bad, badRoute} {
+			cfg := Config{VirtualChannels: c.vcs}
+			one := New(c.net, router.AllowAll(c.net), cfg)
+			var oneErr error
+			for _, spec := range batch {
+				r, err := c.tb.Route(spec.Src, spec.Dst)
+				if err == nil {
+					err = one.AddPacket(spec, r)
+				}
+				if err != nil {
+					oneErr = err
+					break
+				}
+			}
+			// Two batches, so the second numbers and queues its packets
+			// after the first's.
+			bulk := New(c.net, router.AllowAll(c.net), cfg)
+			bulkErr := bulk.AddBatch(c.tb, batch[:100])
+			if bulkErr == nil {
+				bulkErr = bulk.AddBatch(c.tb, batch[100:])
+			}
+			if fmt.Sprint(bulkErr) != fmt.Sprint(oneErr) {
+				t.Fatalf("%s: AddBatch error %v, AddPacket %v", c.name, bulkErr, oneErr)
+			}
+			if len(bulk.packets) != len(one.packets) || bulk.outstanding != one.outstanding {
+				t.Fatalf("%s: AddBatch queued %d packets, AddPacket %d", c.name, len(bulk.packets), len(one.packets))
+			}
+			for i, p := range bulk.packets {
+				q := one.packets[i]
+				if p.id != q.id || p.seq != q.seq || p.spec != q.spec ||
+					!slices.Equal(p.route, q.route) || !slices.Equal(p.vcs, q.vcs) || (p.vcs == nil) != (q.vcs == nil) {
+					t.Fatalf("%s: packet %d: AddBatch %+v, AddPacket %+v", c.name, i, *p, *q)
+				}
+				if cap(p.route) != len(p.route) || cap(p.vcs) != len(p.vcs) ||
+					len(p.owned) != 0 || cap(p.owned) != len(p.route) {
+					t.Fatalf("%s: packet %d: route %d/%d, vcs %d/%d, owned %d/%d (len/cap)", c.name, i,
+						len(p.route), cap(p.route), len(p.vcs), cap(p.vcs), len(p.owned), cap(p.owned))
+				}
+			}
+			for src, q := range bulk.queues {
+				ids := func(q []*packet) (out []int) {
+					for _, p := range q {
+						out = append(out, p.id)
+					}
+					return out
+				}
+				if !slices.Equal(ids(q), ids(one.queues[src])) {
+					t.Fatalf("%s: source %d queues %v, AddPacket %v", c.name, src, ids(q), ids(one.queues[src]))
+				}
+			}
+			if got, want := bulk.Run(), one.Run(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: AddBatch run %+v, AddPacket run %+v", c.name, got, want)
+			}
+		}
 	}
 }

@@ -24,12 +24,14 @@
 // The per-cycle engine runs on dense, incrementally-maintained state
 // (state.go, arbiter.go): slice-indexed ring-buffer FIFOs, precomputed
 // per-channel tables, per-packet flit-location counters, reusable
-// arbitration scratch, and two bitsets, one over buffer keys marking the
-// non-empty buffers and one over global output-port indices marking the
-// ports requested this cycle. Scanning a bitset word by word yields the
-// ascending order arbitration depends on, so no cycle sorts anything. The
-// engine fast-forwards across cycles in which no switching decision is
-// possible. internal/sim/simref preserves the previous scan-based
+// arbitration scratch, and three bitsets: one over buffer keys marking the
+// non-empty buffers, one over global output-port indices marking the
+// ports requested this cycle, and one over sources whose queue front is
+// due, the others waiting on a min-heap of their due cycles. Scanning a
+// bitset word by word yields the ascending order arbitration depends on,
+// so no cycle sorts anything. The engine fast-forwards across cycles in
+// which no switching decision is possible. AddBatch takes a workload in
+// bulk, carving its packets and routes from slabs. internal/sim/simref preserves the previous scan-based
 // implementation; the equivalence tests pin this engine to it
 // field-for-field over every built-in topology.
 package sim
@@ -405,6 +407,7 @@ func (s *Simulator) stepCycle(limit int) {
 			p.injected++
 			if p.injected == p.spec.Flits {
 				s.queues[mv.src] = s.queues[mv.src][1:]
+				s.arm(mv.src, now)
 				rs.res.Injected++
 			}
 		} else {
@@ -476,9 +479,8 @@ func (s *Simulator) stepCycle(limit int) {
 	// draining: the network is quiescent and can only change at the
 	// next discrete event. Jump there instead of spinning one cycle at
 	// a time, carrying the idle and stall clocks across the gap. A
-	// non-empty dirty list blocks the jump even when nothing retired —
-	// a reap may have cut queues or re-enqueued retries after planMoves
-	// computed nextInject, so the event horizon is stale.
+	// non-empty dirty list blocks the jump even when nothing retired:
+	// dropped worms are still being reaped.
 	if dirtyBefore > 0 {
 		rs.now = now + 1
 		return
@@ -489,8 +491,8 @@ func (s *Simulator) stepCycle(limit int) {
 			next = t
 		}
 	}
-	if s.nextInject < next {
-		next = s.nextInject
+	if len(s.srcHeap) > 0 && s.srcHeap[0].cycle < next {
+		next = s.srcHeap[0].cycle
 	}
 	if s.evCursor < len(s.events) && s.events[s.evCursor].cycle < next {
 		next = s.events[s.evCursor].cycle
@@ -586,6 +588,7 @@ func (s *Simulator) reapDropped(res *Result, now int) int {
 			p.injected = p.spec.Flits
 			s.queues[p.spec.Src] = q[1:]
 			s.unpark(s.srcBase + p.spec.Src)
+			s.arm(p.spec.Src, now)
 		}
 	}
 	// Retire and retry in packet-id order — the order the old
@@ -617,7 +620,11 @@ func (s *Simulator) reapDropped(res *Result, now int) int {
 			p.delivered = 0
 			p.headMoved = false
 			res.Retries++
-			s.queues[p.spec.Src] = append(s.queues[p.spec.Src], p)
+			q := s.queues[p.spec.Src]
+			s.queues[p.spec.Src] = append(q, p)
+			if len(q) == 0 {
+				s.arm(p.spec.Src, now)
+			}
 			continue
 		}
 		p.retired = true

@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/router"
 	"repro/internal/routing"
@@ -114,8 +115,18 @@ type Simulator struct {
 	arbLast []int32
 	arbBits []uint64
 
-	moves      []move // planMoves scratch, reused every cycle
-	nextInject int    // earliest future InjectCycle among queue fronts
+	moves []move // planMoves scratch, reused every cycle
+
+	// Due-cycle sources. A source whose queue front may inject (its
+	// InjectCycle has come) has its bit, by node address, in due; one
+	// whose front is not yet due waits on srcHeap until planMoves moves it
+	// into due, and the fast-forward reads the heap's minimum; an empty
+	// source is in neither. Only a new front changes this, so arm files a
+	// source again at exactly the sites that give it one: its front
+	// finished injecting, a reap cut its front, or a retry or AddPacket
+	// filled its empty queue.
+	due     []uint64
+	srcHeap []srcWait
 
 	// hook, when set, runs after a packet's tail flit is delivered. It may
 	// call AddPacket to inject follow-up traffic (acknowledgments, read
@@ -138,6 +149,68 @@ func (s *Simulator) OnDelivered(hook func(spec PacketSpec, now int)) { s.hook = 
 // (path-disable violation, link fault, or retry exhaustion); it may
 // re-issue the transfer with AddPacket, e.g. over a standby fabric.
 func (s *Simulator) OnDropped(hook func(spec PacketSpec, now int)) { s.dropHook = hook }
+
+// srcWait is a source whose queue front is not yet due, on the min-heap
+// ordered by (cycle, src): the front's InjectCycle, then node address.
+type srcWait struct{ cycle, src int }
+
+func (a srcWait) less(b srcWait) bool {
+	return a.cycle < b.cycle || a.cycle == b.cycle && a.src < b.src
+}
+
+// arm files source src by its queue front at cycle now: due when the
+// front's InjectCycle has come, on the heap when it has not, in neither
+// when the queue is empty. The source must be on no heap entry, which
+// holds at every caller: its front just changed or its queue was empty.
+func (s *Simulator) arm(src, now int) {
+	q := s.queues[src]
+	if len(q) == 0 || q[0].spec.InjectCycle > now {
+		s.due[src>>6] &^= 1 << (src & 63)
+		if len(q) > 0 {
+			s.pushWait(srcWait{cycle: q[0].spec.InjectCycle, src: src})
+		}
+		return
+	}
+	s.due[src>>6] |= 1 << (src & 63)
+}
+
+func (s *Simulator) pushWait(w srcWait) {
+	h := append(s.srcHeap, w)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].less(h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	s.srcHeap = h
+}
+
+// popWait removes the heap's minimum and returns its source.
+func (s *Simulator) popWait() int {
+	h := s.srcHeap
+	src := h[0].src
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		min, l := i, 2*i+1
+		if l < last && h[l].less(h[min]) {
+			min = l
+		}
+		if r := l + 1; r < last && h[r].less(h[min]) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
+	s.srcHeap = h
+	return src
+}
 
 // linkEvent is one edge of the fault timeline: delta +1 downs the link at
 // cycle, delta -1 repairs one prior failure. deadCount sums the deltas, so
@@ -328,6 +401,7 @@ func New(net *topology.Network, dis *router.Disables, cfg Config) *Simulator {
 		owner:       make([]int32, numKeys),
 		deadCount:   make([]int32, net.NumLinks()),
 		busyCh:      make([]int, numCh),
+		due:         make([]uint64, (net.NumNodes()+63)/64),
 		activeBits:  make([]uint64, (numKeys+63)/64),
 		parked:      make([]uint64, (waiters+63)/64),
 		srcBase:     numKeys,
@@ -383,6 +457,22 @@ func (s *Simulator) bufKey(ch topology.ChannelID, vc int) int {
 // previous one entered, and only its last channel, the ejection channel into
 // the destination, reaches an end node.
 func (s *Simulator) AddPacket(spec PacketSpec, route routing.Route) error {
+	if err := s.checkPacket(spec, route); err != nil {
+		return err
+	}
+	s.enqueue(&packet{
+		spec:  spec,
+		route: route.Channels,
+		vcs:   route.VCs,
+		// A worm claims at most one output VC per hop, so the step loop
+		// never grows this list.
+		owned: make([]int32, 0, len(route.Channels)),
+	})
+	return nil
+}
+
+// checkPacket reports why a packet cannot be scheduled on a route.
+func (s *Simulator) checkPacket(spec PacketSpec, route routing.Route) error {
 	if spec.Flits < 1 {
 		return fmt.Errorf("sim: packet needs at least 1 flit, got %d", spec.Flits)
 	}
@@ -409,21 +499,23 @@ func (s *Simulator) AddPacket(spec PacketSpec, route routing.Route) error {
 				i, v, s.cfg.VirtualChannels)
 		}
 	}
-	p := &packet{
-		id:    len(s.packets),
-		spec:  spec,
-		route: route.Channels,
-		vcs:   route.VCs,
-		seq:   s.seqs[[2]int{spec.Src, spec.Dst}],
-		// A worm claims at most one output VC per hop, so the step loop
-		// never grows this list.
-		owned: make([]int32, 0, len(route.Channels)),
-	}
-	s.seqs[[2]int{spec.Src, spec.Dst}]++
-	s.packets = append(s.packets, p)
-	s.queues[spec.Src] = append(s.queues[spec.Src], p)
-	s.outstanding++
 	return nil
+}
+
+// enqueue numbers a checked packet and appends it to its source's queue,
+// arming the source when the queue was empty.
+func (s *Simulator) enqueue(p *packet) {
+	pair := [2]int{p.spec.Src, p.spec.Dst}
+	p.id = len(s.packets)
+	p.seq = s.seqs[pair]
+	s.seqs[pair]++
+	s.packets = append(s.packets, p)
+	q := s.queues[p.spec.Src]
+	s.queues[p.spec.Src] = append(q, p)
+	if len(q) == 0 {
+		s.arm(p.spec.Src, s.Now())
+	}
+	s.outstanding++
 }
 
 // checkWalk reports why a channel sequence is not a walk from spec.Src's
@@ -462,18 +554,44 @@ func (s *Simulator) checkWalk(spec PacketSpec, route []topology.ChannelID) error
 	return nil
 }
 
-// AddBatch routes each spec through the tables and schedules it.
+// AddBatch routes each spec through the tables and schedules it, with the
+// result AddPacket would give spec by spec: on an error, the specs before
+// the failing one stay scheduled. The batch is taken in bulk: one walk
+// appends every route to a single channel arena (and VC arena), and the
+// packets and their owned lists are carved from slabs sized from the
+// batch, each carve's capacity cut at its length so no packet can append
+// into its neighbour's memory.
 func (s *Simulator) AddBatch(t *routing.Tables, specs []PacketSpec) error {
+	var chs []topology.ChannelID
+	var vcs []int
+	ends := make([]int, 0, len(specs))
+	var routeErr error
 	for _, spec := range specs {
-		r, err := t.Route(spec.Src, spec.Dst)
-		if err != nil {
-			return err
+		if chs, vcs, routeErr = t.AppendRoute(chs, vcs, spec.Src, spec.Dst); routeErr != nil {
+			break
 		}
-		if err := s.AddPacket(spec, r); err != nil {
-			return err
-		}
+		ends = append(ends, len(chs))
 	}
-	return nil
+	specs = specs[:len(ends)]
+	s.packets = slices.Grow(s.packets, len(specs))
+	slab := make([]packet, len(specs))
+	owned := make([]int32, len(chs))
+	start := 0
+	for i, spec := range specs {
+		end := ends[i]
+		r := routing.Route{Src: spec.Src, Dst: spec.Dst, Channels: chs[start:end:end]}
+		if vcs != nil {
+			r.VCs = vcs[start:end:end]
+		}
+		if err := s.checkPacket(spec, r); err != nil {
+			return err
+		}
+		p := &slab[i]
+		p.spec, p.route, p.vcs, p.owned = spec, r.Channels, r.VCs, owned[start:start:end]
+		s.enqueue(p)
+		start = end
+	}
+	return routeErr
 }
 
 // bufPush appends a flit to a buffer's ring, activating the buffer on the
