@@ -14,6 +14,10 @@
 // verifier runs, and the hot-path blocking table is the wormhole
 // discipline (no stall inside the routing decision).
 //
+// The committed golden pins only this concurrency verdict. It is not the
+// engine's identity: campaignd keys its cache by repro.Revision, a hash
+// of the engine's source.
+//
 // Byte stability follows the fabricver rules: field order is struct
 // order, no maps are marshalled, every slice is sorted, and source
 // positions are module-relative slash paths, so equal trees produce

@@ -126,12 +126,5 @@ func DeadlockAvoidanceString(rows []AvoidanceRow) string {
 
 // simFor builds an unrestricted simulator over a network (helper).
 func simFor(net *topology.Network, cfg sim.Config) *sim.Simulator {
-	return sim.New(net, allowAll(net), cfg)
+	return sim.New(net, router.AllowAll(net), cfg)
 }
-
-func allowAll(net *topology.Network) *router.Disables {
-	return router.AllowAll(net)
-}
-
-// routerAllowAll is a readable alias used by the failover experiment.
-func routerAllowAll(net *topology.Network) *router.Disables { return router.AllowAll(net) }

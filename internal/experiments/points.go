@@ -126,16 +126,22 @@ func (s SweepSpec) Validate() error {
 	return nil
 }
 
-// Row computes one point. The second argument is ignored: the benchmark in
-// bench/ still passes it, and the next change to the benchmark drops it.
-func (s SweepSpec) Row(point, _ int) (SweepPointRow, error) {
+// Row computes one point on a fresh Lab. The second argument is ignored:
+// the benchmark in bench/ still passes it, and the next change to the
+// benchmark drops it.
+func (s SweepSpec) Row(point, _ int) (SweepPointRow, error) { return new(Lab).SweepRow(s, point) }
+
+// SweepRow computes point of s, taking its system from the Lab, so the
+// points of one sweep build each topology once. The row depends only on
+// (s, point).
+func (l *Lab) SweepRow(s SweepSpec, point int) (SweepPointRow, error) {
 	if point < 0 || point >= s.Points() {
 		return SweepPointRow{}, fmt.Errorf("sweep: point %d outside [0, %d)", point, s.Points())
 	}
 	spec := s.Specs[point%len(s.Specs)]
 	rateIdx := point / len(s.Specs)
 	rate := s.Rates[rateIdx]
-	sys, _, err := core.ParseSystem(spec)
+	sys, err := l.System(spec)
 	if err != nil {
 		return SweepPointRow{}, err
 	}

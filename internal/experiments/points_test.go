@@ -14,6 +14,39 @@ import (
 	"repro/internal/runner"
 )
 
+// TestSweepRowSharedLab: the points of one sweep computed on the runner
+// pool through one shared Lab give the rows Row gives on fresh Labs, and
+// the Lab builds each topology once.
+func TestSweepRowSharedLab(t *testing.T) {
+	spec := SweepSpec{
+		Specs:     []string{"fat-fract:levels=1", "ring:size=4"},
+		Rates:     []float64{0.01, 0.02, 0.03},
+		Cycles:    200,
+		Flits:     4,
+		FIFODepth: 4,
+		Seed:      3,
+	}
+	lab := new(Lab)
+	got, err := runner.Map(runner.Config{Workers: 4}, spec.Points(), func(i int) (SweepPointRow, error) {
+		return lab.SweepRow(spec, i)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range got {
+		want, err := spec.Row(i, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row != want {
+			t.Fatalf("point %d: shared Lab %+v, Row %+v", i, row, want)
+		}
+	}
+	if n := len(lab.built); n != len(spec.Specs) {
+		t.Fatalf("shared Lab holds %d systems, want %d", n, len(spec.Specs))
+	}
+}
+
 // TestSweepSpecPoints pins the point layout (spec-major within one rate),
 // the validation, and point determinism: Row(i) must be a pure function
 // of (spec, i), identical across calls.

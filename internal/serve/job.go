@@ -93,10 +93,9 @@ func (j JobSpec) canonical() json.RawMessage {
 
 // jobKey derives the content address of a job's artifact:
 // SHA-256(engine revision + "\n" + canonical spec JSON). The revision —
-// the hash of the committed concurrency certificate golden, see
-// codecert.Revision — changes whenever the analyzed engine code
-// changes, so a cache can never serve rows computed by a different
-// engine.
+// repro.Revision, the hash of the engine's non-test Go source — changes
+// whenever that source changes, so a cache can never serve rows computed
+// by a different engine.
 func jobKey(revision string, spec JobSpec) string {
 	h := sha256.New()
 	h.Write([]byte(revision))
@@ -118,27 +117,21 @@ func validKey(key string) bool {
 	return true
 }
 
-// row computes one point's NDJSON row — a pure function of (spec,
-// point).
-func (j JobSpec) row(point int) (json.RawMessage, error) {
+// rowFunc returns the function that computes one point's row — a pure
+// function of (spec, point). Every point draws its systems from lab, so
+// each topology is built once per run; a chaos job's campaign is built
+// here, once.
+func (j JobSpec) rowFunc(lab *experiments.Lab) (func(point int) (any, error), error) {
 	switch j.Kind {
 	case "sweep":
-		r, err := j.Sweep.Row(point, 0)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(r)
+		return func(point int) (any, error) { return lab.SweepRow(*j.Sweep, point) }, nil
 	case "chaos":
 		c := j.Chaos
-		spec, err := new(experiments.Lab).ChaosRecoverySpec(c.Trials, c.Packets, c.Flits, c.Seed)
+		campaign, err := lab.ChaosRecoverySpec(c.Trials, c.Packets, c.Flits, c.Seed)
 		if err != nil {
 			return nil, err
 		}
-		tr, err := chaos.Trial(spec, point)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(tr)
+		return func(point int) (any, error) { return chaos.Trial(campaign, point) }, nil
 	}
 	return nil, fmt.Errorf("serve: unknown job kind %q", j.Kind)
 }

@@ -14,9 +14,9 @@
 //     byte-identical to an uninterrupted run.
 //   - Content addressing: finished artifacts live in a cache keyed by
 //     SHA-256(engine revision, canonical spec), where the revision is
-//     the hash of the committed concurrency-certificate golden — a
-//     repeat submission is served with zero simulator cycles, and an
-//     engine change can never alias an old artifact.
+//     repro.Revision, the hash of the engine's own Go source — a repeat
+//     submission is served with zero simulator cycles, and an engine
+//     change can never alias an old artifact.
 //
 // Shutdown is total: Close flips the stopping flag (in-flight points
 // abort at the next point boundary, checkpoints intact), closes the
@@ -41,7 +41,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/analysis/codecert"
+	"repro"
+	"repro/internal/experiments"
 	"repro/internal/runner"
 )
 
@@ -116,7 +117,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		revision: codecert.Revision(),
+		revision: repro.Revision(),
 		jobs:     map[string]*job{},
 		limiter:  NewLimiter(cfg.RateBurst, cfg.RateRefill),
 		cache:    cache,
@@ -139,8 +140,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Revision is the engine revision baked into every job key: the
-// SHA-256 of the committed concurrency-certificate golden.
+// Revision is the engine revision baked into every job key and
+// checkpoint header: repro.Revision, the SHA-256 of the engine's non-test
+// Go source, go.mod and the Go toolchain version.
 func (s *Server) Revision() string { return s.revision }
 
 // Addr is the bound listen address, available after Start.
@@ -326,6 +328,13 @@ func (s *Server) runJob(jb *job) {
 		return
 	}
 	jb.setState(stateRunning, "")
+	// One Lab per run: every point shares its topology builds, and they
+	// are released with the run, not pinned by the finished job.
+	row, err := jb.spec.rowFunc(new(experiments.Lab))
+	if err != nil {
+		jb.setState(stateFailed, err.Error())
+		return
+	}
 	var ckpt *checkpointWriter
 	if s.cfg.CheckpointDir != "" {
 		hdr := checkpointHeader{
@@ -340,7 +349,7 @@ func (s *Server) runJob(jb *job) {
 		ckpt = w
 	}
 	rcfg := runner.Config{Workers: s.cfg.PointWorkers}
-	_, err := runner.MapResume(rcfg, jb.points,
+	_, err = runner.MapResume(rcfg, jb.points,
 		jb.restored,
 		func(i int) (json.RawMessage, error) {
 			if s.stopping.Load() {
@@ -349,12 +358,16 @@ func (s *Server) runJob(jb *job) {
 			if d := s.cfg.PointDelay; d > 0 {
 				s.cfg.Clock.Sleep(d)
 			}
-			row, err := jb.spec.row(i)
+			r, err := row(i)
+			if err != nil {
+				return nil, err
+			}
+			b, err := json.Marshal(r)
 			if err != nil {
 				return nil, err
 			}
 			s.computed.Add(1)
-			return row, nil
+			return b, nil
 		},
 		func(i int, row json.RawMessage) {
 			if ckpt != nil {

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro"
+	"repro/internal/chaos"
 	"repro/internal/experiments"
 )
 
@@ -334,7 +336,11 @@ func TestStreamAndArtifact(t *testing.T) {
 		t.Fatalf("%d rows, want %d", len(lines), spec.points())
 	}
 	for i, line := range lines {
-		want, err := spec.row(i)
+		r, err := spec.Sweep.Row(i, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,8 +368,17 @@ func TestChaosJob(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("%d rows, want 2", len(lines))
 	}
+	c := spec.Chaos
+	campaign, err := new(experiments.Lab).ChaosRecoverySpec(c.Trials, c.Packets, c.Flits, c.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, line := range lines {
-		want, err := spec.row(i)
+		tr, err := chaos.Trial(campaign, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,6 +494,77 @@ func TestAbortResumeByteIdentical(t *testing.T) {
 	// The checkpoint is consumed on completion.
 	if _, _, err := readCheckpoint(s2.checkpointPath(st.Key)); err == nil {
 		t.Fatal("checkpoint file survived job completion")
+	}
+}
+
+// TestStaleCheckpointNotResumed: a checkpoint whose header names another
+// engine revision is never resumed, even under the current job key; its
+// rows were computed by a different engine, so the job recomputes every
+// point.
+func TestStaleCheckpointNotResumed(t *testing.T) {
+	ckpt := t.TempDir()
+	spec := testSweep(11)
+
+	ref := startTestServer(t, Config{})
+	rst, _ := postJob(t, ref, spec)
+	if fin := waitDone(t, ref, rst.Key); fin.State != stateDone {
+		t.Fatalf("reference settled as %q (%s)", fin.State, fin.Error)
+	}
+	want, _ := get(t, ref, "/v1/artifacts/"+rst.Key)
+
+	hdr := checkpointHeader{
+		Key: jobKey(repro.Revision(), spec), Revision: strings.Repeat("0", 64),
+		Points: spec.points(), Spec: spec.canonical(),
+	}
+	w, err := newCheckpointWriter(filepath.Join(ckpt, hdr.Key+".ckpt"), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < spec.points(); i++ {
+		if err := w.append(i, json.RawMessage(`{"stale":true}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := startTestServer(t, Config{CheckpointDir: ckpt})
+	if got := s.resumedPoints.Load(); got != 0 {
+		t.Fatalf("resumed %d points from a stale-revision checkpoint", got)
+	}
+	st, code := postJob(t, s, spec)
+	if code != http.StatusAccepted || st.Key != hdr.Key {
+		t.Fatalf("submit: HTTP %d, key %s, want 202 and %s", code, st.Key, hdr.Key)
+	}
+	if fin := waitDone(t, s, st.Key); fin.State != stateDone || fin.Resumed != 0 {
+		t.Fatalf("job settled as %q (%s) with %d resumed points", fin.State, fin.Error, fin.Resumed)
+	}
+	if got := s.computed.Load(); got != int64(spec.points()) {
+		t.Fatalf("computed %d points, want all %d", got, spec.points())
+	}
+	if got, _ := get(t, s, "/v1/artifacts/"+st.Key); !bytes.Equal(got, want) {
+		t.Fatalf("artifact after a stale checkpoint:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestJobKeyFollowsRevision: the job key covers the engine revision, so
+// the same spec under another engine addresses another artifact, and a
+// server keys its jobs by repro.Revision.
+func TestJobKeyFollowsRevision(t *testing.T) {
+	spec := testSweep(1)
+	rev := repro.Revision()
+	if jobKey(rev, spec) != jobKey(rev, spec) {
+		t.Fatal("job key is not a function of (revision, spec)")
+	}
+	for _, other := range []string{"", strings.Repeat("0", 64), rev[:63]} {
+		if jobKey(other, spec) == jobKey(rev, spec) {
+			t.Errorf("revision %q gives the key of revision %s", other, rev)
+		}
+	}
+	s := startTestServer(t, Config{})
+	if st, _ := postJob(t, s, spec); s.Revision() != rev || st.Key != jobKey(rev, spec) {
+		t.Fatalf("server revision %s, key %s; want %s, %s", s.Revision(), st.Key, rev, jobKey(rev, spec))
 	}
 }
 

@@ -560,13 +560,20 @@ func (s *Simulator) checkWalk(spec PacketSpec, route []topology.ChannelID) error
 // appends every route to a single channel arena (and VC arena), and the
 // packets and their owned lists are carved from slabs sized from the
 // batch, each carve's capacity cut at its length so no packet can append
-// into its neighbour's memory.
+// into its neighbour's memory. The arenas grow before a walk could run
+// short, at least doubling, and never inside a walk, where append would
+// grow them by about 1.25x at a time.
 func (s *Simulator) AddBatch(t *routing.Tables, specs []PacketSpec) error {
 	var chs []topology.ChannelID
 	var vcs []int
+	walk := t.Net.NumDevices() + 1 // the most channels one walk appends
 	ends := make([]int, 0, len(specs))
 	var routeErr error
 	for _, spec := range specs {
+		chs = arenaRoom(chs, walk)
+		if vcs != nil {
+			vcs = arenaRoom(vcs, walk)
+		}
 		if chs, vcs, routeErr = t.AppendRoute(chs, vcs, spec.Src, spec.Dst); routeErr != nil {
 			break
 		}
@@ -592,6 +599,15 @@ func (s *Simulator) AddBatch(t *routing.Tables, specs []PacketSpec) error {
 		start = end
 	}
 	return routeErr
+}
+
+// arenaRoom returns arena with room for n more elements, at least
+// doubling its capacity when it has to grow.
+func arenaRoom[E any](arena []E, n int) []E {
+	if cap(arena)-len(arena) >= n {
+		return arena
+	}
+	return slices.Grow(arena, max(cap(arena), n))
 }
 
 // bufPush appends a flit to a buffer's ring, activating the buffer on the
