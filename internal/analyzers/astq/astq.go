@@ -49,10 +49,16 @@ func LibFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
 // the analyzers' testdata fixtures) are always in scope so fixtures can
 // exercise every diagnostic.
 func InScope(pkgPath string, repoScope map[string]bool) bool {
-	if strings.HasPrefix(pkgPath, "repro/") {
+	if InRepo(pkgPath) {
 		return repoScope[pkgPath]
 	}
 	return true
+}
+
+// InRepo reports whether a package path belongs to the repo module: the
+// module-root package repro or one below it.
+func InRepo(pkgPath string) bool {
+	return pkgPath == "repro" || strings.HasPrefix(pkgPath, "repro/")
 }
 
 // MentionsObject reports whether the expression subtree uses the object.

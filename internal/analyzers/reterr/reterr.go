@@ -29,7 +29,7 @@ var Analyzer = &analysis.Analyzer{
 // Packages outside the repo module (the testdata fixtures) are always in
 // scope so the fixture can exercise every diagnostic.
 func inScope(pkgPath string) bool {
-	if !strings.HasPrefix(pkgPath, "repro/") {
+	if !astq.InRepo(pkgPath) {
 		return true
 	}
 	return pkgPath == "repro/internal/experiments" || strings.HasPrefix(pkgPath, "repro/cmd/")

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -50,27 +49,55 @@ type Report struct {
 // found. Pairs that do not route contribute no dependencies, so Check also
 // serves the fabric verifier's damaged tables; Analyze is the form that
 // requires every pair to route.
+//
+// The verdict is Kahn's peeling run straight off the sweep's turn rows:
+// the graph is acyclic iff every vertex peels. Only a cyclic graph is
+// built as a Digraph, for its minimal cycle.
 func Check(sw *routing.PairSweep) Report {
 	tb := sw.Tables()
-	g := sw.CDG()
 	rep := Report{
 		Net:       tb.Net,
 		Algorithm: tb.Algorithm,
 		NumVC:     tb.NumVC(),
-		Vertices:  g.N(),
-		Deps:      g.M(),
+		Vertices:  tb.Net.NumChannels() * tb.NumVC(),
+		Deps:      sw.NumDeps(),
 	}
-	var cyclic bool
-	rep.Cycle, cyclic = g.ShortestCycle()
-	rep.Free = !cyclic
+	rep.Free = peel(rep.Vertices, sw.Successors) == 0
+	if !rep.Free {
+		rep.Cycle, _ = sw.CDG().ShortestCycle()
+	}
 	if rep.NumVC > 1 {
-		phys := graph.NewDigraph(tb.Net.NumChannels())
-		for _, e := range sw.Deps() {
-			phys.AddEdge(e[0]/rep.NumVC, e[1]/rep.NumVC)
-		}
-		_, rep.PhysicalCyclic = phys.ShortestCycle()
+		rep.PhysicalCyclic = peel(tb.Net.NumChannels(), sw.PhysicalSuccessors) > 0
 	}
 	return rep
+}
+
+// peel runs Kahn's algorithm over the n-vertex graph whose out-edges succ
+// appends, and returns the number of vertices left on or behind a cycle.
+func peel(n int, succ func(buf []int, u int) []int) int {
+	indeg := make([]int32, n)
+	var buf []int
+	for u := range n {
+		buf = succ(buf[:0], u)
+		for _, w := range buf {
+			indeg[w]++
+		}
+	}
+	queue := make([]int32, 0, n)
+	for u, d := range indeg {
+		if d == 0 {
+			queue = append(queue, int32(u))
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		buf = succ(buf[:0], int(queue[i]))
+		for _, w := range buf {
+			if indeg[w]--; indeg[w] == 0 {
+				queue = append(queue, int32(w))
+			}
+		}
+	}
+	return n - len(queue)
 }
 
 // Analyze is Check for tables that must route every ordered node pair:

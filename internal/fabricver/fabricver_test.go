@@ -294,6 +294,27 @@ func BenchmarkCheckFault(b *testing.B) {
 	}
 }
 
+// BenchmarkEnumerateFaults measures the whole single-fault enumeration of
+// the two-level fat fractahedron with fan-out: all 408 link and router
+// faults re-proved on one worker, so the number is the fault layer's CPU
+// cost with no scheduling in it.
+func BenchmarkEnumerateFaults(b *testing.B) {
+	sys, _, err := core.ParseSystem("fat-fract:levels=2,fanout")
+	if err != nil {
+		b.Fatal(err)
+	}
+	violate := func(check, format string, args ...any) {
+		b.Fatalf("%s: "+format, append([]any{check}, args...)...)
+	}
+	b.ReportAllocs()
+	for range b.N {
+		fc := enumerateFaults(sys.Net, 1, violate)
+		if tried := fc.LinkFaults.Tried + fc.RouterFaults.Tried; !fc.OK || tried != 408 {
+			b.Fatalf("%d faults tried, ok=%v", tried, fc.OK)
+		}
+	}
+}
+
 // BenchmarkVerifySpec measures the static certification of the 4096-node
 // level-4 fat fractahedron: build, table consistency, the all-pairs sweep,
 // CDG acyclicity, reachability and disables, without the fault

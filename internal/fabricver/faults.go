@@ -213,7 +213,7 @@ func verifyComponent(net *topology.Network, c Component, dead func(topology.Link
 		return []string{fmt.Sprintf("%s: component with %d nodes has no router", desc, len(c.Nodes))}
 	}
 
-	sub, newID := rebuild(net, c, dead)
+	sub, newID := net.Induced(net.Name+" (degraded)", c.Devices, dead)
 	root := newID[c.Routers[0]]
 	tb := routing.UpDownGeneric(sub, root)
 
@@ -242,36 +242,4 @@ func verifyComponent(net *topology.Network, c Component, dead func(topology.Link
 		out = append(out, fmt.Sprintf("%s: recomputed disables enable %d turns but routes use %d", desc, enabled, lc.UsedTurns))
 	}
 	return out
-}
-
-// rebuild copies a component into a fresh Network. Devices keep their
-// names, port counts and relative order (so node addresses are ascending
-// in the original addresses), and links keep their port numbers; only the
-// dense IDs change. The returned slice translates original device IDs
-// (-1 for devices outside the component).
-func rebuild(net *topology.Network, c Component, dead func(topology.LinkID) bool) (*topology.Network, []topology.DeviceID) {
-	sub := topology.New(net.Name + " (degraded)")
-	newID := make([]topology.DeviceID, net.NumDevices())
-	for i := range newID {
-		newID[i] = -1
-	}
-	for _, id := range c.Devices {
-		d := net.Device(id)
-		if d.Kind == topology.Router {
-			newID[id] = sub.AddRouter(d.Name, d.Ports)
-		} else {
-			newID[id] = sub.AddNode(d.Name)
-		}
-	}
-	for _, l := range net.Links() {
-		if dead(l.ID) {
-			continue // a faulted link stays down even if both ends survive
-		}
-		na, nb := newID[l.A.Device], newID[l.B.Device]
-		if na < 0 || nb < 0 {
-			continue
-		}
-		sub.Connect(na, l.A.Port, nb, l.B.Port)
-	}
-	return sub, newID
 }

@@ -72,7 +72,7 @@ func checkOnline(t *testing.T, net *topology.Network, dead func(topology.LinkID)
 	if c == nil {
 		t.Fatalf("root %s roots no component", net.Device(root).Name)
 	}
-	sub, newID := rebuild(net, *c, dead)
+	sub, newID := net.Induced(net.Name+" (degraded)", c.Devices, dead)
 	want := routing.UpDownGeneric(sub, newID[root]).Sweep()
 	got := tb.Sweep()
 	for _, a := range c.Nodes {

@@ -82,13 +82,15 @@ func disablesCheck(sw *routing.PairSweep, sys *core.System, violate func(check, 
 		if dev.Kind != topology.Router {
 			continue
 		}
+		used := make([]bool, dev.Ports)
 		for in := 0; in < dev.Ports; in++ {
+			sw.TurnRow(used, dev.ID, in)
+			allowed := sys.Disables.Row(dev.ID, in)
 			for out := 0; out < dev.Ports; out++ {
 				if in == out {
 					continue
 				}
-				u := sw.TurnUsed(dev.ID, in, out)
-				a := sys.Disables.Allowed(dev.ID, in, out)
+				u, a := used[out], allowed[out]
 				if u && !a {
 					if mismatches < maxDetail {
 						violate("disables", "turn %d->%d at %s is used by a route but disabled", in, out, dev.Name)

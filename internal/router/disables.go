@@ -24,18 +24,13 @@ type Disables struct {
 // AllowAll returns a permission matrix with every turn enabled except
 // u-turns (in == out), which ServerNet routers never perform.
 func AllowAll(net *topology.Network) *Disables {
-	d := &Disables{net: net, allowed: make(map[topology.DeviceID][][]bool)}
+	d := newDisables(net)
 	for _, dev := range net.Devices() {
-		if dev.Kind != topology.Router {
-			continue
-		}
-		m := newMatrix(dev.Ports)
-		for in := 0; in < dev.Ports; in++ {
-			for out := 0; out < dev.Ports; out++ {
-				m[in][out] = in != out
+		for in, row := range d.allowed[dev.ID] {
+			for out := range row {
+				row[out] = in != out
 			}
 		}
-		d.allowed[dev.ID] = m
 	}
 	return d
 }
@@ -59,18 +54,11 @@ func FromTables(t *routing.Tables) (*Disables, error) {
 // to recompute path-disables for a degraded fabric without routing all
 // pairs a second time.
 func FromSweep(sw *routing.PairSweep, net *topology.Network) *Disables {
-	d := &Disables{net: net, allowed: make(map[topology.DeviceID][][]bool)}
+	d := newDisables(net)
 	for _, dev := range net.Devices() {
-		if dev.Kind != topology.Router {
-			continue
+		for in, row := range d.allowed[dev.ID] {
+			sw.TurnRow(row, dev.ID, in)
 		}
-		m := newMatrix(dev.Ports)
-		for in := range m {
-			for out := range m[in] {
-				m[in][out] = sw.TurnUsed(dev.ID, in, out)
-			}
-		}
-		d.allowed[dev.ID] = m
 	}
 	return d
 }
@@ -128,10 +116,28 @@ func (d *Disables) Counts() (enabled, disabled int) {
 	return enabled, disabled
 }
 
-func newMatrix(ports int) [][]bool {
-	m := make([][]bool, ports)
-	for i := range m {
-		m[i] = make([]bool, ports)
+// newDisables returns net's disables with every turn off: every router's
+// matrix rows, and their cells, cut from one slice each.
+func newDisables(net *topology.Network) *Disables {
+	ports, cells := 0, 0
+	for _, dev := range net.Devices() {
+		if dev.Kind == topology.Router {
+			ports += dev.Ports
+			cells += dev.Ports * dev.Ports
+		}
 	}
-	return m
+	rows, all := make([][]bool, ports), make([]bool, cells)
+	d := &Disables{net: net, allowed: make(map[topology.DeviceID][][]bool, net.NumRouters())}
+	for _, dev := range net.Devices() {
+		if dev.Kind != topology.Router {
+			continue
+		}
+		m := rows[:dev.Ports:dev.Ports]
+		rows = rows[dev.Ports:]
+		for i := range m {
+			m[i], all = all[:dev.Ports:dev.Ports], all[dev.Ports:]
+		}
+		d.allowed[dev.ID] = m
+	}
+	return d
 }

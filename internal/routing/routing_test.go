@@ -384,9 +384,11 @@ func TestUsedTurnsNeverReversePort(t *testing.T) {
 			continue
 		}
 		turns := 0
+		row := make([]bool, d.Ports)
 		for in := 0; in < d.Ports; in++ {
-			for out := 0; out < d.Ports; out++ {
-				if sw.TurnUsed(d.ID, in, out) {
+			sw.TurnRow(row, d.ID, in)
+			for out, used := range row {
+				if used {
 					turns++
 					if in == out {
 						t.Errorf("router %s u-turns on port %d", d.Name, in)

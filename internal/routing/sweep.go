@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math/bits"
@@ -24,6 +25,7 @@ import (
 // Failures included.
 type PairSweep struct {
 	tables *Tables
+	wiring *wiring
 	n      int
 	numVC  int
 	hops   []int32 // [dst*n+src]: router hops; -1 when the pair fails and on the diagonal
@@ -121,6 +123,13 @@ func (t *Tables) step(w *wiring, dev topology.DeviceID, dst int, col []byte) (to
 // turns the all-pairs cost from O(N² · path) into O(N² + N · routers).
 // Pairs are visited in ascending (dst, src) order, so every derived
 // field, including the order of Failures, is deterministic.
+//
+// Consecutive destinations on one home router usually share their in-tree
+// up to that router's own entry (every fractahedron router holds two
+// nodes), so the memo is kept across them when that is provably so (see
+// keepMemo): every sealed verdict still holds, with the home router now
+// delivering into the new node, and the only new dependencies are the
+// turns into the home router toward the new node's port.
 func (t *Tables) sweep() *PairSweep {
 	net := t.Net
 	v := t.NumVC()
@@ -130,6 +139,7 @@ func (t *Tables) sweep() *PairSweep {
 
 	sw := &PairSweep{
 		tables:   t,
+		wiring:   w,
 		n:        n,
 		numVC:    v,
 		hops:     make([]int32, n*n),
@@ -157,8 +167,10 @@ func (t *Tables) sweep() *PairSweep {
 		sw.outCol[c] = net.ChannelSrc(topology.ChannelID(c)).Port * v
 	}
 
-	// Per-destination memo, invalidated by stamping (stamp == dst+1) so no
-	// per-destination clearing pass is needed.
+	// Per-destination memo, invalidated by stamping (stamp == ds, a fresh
+	// ds per memo generation) so no per-destination clearing pass is
+	// needed.
+	ds := 0
 	stamp := make([]int, nd)
 	status := make([]uint8, nd)
 	hops := make([]int32, nd)                // router hops from the device to dst
@@ -171,12 +183,25 @@ func (t *Tables) sweep() *PairSweep {
 	walkID := 0
 	path := make([]topology.DeviceID, 0, nd)
 
+	// The memo generation's home router, the router channels marked into
+	// it, and whether a walk has sealed a failure since the generation
+	// began (a reason may name the destination, so the memo is not kept).
+	home := topology.DeviceID(-1)
+	var intoHome []topology.ChannelID
+	sealedBad := false
+	markAt := func(dev topology.DeviceID, inCh topology.ChannelID, inVC int, outCh topology.ChannelID, outVC int) {
+		sw.mark(dev, inCh, inVC, outCh, outVC)
+		if dev == home {
+			intoHome = append(intoHome, inCh)
+		}
+	}
+
 	// walk explores from router r until it reaches a memoized device, a
 	// routing failure, or a loop, then seals the verdict onto every device
 	// it visited. On success it also marks the newly discovered
 	// dependencies: each device's out-channel is recorded once per
 	// destination, in the walk that first reaches it.
-	walk := func(r topology.DeviceID, dst, ds int, col []byte) {
+	walk := func(r topology.DeviceID, dst int, col []byte) {
 		walkID++
 		path = path[:0]
 		cur := r
@@ -235,6 +260,7 @@ func (t *Tables) sweep() *PairSweep {
 			hops[d] = h
 		}
 		if bst != swOK {
+			sealedBad = true
 			return
 		}
 		// The newly sealed segment's dependencies: consecutive path
@@ -242,12 +268,39 @@ func (t *Tables) sweep() *PairSweep {
 		// downstream dependencies were marked when it was first sealed).
 		for i := 1; i < len(path); i++ {
 			p := path[i-1]
-			sw.mark(path[i], outCh[p], outVC[p], outCh[path[i]], outVC[path[i]])
+			markAt(path[i], outCh[p], outVC[p], outCh[path[i]], outVC[path[i]])
 		}
 		if len(path) > 0 && t.rix[cur] >= 0 {
 			last := path[len(path)-1]
-			sw.mark(cur, outCh[last], outVC[last], outCh[cur], outVC[cur])
+			markAt(cur, outCh[last], outVC[last], outCh[cur], outVC[cur])
 		}
+	}
+
+	// keepMemo reports whether dst's in-tree is the previous destination's
+	// with only the home router's entry changed, so that every verdict the
+	// memo sealed still holds: same home router, columns byte-equal away
+	// from its entry, nothing escaped or VC-dependent, no sealed failure,
+	// and the home entry delivering straight into dst (as the previous
+	// one did into its node, or some route would have failed). into is
+	// the home router's channel into dst; -1 when dst's link is not a
+	// router's.
+	var prevCol []byte
+	prevStraight := false
+	keepMemo := func(dst int, col []byte, h topology.DeviceID, into topology.ChannelID) bool {
+		straight := into >= 0 && t.rix[h] >= 0
+		if straight {
+			b := col[t.rix[h]]
+			straight = b != 0 && b != escByte && w.portBase[h]+int32(b)-1 < w.portBase[h+1] &&
+				w.portCh[w.portBase[h]+int32(b)-1] == into
+		}
+		keep := straight && prevStraight && h == home && v == 1 && !sealedBad &&
+			bytes.IndexByte(col, escByte) < 0
+		if keep {
+			hi := t.rix[h]
+			keep = bytes.Equal(col[:hi], prevCol[:hi]) && bytes.Equal(col[hi+1:], prevCol[hi+1:])
+		}
+		prevCol, prevStraight = col, straight
+		return keep
 	}
 
 	// injOut holds, per source, the (channel, VC) out of its first router
@@ -257,10 +310,30 @@ func (t *Tables) sweep() *PairSweep {
 	for i := range injOut {
 		injOut[i] = -1
 	}
+	prevDev := topology.DeviceID(-1)
 	for dst := 0; dst < n; dst++ {
-		ds := dst + 1
 		col := t.cols[dst*len(t.routers) : (dst+1)*len(t.routers)]
 		dstDev := net.NodeByIndex(dst)
+		h, into := topology.DeviceID(-1), topology.ChannelID(-1)
+		if c := w.portCh[w.portBase[dstDev]]; c >= 0 {
+			h, into = w.dstDev[c], c^1
+		}
+		if keepMemo(dst, col, h, into) {
+			// The previous node is foreign now, and the home router
+			// delivers to dst: the channels already turning into it turn
+			// toward the new port.
+			stamp[prevDev] = 0
+			if stamp[h] == ds {
+				outCh[h] = into
+			}
+			for _, c := range intoHome {
+				sw.mark(h, c, 0, into, 0)
+			}
+		} else {
+			ds++
+			home, intoHome, sealedBad = h, intoHome[:0], false
+		}
+		prevDev = dstDev
 		stamp[dstDev] = ds
 		status[dstDev] = swOK
 		hops[dstDev] = 0
@@ -280,7 +353,7 @@ func (t *Tables) sweep() *PairSweep {
 			}
 			r0 := w.dstDev[ch]
 			if stamp[r0] != ds {
-				walk(r0, dst, ds, col)
+				walk(r0, dst, col)
 			}
 			if status[r0] == swBad {
 				sw.Failures = append(sw.Failures, PairFailure{s, dst, why[failDev[r0]]})
@@ -346,33 +419,41 @@ func (sw *PairSweep) MaxHops() (hops, src, dst int) {
 	return hops, src, dst
 }
 
-// TurnUsed reports whether some route turns from port in to port out at
-// router dev (on any virtual channels). The turns no route uses are §2.4's
+// TurnRow sets row[out], for every port out of router dev, to whether
+// some route turns from port in to port out (on any virtual channels),
+// reading the block's rows in place. The turns no route uses are §2.4's
 // path-disable set.
-func (sw *PairSweep) TurnUsed(dev topology.DeviceID, in, out int) bool {
+func (sw *PairSweep) TurnRow(row []bool, dev topology.DeviceID, in int) {
 	v := sw.numVC
 	base, stride := sw.turnBase[dev], sw.stride[dev]
+	clear(row)
 	for vi := 0; vi < v; vi++ {
-		for vo := 0; vo < v; vo++ {
-			if sw.bit(base + (in*v+vi)*stride + out*v + vo) {
-				return true
+		r := base + (in*v+vi)*stride
+		for lo := 0; lo < stride; lo += 64 {
+			for word := sw.word(r+lo, min(stride-lo, 64)); word != 0; word &= word - 1 {
+				row[(lo+bits.TrailingZeros64(word))/v] = true
 			}
 		}
 	}
-	return false
 }
 
 // NumTurns reports the number of distinct (router, in port, out port)
-// turns the routes use.
+// turns the routes use. With one VC every turn is one dependency bit.
 func (sw *PairSweep) NumTurns() int {
+	if sw.numVC == 1 {
+		return sw.NumDeps()
+	}
 	n := 0
+	var row []bool
 	for _, d := range sw.tables.Net.Devices() {
 		if d.Kind != topology.Router {
 			continue
 		}
+		row = slices.Grow(row[:0], d.Ports)[:d.Ports]
 		for in := 0; in < d.Ports; in++ {
-			for out := 0; out < d.Ports; out++ {
-				if sw.TurnUsed(d.ID, in, out) {
+			sw.TurnRow(row, d.ID, in)
+			for _, used := range row {
+				if used {
 					n++
 				}
 			}
@@ -381,37 +462,91 @@ func (sw *PairSweep) NumTurns() int {
 	return n
 }
 
-// Deps returns the distinct channel dependencies of the routed pairs as
-// (from, to) edges over (channel, VC) vertices (vertex = channel*NumVC +
-// vc), sorted ascending so a graph built from them, and any cycle taken
-// from it, is reproducible. Each (in-channel, VC) vertex is one row of the
-// bitmap of the router the channel enters, so walking in-channels in
-// ascending order emits the edges grouped by ascending from, and only each
-// short row needs sorting.
-func (sw *PairSweep) Deps() [][2]int {
-	net := sw.tables.Net
-	v := sw.numVC
+// NumDeps reports the number of distinct channel dependencies, len(Deps()),
+// as the bitmap's population count.
+func (sw *PairSweep) NumDeps() int {
 	n := 0
 	for _, w := range sw.bits {
 		n += bits.OnesCount64(w)
 	}
-	deps := make([][2]int, 0, n)
-	for in := 0; in < net.NumChannels(); in++ {
-		at := net.ChannelDst(topology.ChannelID(in))
-		base, stride := sw.turnBase[at.Device], sw.stride[at.Device]
-		if base < 0 {
-			continue // ejection into an end node: no turn follows
+	return n
+}
+
+// Successors appends to buf the CDG successors of (channel, VC) vertex u
+// (channel*NumVC + vc), read off its bitmap row in column order, and
+// returns the extended slice.
+func (sw *PairSweep) Successors(buf []int, u int) []int {
+	v := sw.numVC
+	at := sw.wiring.dstDev[u/v]
+	base := sw.turnBase[at]
+	if base < 0 {
+		return buf // ejection into an end node: no turn follows
+	}
+	row, stride, pb := sw.inRow[u/v]+(u%v)*sw.stride[at], sw.stride[at], sw.wiring.portBase[at]
+	for lo := 0; lo < stride; lo += 64 {
+		for word := sw.word(row+lo, min(stride-lo, 64)); word != 0; word &= word - 1 {
+			c := lo + bits.TrailingZeros64(word)
+			buf = append(buf, int(sw.wiring.portCh[pb+int32(c/v)])*v+c%v)
 		}
+	}
+	return buf
+}
+
+// word returns the width (at most 64) bits from bit i on, bit i lowest.
+func (sw *PairSweep) word(i, width int) uint64 {
+	w, off := i/64, uint(i%64)
+	x := sw.bits[w] >> off
+	if int(off)+width > 64 {
+		x |= sw.bits[w+1] << (64 - off)
+	}
+	if width < 64 {
+		x &= 1<<uint(width) - 1
+	}
+	return x
+}
+
+// PhysicalSuccessors is Successors for the projection onto physical
+// channels: the channels some VC of channel c turns into, each once, in
+// port order.
+func (sw *PairSweep) PhysicalSuccessors(buf []int, c int) []int {
+	v := sw.numVC
+	at := sw.wiring.dstDev[c]
+	base, stride := sw.turnBase[at], sw.stride[at]
+	if base < 0 {
+		return buf
+	}
+	row, pb := sw.inRow[c], sw.wiring.portBase[at]
+	for out := 0; out*v < stride; out++ {
+	vcs:
 		for vi := 0; vi < v; vi++ {
-			row, start := base+(at.Port*v+vi)*stride, len(deps)
-			for col := 0; col < stride; col++ {
-				if sw.bit(row + col) {
-					outCh, _ := net.ChannelFromPort(at.Device, col/v)
-					deps = append(deps, [2]int{in*v + vi, int(outCh)*v + col%v})
+			for vo := 0; vo < v; vo++ {
+				if sw.bit(row + vi*stride + out*v + vo) {
+					buf = append(buf, int(sw.wiring.portCh[pb+int32(out)]))
+					break vcs
 				}
 			}
-			slices.SortFunc(deps[start:], CompareEdges)
 		}
+	}
+	return buf
+}
+
+// Deps returns the distinct channel dependencies of the routed pairs as
+// (from, to) edges over (channel, VC) vertices (vertex = channel*NumVC +
+// vc), sorted ascending so a graph built from them, and any cycle taken
+// from it, is reproducible. Each vertex's successors are one row of the
+// bitmap of the router its channel enters, so walking vertices in
+// ascending order emits the edges grouped by ascending from, and only each
+// short row needs sorting.
+func (sw *PairSweep) Deps() [][2]int {
+	deps := make([][2]int, 0, sw.NumDeps())
+	var succ []int
+	for u := range sw.tables.Net.NumChannels() * sw.numVC {
+		start := len(deps)
+		succ = sw.Successors(succ[:0], u)
+		for _, w := range succ {
+			deps = append(deps, [2]int{u, w})
+		}
+		slices.SortFunc(deps[start:], CompareEdges)
 	}
 	return deps
 }

@@ -1,6 +1,7 @@
 package routing_test
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
@@ -21,8 +22,9 @@ import (
 )
 
 // The reference analyses below are the per-pair route walks the sweep
-// replaced: every ordered pair is routed with Tables.Route, source-major,
-// and the first failure is returned as is.
+// replaced: every ordered pair is routed with Tables.Route, source-major;
+// the pairs that fail are skipped, and the first failure is returned as
+// is.
 
 // refTurns returns the (in, out) turns the routes take at each router.
 func refTurns(t *routing.Tables) (map[topology.DeviceID]map[[2]int]bool, error) {
@@ -53,9 +55,6 @@ func refDeps(t *routing.Tables, vc bool) ([][2]int, error) {
 			seen[[2]int{a, b}] = true
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
 	edges := make([][2]int, 0, len(seen))
 	for e := range seen {
 		edges = append(edges, e)
@@ -66,7 +65,7 @@ func refDeps(t *routing.Tables, vc bool) ([][2]int, error) {
 		}
 		return edges[i][1] < edges[j][1]
 	})
-	return edges, nil
+	return edges, err
 }
 
 func refHops(t *routing.Tables) (metrics.HopStats, error) {
@@ -92,6 +91,7 @@ func refHops(t *routing.Tables) (metrics.HopStats, error) {
 }
 
 func forEachRoute(t *routing.Tables, visit func(routing.Route)) error {
+	var first error
 	n := t.Net.NumNodes()
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
@@ -100,12 +100,13 @@ func forEachRoute(t *routing.Tables, visit func(routing.Route)) error {
 			}
 			r, err := t.Route(s, d)
 			if err != nil {
-				return err
+				first = cmp.Or(first, err)
+				continue
 			}
 			visit(r)
 		}
 	}
-	return nil
+	return first
 }
 
 func edgesOf(g *graph.Digraph) [][2]int {
@@ -118,12 +119,13 @@ func edgesOf(g *graph.Digraph) [][2]int {
 	return edges
 }
 
-// sweepSystems is every built-in system plus the VC dateline routings and
-// the cyclic Figure 1 ring.
+// sweepSystems is every built-in system plus the VC dateline routings, the
+// cyclic Figure 1 ring, and a fat tree of 70-port routers, whose turn rows
+// are wider than a bitmap word.
 func sweepSystems(t testing.TB) map[string]*routing.Tables {
 	t.Helper()
 	systems := make(map[string]*routing.Tables)
-	for _, spec := range append(core.BuiltinSpecs(), "ring:size=4,unsafe") {
+	for _, spec := range append(core.BuiltinSpecs(), "ring:size=4,unsafe", "fattree:d=40,u=30,nodes=80") {
 		sys, _, err := core.ParseSystem(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
@@ -137,7 +139,10 @@ func sweepSystems(t testing.TB) map[string]*routing.Tables {
 
 // checkAgainstReference requires every sweep-backed analysis to equal its
 // route-walk reference: the same result when every pair routes, and
-// otherwise exactly Tables.Verify's error.
+// otherwise exactly Tables.Verify's error. The sweep's own fields (turns,
+// dependencies, per-pair hops and the failing pairs) must equal the walk
+// over the pairs that route either way: the fabric verifier reads them
+// off partly broken tables.
 func checkAgainstReference(t *testing.T, name string, tb *routing.Tables) {
 	t.Helper()
 	if deps := tb.Sweep().Deps(); !slices.IsSortedFunc(deps, routing.CompareEdges) ||
@@ -156,8 +161,8 @@ func checkAgainstReference(t *testing.T, name string, tb *routing.Tables) {
 	sameErr("Analyze", aErr)
 	hops, hErr := metrics.Hops(tb)
 	sameErr("Hops", hErr)
-	if verr != nil {
-		return
+	if want, _ := refHops(tb); verr == nil && !reflect.DeepEqual(hops, want) {
+		t.Errorf("%s: Hops = %+v, route walk %+v", name, hops, want)
 	}
 
 	sw := tb.Sweep()
@@ -167,10 +172,12 @@ func checkAgainstReference(t *testing.T, name string, tb *routing.Tables) {
 		if d.Kind != topology.Router {
 			continue
 		}
+		row := make([]bool, d.Ports)
 		for in := 0; in < d.Ports; in++ {
+			sw.TurnRow(row, d.ID, in)
 			for out := 0; out < d.Ports; out++ {
-				if got, want := sw.TurnUsed(d.ID, in, out), used[d.ID][[2]int{in, out}]; got != want {
-					t.Errorf("%s: TurnUsed(%s, %d, %d) = %v, route walk %v", name, d.Name, in, out, got, want)
+				if want := used[d.ID][[2]int{in, out}]; row[out] != want {
+					t.Errorf("%s: TurnRow(%s, %d)[%d] = %v, route walk %v", name, d.Name, in, out, row[out], want)
 				}
 			}
 		}
@@ -192,8 +199,12 @@ func checkAgainstReference(t *testing.T, name string, tb *routing.Tables) {
 	if g := sw.CDG(); !slices.Equal(edgesOf(g), want) {
 		t.Errorf("%s: Sweep.CDG has %d edges, route walk %d (or they differ)", name, g.M(), len(want))
 	}
-	if want, _ := refHops(tb); !reflect.DeepEqual(hops, want) {
-		t.Errorf("%s: Hops = %+v, route walk %+v", name, hops, want)
+	if sw.NumDeps() != len(want) {
+		t.Errorf("%s: NumDeps = %d, route walk %d", name, sw.NumDeps(), len(want))
+	}
+	failed := make(map[[2]int]bool)
+	for _, f := range sw.Failures {
+		failed[[2]int{f.Src, f.Dst}] = true
 	}
 	n := tb.Net.NumNodes()
 	for s := 0; s < n; s++ {
@@ -201,10 +212,29 @@ func checkAgainstReference(t *testing.T, name string, tb *routing.Tables) {
 			if s == d {
 				continue
 			}
-			r, _ := tb.Route(s, d)
-			if got := sw.Hops(s, d); got != r.RouterHops() {
-				t.Fatalf("%s: Sweep.Hops(%d, %d) = %d, Route takes %d", name, s, d, got, r.RouterHops())
+			walk := -1
+			r, err := tb.Route(s, d)
+			if err == nil {
+				walk = r.RouterHops()
 			}
+			if got := sw.Hops(s, d); got != walk {
+				t.Fatalf("%s: Sweep.Hops(%d, %d) = %d, Route takes %d (%v)", name, s, d, got, walk, err)
+			}
+			if failed[[2]int{s, d}] != (err != nil) {
+				t.Fatalf("%s: %d -> %d listed failing %v, Route error %v", name, s, d, failed[[2]int{s, d}], err)
+			}
+		}
+	}
+	if len(failed) != len(sw.Failures) {
+		t.Errorf("%s: %d failures list %d distinct pairs", name, len(sw.Failures), len(failed))
+	}
+	// A failure's reason is its own walk's failing step, except that a
+	// loop is named by the entry the first walk into it found.
+	for _, f := range sw.Failures {
+		_, err := nextHops(tb, f.Src, f.Dst)
+		if loop := strings.HasPrefix(f.Reason, "routing loop through "); err == nil ||
+			loop != (err.Error() == "routing loop") || !loop && f.Reason != err.Error() {
+			t.Fatalf("%s: %d -> %d fails with %q, Next's walk %v", name, f.Src, f.Dst, f.Reason, err)
 		}
 	}
 }
@@ -338,19 +368,37 @@ func TestBrokenTableErrorIndependentOfGOMAXPROCS(t *testing.T) {
 // analyses to agree with the route walk: equal outputs whenever Verify
 // passes, Verify's error whenever it fails. Route, AppendRoute and the old
 // per-device walk must give every pair the same path or the same error.
+//
+// The specs include a fat tree with more than two nodes per router and the
+// up*/down* tables of a rebuilt fault component (the tables the fault
+// enumeration sweeps), where the sweep keeps its memo across the
+// destinations of one home router; the last seeds mutate node 1's entry,
+// the second destination of node 0's router, once away from and once at
+// that router, and once as a hole like node 0's, so a memo kept across
+// them would be stale.
 func FuzzSweepVsRoute(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(1), int8(-1), uint8(3), uint8(2), int8(0))
 	f.Add(uint8(1), uint8(2), uint8(5), int8(4), uint8(0), uint8(0), int8(-1))
 	f.Add(uint8(2), uint8(1), uint8(0), int8(1), uint8(1), uint8(3), int8(0))
 	f.Add(uint8(3), uint8(3), uint8(2), int8(5), uint8(2), uint8(7), int8(2))
 	f.Add(uint8(4), uint8(0), uint8(3), int8(0), uint8(1), uint8(1), int8(1))
-	specs := []string{"fat-fract:levels=1", "mesh:cols=4,rows=4,nodes=2", "ring:size=6", "hypercube:dim=3,updown", "ring-dateline"}
+	f.Add(uint8(5), uint8(4), uint8(9), int8(2), uint8(0), uint8(2), int8(0))
+	f.Add(uint8(6), uint8(1), uint8(1), int8(0), uint8(1), uint8(1), int8(0))
+	f.Add(uint8(6), uint8(0), uint8(1), int8(1), uint8(0), uint8(1), int8(1))
+	f.Add(uint8(6), uint8(1), uint8(0), int8(0), uint8(1), uint8(1), int8(0))
+	f.Add(uint8(0), uint8(1), uint8(1), int8(3), uint8(1), uint8(1), int8(3))
+	f.Add(uint8(0), uint8(0), uint8(1), int8(1), uint8(0), uint8(1), int8(1))
+	specs := []string{"fat-fract:levels=1", "mesh:cols=4,rows=4,nodes=2", "ring:size=6", "hypercube:dim=3,updown",
+		"ring-dateline", "fattree:d=4,u=2,nodes=23", "fault-component"}
 	f.Fuzz(func(t *testing.T, specSel, r1, d1 uint8, p1 int8, r2, d2 uint8, p2 int8) {
 		spec := specs[int(specSel)%len(specs)]
 		var tb *routing.Tables
-		if spec == "ring-dateline" {
+		switch spec {
+		case "ring-dateline":
 			tb = routing.RingDateline(topology.NewRing(4, 1))
-		} else {
+		case "fault-component":
+			tb = faultComponentTables(t)
+		default:
 			sys, _, err := core.ParseSystem(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -379,6 +427,39 @@ func FuzzSweepVsRoute(f *testing.F) {
 		checkAgainstReference(t, spec, tb)
 		checkWalker(t, spec, tb)
 	})
+}
+
+// faultComponentTables are the tables the fabric verifier sweeps for the
+// first inter-router link fault of fat-fract:levels=2: the degraded
+// network rebuilt from the surviving devices and routed up*/down* from its
+// lowest router.
+func faultComponentTables(t testing.TB) *routing.Tables {
+	t.Helper()
+	sys, _, err := core.ParseSystem("fat-fract:levels=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := sys.Net
+	down := topology.LinkID(-1)
+	var devices []topology.DeviceID
+	for _, d := range net.Devices() {
+		devices = append(devices, d.ID)
+	}
+	for _, l := range net.Links() {
+		if net.Device(l.A.Device).Kind == topology.Router && net.Device(l.B.Device).Kind == topology.Router {
+			down = l.ID
+			break
+		}
+	}
+	sub, newID := net.Induced(net.Name+" (degraded)", devices, func(l topology.LinkID) bool { return l == down })
+	var root topology.DeviceID = -1
+	for _, d := range net.Devices() {
+		if d.Kind == topology.Router {
+			root = newID[d.ID]
+			break
+		}
+	}
+	return routing.UpDownGeneric(sub, root)
 }
 
 // A sweep is memoized per table state: repeated calls share one result,

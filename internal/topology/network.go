@@ -134,6 +134,71 @@ func (n *Network) Connect(a DeviceID, aPort int, b DeviceID, bPort int) LinkID {
 	return id
 }
 
+// Induced returns the subnetwork named name on the given devices and the
+// links among them that dead (nil for none) does not report failed — a
+// degraded fabric's surviving piece. Devices keep their kinds, names and
+// port counts and are renumbered in the order given (so end nodes keep
+// their relative addresses when devices ascend), and links keep their
+// ports and relative order. Everything is allocated at its exact size. The
+// returned slice maps each device of n to its ID in the subnetwork, or -1.
+func (n *Network) Induced(name string, devices []DeviceID, dead func(LinkID) bool) (*Network, []DeviceID) {
+	newID := make([]DeviceID, len(n.devices))
+	for i := range newID {
+		newID[i] = -1
+	}
+	ports, nodes := 0, 0
+	for i, id := range devices {
+		newID[id] = DeviceID(i)
+		ports += n.devices[id].Ports
+		if n.devices[id].Kind == Node {
+			nodes++
+		}
+	}
+	live := func(l Link) bool {
+		return (dead == nil || !dead(l.ID)) && newID[l.A.Device] >= 0 && newID[l.B.Device] >= 0
+	}
+	links := 0
+	for _, l := range n.links {
+		if live(l) {
+			links++
+		}
+	}
+
+	sub := &Network{
+		Name:     name,
+		devices:  make([]Device, len(devices)),
+		links:    make([]Link, 0, links),
+		portLink: make([][]LinkID, len(devices)),
+		nodes:    make([]DeviceID, 0, nodes),
+		nodeIdx:  make(map[DeviceID]int, nodes),
+	}
+	slots := make([]LinkID, ports)
+	for i := range slots {
+		slots[i] = -1
+	}
+	for i, id := range devices {
+		d := n.devices[id]
+		d.ID = DeviceID(i)
+		sub.devices[i] = d
+		sub.portLink[i], slots = slots[:d.Ports:d.Ports], slots[d.Ports:]
+		if d.Kind == Node {
+			sub.nodeIdx[d.ID] = len(sub.nodes)
+			sub.nodes = append(sub.nodes, d.ID)
+		}
+	}
+	for _, l := range n.links {
+		if !live(l) {
+			continue
+		}
+		id := LinkID(len(sub.links))
+		a, b := PortRef{newID[l.A.Device], l.A.Port}, PortRef{newID[l.B.Device], l.B.Port}
+		sub.links = append(sub.links, Link{ID: id, A: a, B: b})
+		sub.portLink[a.Device][a.Port] = id
+		sub.portLink[b.Device][b.Port] = id
+	}
+	return sub, newID
+}
+
 // ConnectNext wires the lowest free port of a to the lowest free port of b.
 func (n *Network) ConnectNext(a, b DeviceID) LinkID {
 	return n.Connect(a, n.FreePort(a), b, n.FreePort(b))

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -516,6 +518,67 @@ func TestFatTreeLevelsExplicit(t *testing.T) {
 		}
 	}()
 	NewFatTreeLevels(2, 1, 2, 100)
+}
+
+// Induced is the incremental build of the kept devices and live links —
+// AddRouter/AddNode in order, then Connect in link order — allocated at
+// exact sizes: a router fault (its links die with it) and a link fault of
+// the fat fractahedron.
+func TestInducedMatchesIncrementalBuild(t *testing.T) {
+	net := NewFractahedron(Tetra(2, true)).Network
+	var r0 DeviceID = -1
+	var interRouter LinkID = -1
+	for _, l := range net.Links() {
+		if net.Device(l.A.Device).Kind == Router && net.Device(l.B.Device).Kind == Router {
+			r0, interRouter = l.A.Device, l.ID
+			break
+		}
+	}
+	for _, c := range []struct {
+		name string
+		keep func(DeviceID) bool
+		dead func(LinkID) bool
+	}{
+		{"router", func(d DeviceID) bool { return d != r0 }, nil},
+		{"link", func(DeviceID) bool { return true }, func(l LinkID) bool { return l == interRouter }},
+	} {
+		var devices []DeviceID
+		want := New("sub")
+		newID := make([]DeviceID, net.NumDevices())
+		for _, d := range net.Devices() {
+			newID[d.ID] = -1
+			if !c.keep(d.ID) {
+				continue
+			}
+			devices = append(devices, d.ID)
+			if d.Kind == Router {
+				newID[d.ID] = want.AddRouter(d.Name, d.Ports)
+			} else {
+				newID[d.ID] = want.AddNode(d.Name)
+			}
+		}
+		for _, l := range net.Links() {
+			if a, b := newID[l.A.Device], newID[l.B.Device]; a >= 0 && b >= 0 && (c.dead == nil || !c.dead(l.ID)) {
+				want.Connect(a, l.A.Port, b, l.B.Port)
+			}
+		}
+
+		got, ids := net.Induced("sub", devices, c.dead)
+		if !slices.Equal(ids, newID) || got.Name != want.Name || !slices.Equal(got.devices, want.devices) ||
+			!slices.Equal(got.links, want.links) || !slices.Equal(got.nodes, want.nodes) ||
+			!maps.Equal(got.nodeIdx, want.nodeIdx) || !slices.EqualFunc(got.portLink, want.portLink, slices.Equal) {
+			t.Errorf("%s fault: Induced differs from the incremental build", c.name)
+		}
+		if cap(got.devices) != len(got.devices) || cap(got.links) != len(got.links) || cap(got.nodes) != len(got.nodes) {
+			t.Errorf("%s fault: capacities %d/%d/%d for %d devices, %d links, %d nodes", c.name,
+				cap(got.devices), cap(got.links), cap(got.nodes), len(got.devices), len(got.links), len(got.nodes))
+		}
+		for d, ports := range got.portLink {
+			if cap(ports) != got.devices[d].Ports {
+				t.Errorf("%s fault: device %d port row has capacity %d", c.name, d, cap(ports))
+			}
+		}
+	}
 }
 
 func TestConnectRejectsSelfLink(t *testing.T) {
